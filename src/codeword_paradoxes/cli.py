@@ -259,7 +259,7 @@ def _dump_ks_set(path: str, graph, contexts) -> None:
                 "kind": v.kind,
                 "label": v.label(),
                 "provenance": list(v.provenance),
-                "spanning_vectors": [vec.to_pairs() for vec in v.projector.vectors],
+                "spanning_vectors": [vec.to_pairs() for vec in v.vectors],
             }
             for v in graph.vertices
         ],

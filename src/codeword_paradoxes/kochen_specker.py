@@ -16,13 +16,14 @@ true, every context exactly one true.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .codes import five_qubit_code
+from .codes import five_qubit_code, single_qubit_errors
 from .dyadic import Dyadic
 from .errors import BudgetExceededError
-from .pauli import identity, single_site
-from .statevector import Projector, StateVector, apply, basis_ket
+from .paradoxes import ROW_SITES, bit_indices
+from .pauli import PauliString
+from .statevector import Projector, StateVector, apply
 
 __all__ = [
     "KSVertex",
@@ -40,14 +41,6 @@ __all__ = [
 _DIM = 32
 
 
-def _wrap5(k: int) -> int:
-    return (k - 1) % 5 + 1
-
-
-# Row r of the operator array constrains X on sites (r-2, r) and Z on r-1.
-ROW_SITES = {r: (_wrap5(r - 2), _wrap5(r - 1), _wrap5(r)) for r in range(2, 7)}
-
-
 @dataclass(frozen=True)
 class KSVertex:
     """One projector of the set, tagged with how it was built.
@@ -56,14 +49,17 @@ class KSVertex:
       ("classical", ket_label)
       ("mutation", codeword_index, pauli_text)
       ("row", row_index, m, n, z_sign)
-    and determines the projector uniquely.  ivecs holds the spanning set as
-    integer vectors (amplitudes times 4 for mutation vectors).
+    and determines the projector uniquely.  ivecs is the only stored form:
+    mutually orthogonal integer spanning vectors equal to the amplitudes
+    times 2**scale_exp (scale_exp is 2 for mutation vectors, whose
+    amplitudes are quarters, and 0 otherwise).  The exact vectors and the
+    projector are built from them on demand.
     """
 
     vid: int
     provenance: tuple
-    projector: Projector
     ivecs: tuple[tuple[int, ...], ...]
+    scale_exp: int = 0
 
     @property
     def rank(self) -> int:
@@ -72,6 +68,16 @@ class KSVertex:
     @property
     def kind(self) -> str:
         return self.provenance[0]
+
+    @property
+    def vectors(self) -> tuple[StateVector, ...]:
+        """The spanning vectors with their exact amplitudes."""
+        return tuple(StateVector(5, (Dyadic(x, 0, self.scale_exp) for x in iv))
+                     for iv in self.ivecs)
+
+    @property
+    def projector(self) -> Projector:
+        return Projector(self.vectors)
 
     def label(self) -> str:
         if self.kind == "classical":
@@ -101,80 +107,63 @@ def build_ks_set() -> list[KSVertex]:
     vertices: list[KSVertex] = []
 
     for j in range(_DIM):
-        ket = basis_ket(5, j)
-        vertices.append(KSVertex(
-            vid=len(vertices),
-            provenance=("classical", format(j, "05b")),
-            projector=Projector([ket]),
-            ivecs=(_int_vector(ket, 0),),
-        ))
+        ket = tuple(int(i == j) for i in range(_DIM))
+        vertices.append(KSVertex(len(vertices), ("classical", format(j, "05b")),
+                                 (ket,)))
 
     for cw in (0, 1):
         base = code.codeword(cw)
-        seen: dict[tuple, tuple] = {}
-        ordered: list[tuple] = []
-        for op, text in _mutation_operators():
-            vec = apply(op, base).phase_canonical()
-            key = vec.amps
-            if key not in seen:
-                seen[key] = (cw, text)
-                ordered.append((vec, (cw, text)))
-        if len(ordered) != 16:
+        texts: dict[tuple[int, ...], str] = {}
+        for op in single_qubit_errors(5):
+            vec = _int_vector(apply(op, base).phase_canonical(), 2)
+            texts.setdefault(vec, _error_label(op))
+        if len(texts) != 16:
             raise AssertionError(
                 f"codeword {cw}: expected 16 distinct mutation vectors, "
-                f"got {len(ordered)}")
-        for vec, (c, text) in ordered:
-            vertices.append(KSVertex(
-                vid=len(vertices),
-                provenance=("mutation", c, text),
-                projector=Projector([vec]),
-                ivecs=(_int_vector(vec, 2),),
-            ))
+                f"got {len(texts)}")
+        for vec, text in texts.items():
+            vertices.append(KSVertex(len(vertices), ("mutation", cw, text),
+                                     (vec,), scale_exp=2))
 
     for r in range(2, 7):
         a, b, c = ROW_SITES[r]
         for s in (+1, -1):
             for m in (+1, -1):
                 for n in (+1, -1):
-                    vecs = _row_subspace_vectors(a, b, c, m, n, s)
                     vertices.append(KSVertex(
-                        vid=len(vertices),
-                        provenance=("row", r, m, n, s),
-                        projector=Projector(vecs),
-                        ivecs=tuple(_int_vector(v, 0) for v in vecs),
-                    ))
+                        len(vertices), ("row", r, m, n, s),
+                        _row_subspace_vectors(a, b, c, m, n, s)))
 
     if len(vertices) != 104:
         raise AssertionError(f"built {len(vertices)} vertices, expected 104")
     return vertices
 
 
-def _mutation_operators():
-    yield identity(5), "I"
-    for site in range(1, 6):
-        for letter in "XYZ":
-            yield single_site(5, site, letter), f"{letter}{site}"
+def _error_label(op: PauliString) -> str:
+    """'I' for the identity, else letter and site of a weight-1 Pauli: 'X3'."""
+    if op.is_identity_op():
+        return "I"
+    (site,) = op.support()
+    return f"{op.letter(site)}{site}"
 
 
 def _row_subspace_vectors(a: int, b: int, c: int, m: int, n: int,
-                          s: int) -> list[StateVector]:
+                          s: int) -> tuple[tuple[int, ...], ...]:
     """Four integer vectors spanning (x_a = m) ∧ (z_b = s) ∧ (x_c = n)."""
-    rest = sorted(set(range(1, 6)) - {a, b, c})
-    d, e = rest
-    b_bit = 0 if s == +1 else 1
+    d, e = sorted(set(range(1, 6)) - {a, b, c})
+    # site k is bit 5 - k of a basis index (site 1 most significant)
+    fixed = (0 if s == +1 else 1) << (5 - b)
     vectors = []
     for bd in (0, 1):
         for be in (0, 1):
-            amps = [Dyadic(0)] * _DIM
+            amps = [0] * _DIM
             for ba in (0, 1):
                 for bc in (0, 1):
-                    bits = {a: ba, b: b_bit, c: bc, d: bd, e: be}
-                    index = 0
-                    for site in range(1, 6):
-                        index = (index << 1) | bits[site]
-                    amps[index] = Dyadic((m if ba else 1) * (n if bc else 1))
-            vectors.append(StateVector(5, amps))
-    return vectors
+                    index = (fixed | ba << (5 - a) | bc << (5 - c)
+                             | bd << (5 - d) | be << (5 - e))
+                    amps[index] = (m if ba else 1) * (n if bc else 1)
+            vectors.append(tuple(amps))
+    return tuple(vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -200,20 +189,18 @@ class OrthogonalityGraph:
         return self.adj[v].bit_count()
 
     def neighbors(self, v: int) -> list[int]:
-        return _mask_bits(self.adj[v])
+        return bit_indices(self.adj[v])
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(len(self.vertices))
-                for v in _mask_bits(self.adj[u]) if v > u]
+                for v in bit_indices(self.adj[u]) if v > u]
 
     def induced(self, ids) -> tuple["OrthogonalityGraph", dict[int, int]]:
         """Subgraph on the given vertex ids; returns (graph, old->new map)."""
         ids = sorted(ids)
         remap = {old: new for new, old in enumerate(ids)}
-        verts = []
-        for new, old in enumerate(ids):
-            v = self.vertices[old]
-            verts.append(KSVertex(new, v.provenance, v.projector, v.ivecs))
+        verts = [replace(self.vertices[old], vid=new)
+                 for new, old in enumerate(ids)]
         adj = []
         for old in ids:
             mask = 0
@@ -222,15 +209,6 @@ class OrthogonalityGraph:
                     mask |= 1 << remap[other]
             adj.append(mask)
         return OrthogonalityGraph(verts, adj), remap
-
-
-def _mask_bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _ivec_dot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
@@ -442,7 +420,7 @@ def ks_colorability(graph: OrthogonalityGraph, contexts: list[Context],
         assign[vid] = _TRUE
         trail.append(vid)
         stats["propagations"] += 1
-        for u in _mask_bits(adj[vid]):
+        for u in bit_indices(adj[vid]):
             if not set_false(u, trail):
                 return False
         return True
@@ -545,7 +523,7 @@ def ks_colorability(graph: OrthogonalityGraph, contexts: list[Context],
 def _check_coloring(graph: OrthogonalityGraph, contexts, coloring) -> None:
     for u in range(len(graph.vertices)):
         if coloring[u]:
-            for v in _mask_bits(graph.adj[u]):
+            for v in bit_indices(graph.adj[u]):
                 if coloring[v]:
                     raise AssertionError(f"KS1 violated on edge ({u},{v})")
     for ctx in contexts:

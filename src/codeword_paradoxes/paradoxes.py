@@ -30,6 +30,9 @@ __all__ = [
     "parity_instance_from_group",
     "canonical_pentagon_instance",
     "pentagon_description",
+    "XZX_TRIPLES",
+    "ROW_SITES",
+    "xzx_operator",
     "OperatorArray",
     "ArrayReport",
     "check_array",
@@ -165,10 +168,8 @@ def check_parity_contradiction(inst: ParityInstance) -> ParityReport:
     for _op, sign in inst.members:
         product_sign *= sign
 
-    prod = identity(inst.members[0][0].n)
-    for op, _sign in inst.members:
-        prod = prod * op
-    minus_identity = prod.is_identity_op() and prod.phase_exp == 2
+    prod = _product([op for op, _sign in inst.members])
+    minus_identity = _scalar_sign(prod) == -1
 
     contradiction = all_even and product_sign == -1
     # eigensigns were verified above, so the two routes must agree
@@ -199,12 +200,25 @@ def parity_instance_from_group(group: StabilizerGroup, state: StateVector,
     return ParityInstance(state_label, state, tuple(members))
 
 
+# The five cyclic XZX triples (a, b, c) of the five-qubit code, one per
+# pentagon side: X on sites a and c, Z on site b.
+XZX_TRIPLES = tuple((k, k % 5 + 1, (k + 1) % 5 + 1) for k in range(1, 6))
+
+# Row r of the operator array constrains X on sites (r-2, r) and Z on r-1.
+ROW_SITES = {r: XZX_TRIPLES[(r - 3) % 5] for r in range(2, 7)}
+
+
+def xzx_operator(a: int, b: int, c: int) -> PauliString:
+    """X_a·Z_b·X_c on five qubits; the sites are distinct, so the phase is 0."""
+    letters = {a: "X", b: "Z", c: "X"}
+    return from_letters(letters.get(k, "I") for k in range(1, 6))
+
+
 def canonical_pentagon_instance(code, which_state: int) -> ParityInstance:
     """The six-operator instance: all-Z plus the five XZX triples."""
     group = code.group()
     ops = [from_letters("Z" * 5)]
-    triple = from_letters(("X", "Z", "X", "I", "I"))
-    ops += [triple.shift(k) for k in range(5)]
+    ops += [xzx_operator(*t) for t in XZX_TRIPLES]
     label = "|0_L>" if which_state == 0 else "|1_L>"
     return parity_instance_from_group(group, code.codeword(which_state),
                                       label, ops, which_state)
@@ -214,10 +228,8 @@ def pentagon_description(code) -> dict:
     """Text/JSON rendering of the pentagon figure: one side per XZX triple."""
     group = code.group()
     sides = []
-    for k in range(1, 6):
-        a, b, c = k, _wrap5(k + 1), _wrap5(k + 2)
-        op = single_site(5, a, "X") * single_site(5, b, "Z") * single_site(5, c, "X")
-        elem = group.find(op)
+    for k, (a, b, c) in enumerate(XZX_TRIPLES, start=1):
+        elem = group.find(xzx_operator(a, b, c))
         sides.append({
             "side": k,
             "measurements": [f"sigma_{a}x", f"sigma_{b}z", f"sigma_{c}x"],
@@ -236,10 +248,6 @@ def pentagon_description(code) -> dict:
             "value_on_codeword1": zz.sign1,
         },
     }
-
-
-def _wrap5(k: int) -> int:
-    return (k - 1) % 5 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +299,7 @@ class ArrayReport:
     impossibility: bool
 
 
-def _line_product(ops) -> PauliString:
+def _product(ops) -> PauliString:
     prod = identity(ops[0].n)
     for op in ops:
         prod = prod * op
@@ -311,11 +319,11 @@ def _all_commute(ops) -> bool:
 
 def check_array(arr: OperatorArray) -> ArrayReport:
     nrows, ncols = arr.shape
-    row_products = [_line_product(row) for row in arr.rows]
-    col_products = [_line_product(arr.column(c)) for c in range(1, ncols + 1)]
+    row_products = [_product(row) for row in arr.rows]
+    col_products = [_product(arr.column(c)) for c in range(1, ncols + 1)]
 
-    rowwise = _line_product(row_products)
-    colwise = _line_product(col_products)
+    rowwise = _product(row_products)
+    colwise = _product(col_products)
 
     return ArrayReport(
         row_commuting=[_all_commute(row) for row in arr.rows],
@@ -347,13 +355,12 @@ def build_canonical_array() -> OperatorArray:
     rows.append(tuple(row1))
 
     for r in range(2, 7):
-        a, b, c = _wrap5(r - 2), _wrap5(r - 1), _wrap5(r)
+        a, b, c = ROW_SITES[r]
         row = [ident] * 13
         row[b - 1] = single_site(5, b, "Z")
         row[5 + a - 1] = single_site(5, a, "X")
         row[5 + c - 1] = single_site(5, c, "X")
-        row[12] = (single_site(5, a, "X") * single_site(5, b, "Z")
-                   * single_site(5, c, "X"))
+        row[12] = xzx_operator(a, b, c)
         rows.append(tuple(row))
 
     return OperatorArray(
@@ -476,7 +483,7 @@ def _kernel_basis(vecs) -> list[int]:
     return kernel
 
 
-def _enumerate_kernel(kernel, signs, max_subset) -> list[tuple[int, ...]]:
+def _enumerate_kernel(kernel, signs, max_subset) -> list[list[int]]:
     neg_mask = 0
     for i, s in enumerate(signs):
         if s == -1:
@@ -488,17 +495,18 @@ def _enumerate_kernel(kernel, signs, max_subset) -> list[tuple[int, ...]]:
     for g in range(1, 1 << len(kernel)):
         combo ^= kernel[(g & -g).bit_length() - 1]
         if combo.bit_count() <= max_subset and (combo & neg_mask).bit_count() & 1:
-            subsets.append(_mask_to_indices(combo))
+            subsets.append(bit_indices(combo))
     return subsets
 
 
-def _mask_to_indices(mask: int) -> tuple[int, ...]:
+def bit_indices(mask: int) -> list[int]:
+    """Positions of the set bits of mask, lowest first."""
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
-    return tuple(out)
+    return out
 
 
 def _tiered_search(vecs, signs, max_subset, node_budget):

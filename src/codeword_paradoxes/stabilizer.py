@@ -65,6 +65,7 @@ class StabilizerGroup:
     def __init__(self, n: int, elements):
         self.n = n
         self.elements = sorted(elements, key=lambda e: e.op.key())
+        self._by_xz = {(e.op.x, e.op.z): e for e in self.elements}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -73,11 +74,10 @@ class StabilizerGroup:
         return iter(self.elements)
 
     def find(self, op: PauliString) -> StabilizerElement | None:
-        bare = op.bare()
-        for e in self.elements:
-            if e.op == bare:
-                return e
-        return None
+        """The element with op's letters (any phase), or None."""
+        if op.n != self.n:
+            return None
+        return self._by_xz.get((op.x, op.z))
 
     def non_identity(self) -> list[StabilizerElement]:
         return [e for e in self.elements if not e.op.is_identity_op()]
@@ -183,19 +183,17 @@ def invariant_subgroup(group: StabilizerGroup) -> StabilizerGroup:
     Verified to be closed and of index 1 or 2; in an Abelian group that is
     all the structure there is to check.
     """
-    stable = [e for e in group if e.sign_stable]
-    keys = {(e.op.x, e.op.z) for e in stable}
+    stable = StabilizerGroup(group.n, [e for e in group if e.sign_stable])
     for a in stable:
         for b in stable:
-            prod = (a.op * b.op).bare()
-            if (prod.x, prod.z) not in keys:
+            if stable.find(a.op * b.op) is None:
                 raise SignConflictError(
                     f"sign-stable elements are not closed: {a.op} · {b.op}")
     index = len(group) // len(stable)
     if index * len(stable) != len(group) or index not in (1, 2):
         raise SignConflictError(
             f"sign-stable subset has impossible index {len(group)}/{len(stable)}")
-    return StabilizerGroup(group.n, stable)
+    return stable
 
 
 @dataclass

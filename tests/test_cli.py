@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -131,8 +132,13 @@ def test_ks_dump_set(capsys, tmp_path):
 
 
 def test_steane_search(capsys):
-    code, payload = run_json(capsys, "steane-search", "--max", "10")
+    code, out = run_cli(capsys, "steane-search", "--max", "10",
+                        "--format", "json")
     assert code == 0
+    # byte-identical to the golden report (see test_golden.py)
+    golden = Path(__file__).parent / "golden" / "steane-search.json"
+    assert out == golden.read_text(encoding="utf-8")
+    payload = json.loads(out)
     assert payload["verdict"] == "contradiction-confirmed"
     for ws in (0, 1):
         res = payload["details"]["results"][f"codeword{ws}"]

@@ -1,0 +1,57 @@
+"""Byte-for-byte golden outputs of the CLI's JSON reports.
+
+Each file under tests/golden/ is the exact stdout of one command run with
+--format json.  The ks report echoes the --dump-set path, which is replaced
+here by the placeholder "<dump>"; the dump file itself (about 200 KB) is
+pinned by its sha256 instead of being committed.  The steane-search golden
+is compared inside test_cli.test_steane_search, so the suite runs that
+search only once.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from codeword_paradoxes.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+KS_DUMP_SHA256 = (
+    "8431309d3c3b902241e402517e3533837b6cf677e44c53788d43865a5f9e1dfb")
+
+CASES = {
+    "verify-code_five": ["verify-code", "--code", "five"],
+    "verify-code_mermin": ["verify-code", "--code", "mermin"],
+    "verify-code_steane": ["verify-code", "--code", "steane"],
+    "reality_five_1x": ["reality", "--code", "five", "--site", "1",
+                        "--letter", "x"],
+    "reality_five_3y_state1": ["reality", "--code", "five", "--site", "3",
+                               "--letter", "y", "--state", "1"],
+    "reality_mermin_1z": ["reality", "--code", "mermin", "--site", "1",
+                          "--letter", "z"],
+    "reality_steane_2z": ["reality", "--code", "steane", "--site", "2",
+                          "--letter", "z"],
+    "pentagon": ["pentagon"],
+    "array": ["array"],
+    "selftest_seed0": ["selftest", "--seed", "0"],
+}
+
+
+def golden(name: str) -> str:
+    return (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(capsys, name):
+    assert main(CASES[name] + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == golden(name)
+
+
+def test_ks_report_and_dump_match_golden(capsys, tmp_path):
+    path = tmp_path / "ks.json"
+    assert main(["ks", "--dump-set", str(path), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out.replace(json.dumps(str(path)), '"<dump>"') == golden("ks")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == KS_DUMP_SHA256

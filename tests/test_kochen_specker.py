@@ -1,17 +1,19 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from codeword_paradoxes import dense
 from codeword_paradoxes.codes import five_qubit_code
 from codeword_paradoxes.errors import BudgetExceededError
-from codeword_paradoxes.kochen_specker import (Context, KSVertex, ROW_SITES,
+from codeword_paradoxes.kochen_specker import (Context, ROW_SITES,
                                                build_orthogonality_graph,
                                                canonical_contexts,
                                                enumerate_contexts,
                                                ks_colorability)
 from codeword_paradoxes.pauli import identity, single_site
-from codeword_paradoxes.statevector import (apply, inner, orthogonal,
+from codeword_paradoxes.statevector import (apply, eigensign, inner,
+                                            orthogonal,
                                             projectors_sum_to_identity,
                                             resolves_identity)
 
@@ -87,6 +89,23 @@ def test_row3_spanning_vectors_match_expected_form(ks_vertices):
         assert all(vec.amps[j] == ONE for j in support)
         got_supports.append(support)
     assert got_supports == expected_supports
+
+
+def test_row_spanning_vectors_are_eigenvectors_of_their_triple(ks_vertices):
+    """Every spanning vector of row vertex (r, m, n, s) has eigenvalue m for
+    X_a, s for Z_b and n for X_c, where (a, b, c) = ROW_SITES[r]."""
+    rows = _family(ks_vertices, "row")
+    assert len(rows) == 40
+    checked = 0
+    for v in rows:
+        _, r, m, n, s = v.provenance
+        a, b, c = ROW_SITES[r]
+        for vec in v.projector.vectors:
+            assert eigensign(single_site(5, a, "X"), vec) == m
+            assert eigensign(single_site(5, b, "Z"), vec) == s
+            assert eigensign(single_site(5, c, "X"), vec) == n
+            checked += 1
+    assert checked == 160
 
 
 def test_row_families_resolve_identity(ks_vertices):
@@ -299,9 +318,7 @@ def test_verdict_stable_under_vertex_reordering(ks_vertices):
         rng = random.Random(seed)
         order = list(range(104))
         rng.shuffle(order)
-        shuffled = [KSVertex(new, ks_vertices[old].provenance,
-                             ks_vertices[old].projector,
-                             ks_vertices[old].ivecs)
+        shuffled = [replace(ks_vertices[old], vid=new)
                     for new, old in enumerate(order)]
         graph = build_orthogonality_graph(shuffled)
         contexts = enumerate_contexts(graph)
