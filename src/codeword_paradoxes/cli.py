@@ -75,24 +75,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("ks", _cmd_ks,
             "104-projector set, orthogonality graph, contexts, colorability")
-    p.add_argument("--budget", type=int, default=1_000_000,
+    p.add_argument("--budget", type=_int_at_least(0), default=1_000_000,
                    help="node budget for context enumeration")
-    p.add_argument("--decision-budget", type=int, default=1_000_000,
+    p.add_argument("--decision-budget", type=_int_at_least(0), default=1_000_000,
                    help="decision budget for the coloring search")
     p.add_argument("--dump-set", metavar="PATH", default=None,
                    help="write vertex/edge/context tables as JSON")
 
     p = add("steane-search", _cmd_steane_search,
             "automated parity-contradiction search over the 7-qubit group")
-    p.add_argument("--max", dest="max_subset", type=int, default=10)
+    p.add_argument("--max", dest="max_subset", type=_int_at_least(1), default=10)
     p.add_argument("--state", choices=("0", "1", "both"), default="both")
-    p.add_argument("--budget", type=int, default=3_000_000)
+    p.add_argument("--budget", type=_int_at_least(0), default=3_000_000)
 
     p = add("selftest", _cmd_selftest,
             "randomized property suites against the dense-matrix oracle")
     p.add_argument("--seed", type=int, default=0)
 
     return parser
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low` (else exit 2)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import combinations
+from math import comb
 
 from .errors import BudgetExceededError, NonHermitianError
 from .pauli import PauliString, from_letters, identity, single_site
@@ -156,26 +159,10 @@ def check_parity_contradiction(inst: ParityInstance) -> ParityReport:
     if not inst.members:
         raise ValueError("parity instance has no operators")
     for op, sign in inst.members:
-        got = eigensign(op, inst.state)
-        if got != sign:
-            raise ValueError(
-                f"{op} is not a {sign:+d} eigenoperator of {inst.state_label}"
-                f" (observed {got})")
+        _check_eigensign(op, sign, inst.state, inst.state_label)
 
+    all_even, product_sign, prod = _parity_bookkeeping(inst.members)
     mult = inst.factor_multiset()
-    all_even = all(v % 2 == 0 for v in mult.values())
-    product_sign = 1
-    for _op, sign in inst.members:
-        product_sign *= sign
-
-    prod = _product([op for op, _sign in inst.members])
-    minus_identity = _scalar_sign(prod) == -1
-
-    contradiction = all_even and product_sign == -1
-    # eigensigns were verified above, so the two routes must agree
-    if all_even and (minus_identity != (product_sign == -1)):
-        raise AssertionError("sign bookkeeping and matrix product disagree")
-
     return ParityReport(
         state_label=inst.state_label,
         operators=inst.operator_texts(),
@@ -183,9 +170,37 @@ def check_parity_contradiction(inst: ParityInstance) -> ParityReport:
         all_even=all_even,
         eigenvalue_product=product_sign,
         matrix_product=str(prod),
-        matrix_product_is_minus_identity=minus_identity,
-        contradiction=contradiction,
+        matrix_product_is_minus_identity=_scalar_sign(prod) == -1,
+        contradiction=all_even and product_sign == -1,
     )
+
+
+def _check_eigensign(op: PauliString, sign: int, state: StateVector,
+                     state_label: str) -> None:
+    got = eigensign(op, state)
+    if got != sign:
+        raise ValueError(
+            f"{op} is not a {sign:+d} eigenoperator of {state_label}"
+            f" (observed {got})")
+
+
+def _parity_bookkeeping(members) -> tuple[bool, int, PauliString]:
+    """(all multiplicities even, eigenvalue product, operator product).
+
+    The members' eigensigns must already be verified against the state:
+    then an even-multiplicity instance has operator product exactly
+    (eigenvalue product) x identity, and a disagreement is a bug.
+    """
+    coords = 0
+    product_sign = 1
+    for op, sign in members:
+        coords ^= _coord_mask(op)
+        product_sign *= sign
+    all_even = coords == 0
+    prod = _product([op for op, _sign in members])
+    if all_even and (_scalar_sign(prod) == -1) != (product_sign == -1):
+        raise AssertionError("sign bookkeeping and matrix product disagree")
+    return all_even, product_sign, prod
 
 
 def parity_instance_from_group(group: StabilizerGroup, state: StateVector,
@@ -423,26 +438,34 @@ def search_parity_contradictions(group: StabilizerGroup, which_state: int,
     even-multiplicity subsets are exactly the nullspace of that linear map.
     Small kernels are enumerated outright; otherwise subsets are searched
     size tier by size tier (meet in the middle), each tier completed
-    atomically so results are deterministic.  Every returned subset is
-    revalidated through check_parity_contradiction against the given state.
+    atomically so results are deterministic.  The tier search does not
+    depend on the signs, so it is shared by both codewords of a group; the
+    signs only select the subsets with an odd number of -1 members.
+
+    Every element's sign is checked against the given state with eigensign
+    (ValueError on a mismatch), which covers every member of every returned
+    subset.  Each subset is then rechecked by the bookkeeping that
+    check_parity_contradiction uses: even multiplicities, eigenvalue
+    product -1, and operator product exactly minus the identity.
 
     The identity element is excluded: it contributes nothing and would only
     pad otherwise-minimal subsets.
     """
     elements = sorted(group.non_identity(), key=lambda e: e.op.key())
-    vecs = [_coord_mask(e.op) for e in elements]
+    vecs = tuple(_coord_mask(e.op) for e in elements)
     signs = [e.sign(which_state) for e in elements]
+    neg_mask = sum(1 << i for i, s in enumerate(signs) if s == -1)
     label = state_label or f"codeword{which_state}"
     result = ParitySearchResult(which_state=which_state, max_subset=max_subset)
 
     kernel = _kernel_basis(vecs)
     if len(kernel) <= _KERNEL_ENUM_LIMIT:
-        subsets = _enumerate_kernel(kernel, signs, max_subset)
+        subsets = _enumerate_kernel(kernel, neg_mask, max_subset)
         result.complete_to_size = max_subset
         result.nodes_used = 1 << len(kernel)
     else:
-        subsets, complete_to, used = _tiered_search(vecs, signs, max_subset,
-                                                    node_budget)
+        even, complete_to, used = _tiered_search(vecs, max_subset, node_budget)
+        subsets = [idxs for idxs in even if _odd_parity(idxs, neg_mask)]
         result.complete_to_size = complete_to
         result.nodes_used = used
         if not subsets and complete_to < max_subset:
@@ -450,17 +473,23 @@ def search_parity_contradictions(group: StabilizerGroup, which_state: int,
                 f"parity search exhausted its budget at size {complete_to} "
                 f"of {max_subset} with nothing found")
 
-    subsets.sort(key=lambda idxs: (len(idxs),
-                                   tuple(str(elements[i].op) for i in idxs)))
+    for e, sign in zip(elements, signs):
+        _check_eigensign(e.op, sign, state, label)
+    texts = [str(e.op) for e in elements]
+    subsets.sort(key=lambda idxs: (len(idxs), tuple(texts[i] for i in idxs)))
     for idxs in subsets:
         members = tuple((elements[i].op, signs[i]) for i in idxs)
-        inst = ParityInstance(label, state, members)
-        report = check_parity_contradiction(inst)
-        if not report.contradiction:
+        all_even, product_sign, _prod = _parity_bookkeeping(members)
+        if not (all_even and product_sign == -1):
             raise AssertionError("search returned a non-contradiction subset")
-        result.instances.append(inst)
+        result.instances.append(ParityInstance(label, state, members))
         result.subset_sizes.append(len(idxs))
     return result
+
+
+def _odd_parity(idxs, neg_mask: int) -> bool:
+    """True when an odd number of the indexed elements have sign -1."""
+    return sum((neg_mask >> i) & 1 for i in idxs) % 2 == 1
 
 
 def _kernel_basis(vecs) -> list[int]:
@@ -483,11 +512,7 @@ def _kernel_basis(vecs) -> list[int]:
     return kernel
 
 
-def _enumerate_kernel(kernel, signs, max_subset) -> list[list[int]]:
-    neg_mask = 0
-    for i, s in enumerate(signs):
-        if s == -1:
-            neg_mask |= 1 << i
+def _enumerate_kernel(kernel, neg_mask, max_subset) -> list[list[int]]:
     subsets = []
     combo = 0
     # Gray-code walk: step g flips the kernel generator indexed by the
@@ -509,11 +534,14 @@ def bit_indices(mask: int) -> list[int]:
     return out
 
 
-def _tiered_search(vecs, signs, max_subset, node_budget):
-    """Exhaustive search by subset size; each tier meets in the middle."""
-    from itertools import combinations
-    from math import comb
+@lru_cache(maxsize=4)
+def _tiered_search(vecs: tuple[int, ...], max_subset: int, node_budget: int):
+    """Exhaustive search by subset size; each tier meets in the middle.
 
+    Returns (every even-multiplicity subset of the completed tiers, the
+    largest completed size, nodes used).  Nothing here depends on the
+    signs, so the result is cached and shared by every state of a group.
+    """
     n = len(vecs)
     mid = n // 2
     left = list(range(mid))
@@ -531,7 +559,7 @@ def _tiered_search(vecs, signs, max_subset, node_budget):
         cost += sum(comb(len(right), j) for j in range(0, min(t, len(right)) + 1)
                     if j not in right_by_size)
         if used + cost > node_budget:
-            return found, complete_to, used
+            break
         for j in range(0, min(t, len(right)) + 1):
             if j in right_by_size:
                 continue
@@ -551,15 +579,9 @@ def _tiered_search(vecs, signs, max_subset, node_budget):
             for combo in combinations(left, k):
                 used += 1
                 r = 0
-                s = 1
                 for i in combo:
                     r ^= vecs[i]
-                    s *= signs[i]
                 for rc in table.get(r, ()):
-                    rs = s
-                    for i in rc:
-                        rs *= signs[i]
-                    if rs == -1:
-                        found.append(tuple(combo) + rc)
+                    found.append(combo + rc)
         complete_to = t
-    return found, complete_to, used
+    return tuple(found), complete_to, used

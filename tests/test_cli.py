@@ -105,10 +105,9 @@ def test_array(capsys):
     assert det["shape"] == [6, 13]
 
 
-def test_ks(capsys):
-    code, payload = run_json(capsys, "ks")
-    assert code == 0
-    det = payload["details"]
+def test_ks(ks_dump_run):
+    assert ks_dump_run.code == 0
+    det = json.loads(ks_dump_run.out)["details"]
     assert det["vertices"] == 104
     assert det["projectors_per_dimension"] == "104/32 = 3.25"
     assert det["colorability"]["satisfiable"] is False
@@ -121,11 +120,10 @@ def test_ks_budget_exhaustion_exits_3(capsys):
     assert code == 3
 
 
-def test_ks_dump_set(capsys, tmp_path):
-    path = tmp_path / "ks.json"
-    code, payload = run_json(capsys, "ks", "--dump-set", str(path))
-    assert code == 0
-    dump = json.loads(path.read_text())
+def test_ks_dump_set(ks_dump_run):
+    assert ks_dump_run.code == 0
+    assert json.loads(ks_dump_run.out)["details"]["dump"] == str(ks_dump_run.path)
+    dump = json.loads(ks_dump_run.path.read_text())
     assert len(dump["vertices"]) == 104
     assert len(dump["contexts"]) == 39
     assert all(len(e) == 2 for e in dump["edges"])
@@ -144,6 +142,20 @@ def test_steane_search(capsys):
         res = payload["details"]["results"][f"codeword{ws}"]
         assert res["contradictions_found"] > 0
         assert res["minimal_size"] == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["steane-search", "--max", "-3"],
+    ["steane-search", "--max", "0"],
+    ["steane-search", "--budget", "-1"],
+    ["ks", "--budget", "-1"],
+    ["ks", "--decision-budget", "-1"],
+])
+def test_out_of_range_bounds_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
 
 
 def test_steane_search_single_state(capsys):

@@ -3,7 +3,8 @@
 Each file under tests/golden/ is the exact stdout of one command run with
 --format json.  The ks report echoes the --dump-set path, which is replaced
 here by the placeholder "<dump>"; the dump file itself (about 200 KB) is
-pinned by its sha256 instead of being committed.  The steane-search golden
+pinned by its sha256 instead of being committed; that run is the
+session's shared `ks_dump_run` (conftest.py).  The steane-search golden
 is compared inside test_cli.test_steane_search, so the suite runs that
 search only once.
 """
@@ -49,9 +50,8 @@ def test_report_matches_golden(capsys, name):
     assert capsys.readouterr().out == golden(name)
 
 
-def test_ks_report_and_dump_match_golden(capsys, tmp_path):
-    path = tmp_path / "ks.json"
-    assert main(["ks", "--dump-set", str(path), "--format", "json"]) == 0
-    out = capsys.readouterr().out
-    assert out.replace(json.dumps(str(path)), '"<dump>"') == golden("ks")
+def test_ks_report_and_dump_match_golden(ks_dump_run):
+    assert ks_dump_run.code == 0
+    path = ks_dump_run.path
+    assert ks_dump_run.out.replace(json.dumps(str(path)), '"<dump>"') == golden("ks")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == KS_DUMP_SHA256

@@ -1,5 +1,10 @@
+from collections import defaultdict
+from itertools import combinations
+
 import pytest
 
+from codeword_paradoxes import paradoxes
+from codeword_paradoxes.errors import BudgetExceededError
 from codeword_paradoxes.paradoxes import (OperatorArray, ParityInstance,
                                           build_canonical_array,
                                           canonical_pentagon_instance,
@@ -12,6 +17,7 @@ from codeword_paradoxes.paradoxes import (OperatorArray, ParityInstance,
                                           pentagon_description,
                                           search_parity_contradictions)
 from codeword_paradoxes.pauli import identity, parse
+from codeword_paradoxes.statevector import eigensign
 
 # The eight ways of learning sigma_1x from the other qubits, written as
 # witnesses on sites 2..5.
@@ -227,3 +233,97 @@ def test_search_steane_finds_small_subsets(steane):
         assert min(res.subset_sizes) == 4
         assert res.subset_sizes.count(4) == 2016
         assert res.complete_to_size >= 4
+
+
+def _size4_contradictions(group, which_state) -> tuple[set, set]:
+    """(even-multiplicity 4-subsets, four-element contradictions), found
+    without the search's code.
+
+    Pairs of non-identity elements are bucketed by the set of (site, letter)
+    symbols occurring an odd number of times in the pair; two disjoint pairs
+    in one bucket form an even-multiplicity 4-subset, and it is a
+    contradiction when its eigenvalue product is -1.
+    """
+    elems = [(e.op, e.sign(which_state)) for e in group.non_identity()]
+    odd = [frozenset((k, letter) for k, letter in enumerate(op.letters)
+                     if letter != "I") for op, _sign in elems]
+    buckets = defaultdict(list)
+    for i, j in combinations(range(len(elems)), 2):
+        buckets[odd[i] ^ odd[j]].append((i, j))
+    even = {frozenset(a + b) for pairs in buckets.values()
+            for a, b in combinations(pairs, 2) if not set(a) & set(b)}
+    return even, {frozenset(elems[i] for i in idxs) for idxs in even
+                  if [elems[i][1] for i in idxs].count(-1) % 2}
+
+
+def _size4_instances(res) -> set[frozenset]:
+    return {frozenset(inst.members) for inst in res.instances
+            if len(inst.members) == 4}
+
+
+def test_steane_size4_matches_pair_bucket_oracle(steane):
+    group = steane.group()
+    for ws in (0, 1):
+        even, expected = _size4_contradictions(group, ws)
+        assert len(even) == 4557
+        assert len(expected) == 2016
+        res = search_parity_contradictions(group, ws, 10, steane.codeword(ws))
+        assert _size4_instances(res) == expected
+
+
+def test_five_qubit_size4_matches_pair_bucket_oracle(five, five_group):
+    for ws in (0, 1):
+        _even, expected = _size4_contradictions(five_group, ws)
+        assert len(expected) == 60
+        res = search_parity_contradictions(five_group, ws, 6, five.codeword(ws))
+        assert _size4_instances(res) == expected
+
+
+def test_search_rejects_the_wrong_state(steane, five, five_group):
+    with pytest.raises(ValueError):
+        search_parity_contradictions(steane.group(), 0, 4, steane.codeword1)
+    with pytest.raises(ValueError):
+        search_parity_contradictions(five_group, 0, 6, five.codeword1)
+
+
+def test_search_checks_each_element_sign_once(steane, monkeypatch):
+    calls = []
+
+    def counting_eigensign(op, state):
+        calls.append(op)
+        return eigensign(op, state)
+
+    monkeypatch.setattr(paradoxes, "eigensign", counting_eigensign)
+    group = steane.group()
+    res = search_parity_contradictions(group, 1, 10, steane.codeword1)
+    assert len(res.instances) == 2016
+    assert sorted(map(str, calls)) == sorted(str(e.op) for e in group.non_identity())
+
+
+def _search_record(res):
+    return ([i.members for i in res.instances], res.subset_sizes,
+            res.complete_to_size, res.nodes_used)
+
+
+def test_shared_tier_search_is_independent_of_cache_order(steane):
+    group = steane.group()
+    orders = ((1, 0), (0, 1))
+    records = []
+    for order in orders:
+        paradoxes._tiered_search.cache_clear()
+        records.append({ws: _search_record(search_parity_contradictions(
+            group, ws, 10, steane.codeword(ws))) for ws in order})
+    assert records[0] == records[1]
+    assert records[0][0] != records[0][1]
+
+    # a budget that stops before size 4 raises on a cold and a warm cache
+    messages = []
+    paradoxes._tiered_search.cache_clear()
+    for ws in (0, 1, 0):
+        with pytest.raises(BudgetExceededError) as err:
+            search_parity_contradictions(group, ws, 10, steane.codeword(ws),
+                                         node_budget=100_000)
+        messages.append(str(err.value))
+    assert len(set(messages)) == 1
+    assert "at size 3 of 10" in messages[0]
+
