@@ -10,8 +10,12 @@ Context enumeration is exhaustive by construction: the search always
 branches on a specific uncovered basis direction, so every resolution of
 identity inside the vertex set is produced exactly once, and a node budget
 turns an unfinished search into a hard error rather than a silent partial
-answer.  The coloring search then imposes: adjacent vertices never both
-true, every context exactly one true.
+answer.  It tracks only the diagonal of the partial projector sum: the
+chosen projectors are pairwise orthogonal, so their sum is a projector, and
+a projector fixes basis ket j exactly when its (j, j) entry is 1 (the
+premises are checked when the tables are built; see _CoverTables).  The
+coloring search then imposes: adjacent vertices never both true, every
+context exactly one true.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, replace
 from .codes import five_qubit_code, single_qubit_errors
 from .dyadic import Dyadic
 from .errors import BudgetExceededError
-from .paradoxes import ROW_SITES, bit_indices
+from .paradoxes import ROW_SITES
 from .pauli import PauliString
 from .statevector import Projector, StateVector, apply
 
@@ -166,6 +170,16 @@ def _row_subspace_vectors(a: int, b: int, c: int, m: int, n: int,
     return tuple(vectors)
 
 
+def bit_indices(mask: int) -> list[int]:
+    """Positions of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 # ---------------------------------------------------------------------------
 # orthogonality graph
 # ---------------------------------------------------------------------------
@@ -244,17 +258,27 @@ class Context:
         return len(self.ids)
 
 
-_FIELD_BITS = 16
-_OFFSET = 16  # projector-sum entries scaled by 16 lie in [-16, 16]
+_FIELD_BITS = 8  # 16 times a projector's diagonal entry lies in [0, 16]
+_TARGET = sum(16 << (_FIELD_BITS * j) for j in range(_DIM))  # 16·diag(I)
 
 
 class _CoverTables:
     """Packed-integer tables for exact-cover reasoning, scale 16.
 
-    Each vertex contributes 16 times its projector matrix, flattened to
-    1024 16-bit fields inside one big integer (entries are offset by 16 so
-    packed addition never borrows).  covers[j] is the bitmask of vertices
-    whose projector does not annihilate basis ket j.
+    Each vertex contributes 16 times the diagonal of its projector, one
+    8-bit field per basis ket inside one integer.  covers[j] is the bitmask
+    of vertices whose projector does not annihilate basis ket j.
+
+    The diagonal is all the search needs.  It only ever adds pairwise
+    orthogonal vertices (orthogonality is exact, from the graph), so the
+    partial sum P is a projector, and for a projector P e_j = e_j exactly
+    when P_jj = 1, since |e_j - P e_j|^2 = 1 - P_jj.  The first basis ket
+    whose row of P differs from the identity is therefore the first ket
+    whose diagonal field is below 16, and P = I exactly when every field is
+    16.  Packed fields never exceed 16, so addition never carries.  The
+    premises are checked here: each vertex's spanning vectors must be
+    mutually orthogonal with one norm that divides 16, so that 16 times
+    the projector is the scaled sum of their outer products.
     """
 
     def __init__(self, vertices: list[KSVertex]):
@@ -266,31 +290,18 @@ class _CoverTables:
             if len(norms) != 1 or 16 % norms.pop():
                 raise ValueError(f"vertex {v.vid}: spanning norms must be a "
                                  "uniform divisor of 16")
+            if any(_ivec_dot(s, t) for i, s in enumerate(v.ivecs)
+                   for t in v.ivecs[i + 1:]):
+                raise ValueError(f"vertex {v.vid}: spanning vectors must be "
+                                 "mutually orthogonal")
             scale = 16 // _ivec_dot(v.ivecs[0], v.ivecs[0])
-            flat = [0] * (_DIM * _DIM)
+            delta = 0
             for s in v.ivecs:
                 for j, sj in enumerate(s):
                     if sj:
                         self.covers[j] |= 1 << v.vid
-                        w = sj * scale
-                        base = j * _DIM
-                        for i, si in enumerate(s):
-                            if si:
-                                flat[base + i] += si * w
-            self.deltas.append(_pack(x + _OFFSET for x in flat))
-
-    @staticmethod
-    def identity_targets() -> list[int]:
-        """identity_targets()[k] is the packed 16·I with k offsets applied."""
-        flat = [0] * (_DIM * _DIM)
-        for j in range(_DIM):
-            flat[j * _DIM + j] = 16
-        return [_pack(x + _OFFSET * k for x in flat) for k in range(_DIM + 1)]
-
-
-def _pack(values) -> int:
-    buf = b"".join(x.to_bytes(_FIELD_BITS // 8, "little") for x in values)
-    return int.from_bytes(buf, "little")
+                        delta += sj * sj * scale << (_FIELD_BITS * j)
+            self.deltas.append(delta)
 
 
 def enumerate_contexts(graph: OrthogonalityGraph,
@@ -315,8 +326,6 @@ def enumerate_contexts(graph: OrthogonalityGraph,
         else:
             rank4_mask |= 1 << v.vid
 
-    targets = _CoverTables.identity_targets()
-    block_bits = _FIELD_BITS * _DIM
     chosen: list[int] = []
     results: list[Context] = []
     nodes = 0
@@ -330,13 +339,13 @@ def enumerate_contexts(graph: OrthogonalityGraph,
         if nodes > node_budget:
             raise BudgetExceededError(
                 f"context enumeration exceeded {node_budget} nodes")
-        diff = cov ^ targets[len(chosen)]
+        diff = cov ^ _TARGET
         if diff == 0:
             if rank_sum != _DIM:
                 raise AssertionError("covered identity with wrong rank sum")
             results.append(Context(tuple(sorted(chosen)), rank_sum))
             return
-        j = ((diff & -diff).bit_length() - 1) // block_bits
+        j = ((diff & -diff).bit_length() - 1) // _FIELD_BITS
         cands = allowed & tables.covers[j]
         while cands:
             low = cands & -cands

@@ -417,7 +417,6 @@ class ParitySearchResult:
 
 
 _LETTER_INDEX = {"X": 0, "Y": 1, "Z": 2}
-_KERNEL_ENUM_LIMIT = 20     # enumerate the whole nullspace up to 2**20 vectors
 
 
 def _coord_mask(op: PauliString) -> int:
@@ -436,11 +435,11 @@ def search_parity_contradictions(group: StabilizerGroup, which_state: int,
 
     Each element maps to a GF(2) vector over (site, letter) coordinates;
     even-multiplicity subsets are exactly the nullspace of that linear map.
-    Small kernels are enumerated outright; otherwise subsets are searched
-    size tier by size tier (meet in the middle), each tier completed
-    atomically so results are deterministic.  The tier search does not
-    depend on the signs, so it is shared by both codewords of a group; the
-    signs only select the subsets with an odd number of -1 members.
+    Subsets are searched size tier by size tier (meet in the middle), each
+    tier completed atomically so results are deterministic.  The tier
+    search does not depend on the signs, so it is shared by both codewords
+    of a group; the signs only select the subsets with an odd number of -1
+    members.
 
     Every element's sign is checked against the given state with eigensign
     (ValueError on a mismatch), which covers every member of every returned
@@ -458,20 +457,14 @@ def search_parity_contradictions(group: StabilizerGroup, which_state: int,
     label = state_label or f"codeword{which_state}"
     result = ParitySearchResult(which_state=which_state, max_subset=max_subset)
 
-    kernel = _kernel_basis(vecs)
-    if len(kernel) <= _KERNEL_ENUM_LIMIT:
-        subsets = _enumerate_kernel(kernel, neg_mask, max_subset)
-        result.complete_to_size = max_subset
-        result.nodes_used = 1 << len(kernel)
-    else:
-        even, complete_to, used = _tiered_search(vecs, max_subset, node_budget)
-        subsets = [idxs for idxs in even if _odd_parity(idxs, neg_mask)]
-        result.complete_to_size = complete_to
-        result.nodes_used = used
-        if not subsets and complete_to < max_subset:
-            raise BudgetExceededError(
-                f"parity search exhausted its budget at size {complete_to} "
-                f"of {max_subset} with nothing found")
+    even, complete_to, used = _tiered_search(vecs, max_subset, node_budget)
+    subsets = [idxs for idxs in even if _odd_parity(idxs, neg_mask)]
+    result.complete_to_size = complete_to
+    result.nodes_used = used
+    if not subsets and complete_to < max_subset:
+        raise BudgetExceededError(
+            f"parity search exhausted its budget at size {complete_to} "
+            f"of {max_subset} with nothing found")
 
     for e, sign in zip(elements, signs):
         _check_eigensign(e.op, sign, state, label)
@@ -490,48 +483,6 @@ def search_parity_contradictions(group: StabilizerGroup, which_state: int,
 def _odd_parity(idxs, neg_mask: int) -> bool:
     """True when an odd number of the indexed elements have sign -1."""
     return sum((neg_mask >> i) & 1 for i in idxs) % 2 == 1
-
-
-def _kernel_basis(vecs) -> list[int]:
-    """Subset-index masks spanning the nullspace of the coordinate map."""
-    pivots: dict[int, tuple[int, int]] = {}
-    kernel = []
-    for i, v in enumerate(vecs):
-        mask = 1 << i
-        cur = v
-        while cur:
-            lead = cur.bit_length() - 1
-            if lead not in pivots:
-                pivots[lead] = (cur, mask)
-                break
-            pv, pm = pivots[lead]
-            cur ^= pv
-            mask ^= pm
-        else:
-            kernel.append(mask)
-    return kernel
-
-
-def _enumerate_kernel(kernel, neg_mask, max_subset) -> list[list[int]]:
-    subsets = []
-    combo = 0
-    # Gray-code walk: step g flips the kernel generator indexed by the
-    # lowest set bit of g, visiting every combination exactly once.
-    for g in range(1, 1 << len(kernel)):
-        combo ^= kernel[(g & -g).bit_length() - 1]
-        if combo.bit_count() <= max_subset and (combo & neg_mask).bit_count() & 1:
-            subsets.append(bit_indices(combo))
-    return subsets
-
-
-def bit_indices(mask: int) -> list[int]:
-    """Positions of the set bits of mask, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 @lru_cache(maxsize=4)

@@ -89,9 +89,15 @@ class StabilizerGroup:
 def close(generators) -> StabilizerGroup:
     """Smallest multiplicatively closed sign-consistent set containing the input.
 
+    Built by coset doubling: the table starts as the identity, and each
+    generator in turn either is already in it (by letters) or is multiplied
+    into every element there.  The table is a group, so that coset is
+    disjoint from it and the table doubles; closure takes |G| products.
+
     Raises NonCommutingGeneratorsError when two generators anticommute, and
-    SignConflictError when the same bare operator is derived with two
-    different composed signs (which would falsify group closure).
+    SignConflictError when a generator is already in the table (a product of
+    earlier generators, or a repeat) with other signs: the generators would
+    then produce minus the identity.
     """
     generators = list(generators)
     if not generators:
@@ -107,42 +113,26 @@ def close(generators) -> StabilizerGroup:
     table: dict[tuple[int, int], StabilizerElement] = {
         (ident.x, ident.z): StabilizerElement(ident, +1, +1)
     }
-
-    def insert(elem: StabilizerElement) -> bool:
-        key = (elem.op.x, elem.op.z)
-        existing = table.get(key)
-        if existing is None:
-            table[key] = elem
-            return True
-        if (existing.sign0, existing.sign1) != (elem.sign0, elem.sign1):
-            raise SignConflictError(
-                f"operator {elem.op} derived with signs "
-                f"({existing.sign0},{existing.sign1}) and ({elem.sign0},{elem.sign1})")
-        return False
-
     for g in generators:
-        insert(g)
-
-    frontier = list(table.values())
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(table.values()):
-                prod = a.op * b.op
-                if prod.phase_exp == 0:
-                    flip = +1
-                elif prod.phase_exp == 2:
-                    flip = -1
-                else:
-                    # cannot happen for commuting Hermitian operators
-                    raise NonHermitianError(
-                        f"product {a.op} · {b.op} is not Hermitian")
-                elem = StabilizerElement(prod.bare(),
-                                         a.sign0 * b.sign0 * flip,
-                                         a.sign1 * b.sign1 * flip)
-                if insert(elem):
-                    fresh.append(elem)
-        frontier = fresh
+        existing = table.get((g.op.x, g.op.z))
+        if existing is not None:
+            if (existing.sign0, existing.sign1) != (g.sign0, g.sign1):
+                raise SignConflictError(
+                    f"operator {g.op} derived with signs "
+                    f"({existing.sign0},{existing.sign1}) and ({g.sign0},{g.sign1})")
+            continue
+        for a in list(table.values()):
+            prod = a.op * g.op
+            if prod.phase_exp == 0:
+                flip = +1
+            elif prod.phase_exp == 2:
+                flip = -1
+            else:
+                # cannot happen for commuting Hermitian operators
+                raise NonHermitianError(
+                    f"product {a.op} · {g.op} is not Hermitian")
+            table[(prod.x, prod.z)] = StabilizerElement(
+                prod.bare(), a.sign0 * g.sign0 * flip, a.sign1 * g.sign1 * flip)
 
     return StabilizerGroup(n, table.values())
 

@@ -6,7 +6,7 @@ import pytest
 from codeword_paradoxes import dense
 from codeword_paradoxes.codes import five_qubit_code
 from codeword_paradoxes.errors import BudgetExceededError
-from codeword_paradoxes.kochen_specker import (Context, ROW_SITES,
+from codeword_paradoxes.kochen_specker import (Context, KSVertex, ROW_SITES,
                                                build_orthogonality_graph,
                                                canonical_contexts,
                                                enumerate_contexts,
@@ -271,6 +271,21 @@ def test_rank4_contexts_against_independent_clique_search(ks_graph, ks_contexts)
 def test_context_enumeration_budget_error(ks_graph):
     with pytest.raises(BudgetExceededError):
         enumerate_contexts(ks_graph, node_budget=10)
+
+
+def test_context_enumeration_takes_exactly_74093_nodes(ks_graph, ks_contexts):
+    with pytest.raises(BudgetExceededError):
+        enumerate_contexts(ks_graph, node_budget=74_092)
+    assert enumerate_contexts(ks_graph, node_budget=74_093) == ks_contexts
+
+
+def test_cover_tables_reject_non_orthogonal_spanning_vectors():
+    # equal norms (2, a divisor of 16) but a nonzero dot product
+    u = (1, 1) + (0,) * 30
+    v = (0, 1, 1) + (0,) * 29
+    bad = KSVertex(0, ("row", 0, +1, +1, +1), (u, v))
+    with pytest.raises(ValueError, match="mutually orthogonal"):
+        enumerate_contexts(build_orthogonality_graph([bad]))
 
 
 def test_colorability_unsat(ks_graph, ks_contexts):

@@ -1,11 +1,12 @@
+import itertools
 import random
 
 import pytest
 
 from codeword_paradoxes import dense
 from codeword_paradoxes.errors import DimensionMismatchError, PauliFormatError
-from codeword_paradoxes.pauli import (LETTERS, from_letters, identity,
-                                      letter_mul, parse, single_site)
+from codeword_paradoxes.pauli import (LETTERS, PauliString, from_letters,
+                                      identity, letter_mul, parse, single_site)
 from codeword_paradoxes.selftest import random_pauli
 
 
@@ -40,6 +41,30 @@ def test_five_qubit_product_phase_against_dense_oracle():
     assert prod.phase_exp == 0
     oracle = dense.mat_mul(dense.pauli_matrix(a), dense.pauli_matrix(b))
     assert dense.mat_eq(dense.pauli_matrix(prod), oracle)
+
+
+def _site_by_site_product(a, b):
+    """Reference product: fold letter_mul over the sites, adding phases."""
+    phase = a.phase_exp + b.phase_exp
+    letters = []
+    for la, lb in zip(a.letters, b.letters):
+        c, t = letter_mul(la, lb)
+        letters.append(c)
+        phase += t
+    return from_letters(letters, phase)
+
+
+def test_product_matches_site_by_site_letter_table():
+    for n in (1, 2):
+        strings = [PauliString(n, p, x, z) for p in range(4)
+                   for x in range(1 << n) for z in range(1 << n)]
+        for a, b in itertools.product(strings, repeat=2):
+            assert a * b == _site_by_site_product(a, b), (a, b)
+    rng = random.Random(7)
+    for _ in range(2000):
+        a, b = (PauliString(7, rng.randrange(4), rng.getrandbits(7),
+                            rng.getrandbits(7)) for _ in range(2))
+        assert a * b == _site_by_site_product(a, b), (a, b)
 
 
 def test_dimension_mismatch():

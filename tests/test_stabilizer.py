@@ -1,6 +1,6 @@
 import pytest
 
-from codeword_paradoxes.codes import single_qubit_errors
+from codeword_paradoxes.codes import code_by_name, single_qubit_errors
 from codeword_paradoxes.errors import (NonCommutingGeneratorsError,
                                        SignConflictError)
 from codeword_paradoxes.pauli import parse, single_site
@@ -61,6 +61,31 @@ def test_close_detects_sign_conflicts():
     with pytest.raises(SignConflictError):
         close([StabilizerElement(parse("ZZ"), +1, +1),
                StabilizerElement(parse("ZZ"), -1, +1)])
+
+
+def test_close_detects_sign_conflicts_only_a_product_reveals():
+    # ZIZ = ZZI · IZZ, so the third generator must carry signs (+1, +1)
+    gens = [StabilizerElement(parse("ZZI"), +1, +1),
+            StabilizerElement(parse("IZZ"), +1, +1)]
+    with pytest.raises(SignConflictError):
+        close(gens + [StabilizerElement(parse("ZIZ"), -1, +1)])
+    redundant = close(gens + [StabilizerElement(parse("ZIZ"), +1, +1)])
+    assert {e.as_line() for e in redundant} == \
+        {"+1 +1 III", "+1 +1 ZZI", "+1 +1 IZZ", "+1 +1 ZIZ"}
+
+
+@pytest.mark.parametrize("name", ["five", "mermin", "steane"])
+def test_closed_groups_are_closed_with_multiplicative_signs(name):
+    group = code_by_name(name).group()
+    for a in group:
+        for b in group:
+            prod = a.op * b.op
+            assert prod.phase_exp in (0, 2)
+            flip = -1 if prod.phase_exp == 2 else +1
+            c = group.find(prod)
+            assert c is not None, (str(a.op), str(b.op))
+            assert (c.sign0, c.sign1) == (a.sign0 * b.sign0 * flip,
+                                          a.sign1 * b.sign1 * flip)
 
 
 def test_verify_stabilizes_all_pass(five, five_group):
