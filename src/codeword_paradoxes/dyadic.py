@@ -83,9 +83,6 @@ class Dyadic:
             return Dyadic(-self.re, -self.im, self.exp)
         return Dyadic(self.im, -self.re, self.exp)
 
-    def times_int(self, k: int) -> "Dyadic":
-        return Dyadic(self.re * k, self.im * k, self.exp)
-
     def half_power(self, k: int) -> "Dyadic":
         """Divide by 2**k (k may be negative to multiply)."""
         return Dyadic(self.re, self.im, self.exp + k)

@@ -199,9 +199,6 @@ class OrthogonalityGraph:
     def are_orthogonal(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def neighbors(self, v: int) -> list[int]:
         return bit_indices(self.adj[v])
 

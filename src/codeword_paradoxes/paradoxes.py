@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations
 from math import comb
 
 from .errors import BudgetExceededError, NonHermitianError
@@ -64,9 +62,6 @@ class Determination:
     target_letter: str
     witness: PauliString
     predicted_product: int
-
-    def witness_text(self) -> str:
-        return str(self.witness)
 
 
 def find_determinations(group: StabilizerGroup, site: int, letter: str,
@@ -435,11 +430,11 @@ def search_parity_contradictions(group: StabilizerGroup, which_state: int,
 
     Each element maps to a GF(2) vector over (site, letter) coordinates;
     even-multiplicity subsets are exactly the nullspace of that linear map.
-    Subsets are searched size tier by size tier (meet in the middle), each
-    tier completed atomically so results are deterministic.  The tier
-    search does not depend on the signs, so it is shared by both codewords
-    of a group; the signs only select the subsets with an odd number of -1
-    members.
+    Tier t (subsets of size t) visits each (t-1)-subset once and costs
+    comb(n, t-1) nodes.  The tiers that fit node_budget are fixed before
+    anything is enumerated, so each is completed atomically and the result
+    is deterministic; the signs then select the even subsets with an odd
+    number of -1 members.
 
     Every element's sign is checked against the given state with eigensign
     (ValueError on a mismatch), which covers every member of every returned
@@ -457,8 +452,9 @@ def search_parity_contradictions(group: StabilizerGroup, which_state: int,
     label = state_label or f"codeword{which_state}"
     result = ParitySearchResult(which_state=which_state, max_subset=max_subset)
 
-    even, complete_to, used = _tiered_search(vecs, max_subset, node_budget)
-    subsets = [idxs for idxs in even if _odd_parity(idxs, neg_mask)]
+    complete_to, used = _completed_tiers(len(vecs), max_subset, node_budget)
+    subsets = [idxs for idxs in _even_subsets(vecs, complete_to)
+               if _odd_parity(idxs, neg_mask)]
     result.complete_to_size = complete_to
     result.nodes_used = used
     if not subsets and complete_to < max_subset:
@@ -485,54 +481,53 @@ def _odd_parity(idxs, neg_mask: int) -> bool:
     return sum((neg_mask >> i) & 1 for i in idxs) % 2 == 1
 
 
-@lru_cache(maxsize=4)
-def _tiered_search(vecs: tuple[int, ...], max_subset: int, node_budget: int):
-    """Exhaustive search by subset size; each tier meets in the middle.
+def _completed_tiers(n: int, max_subset: int, node_budget: int) -> tuple[int, int]:
+    """(largest size t whose tiers 2..t fit node_budget, their node cost).
 
-    Returns (every even-multiplicity subset of the completed tiers, the
-    largest completed size, nodes used).  Nothing here depends on the
-    signs, so the result is cached and shared by every state of a group.
+    Tier t costs comb(n, t-1), one node per (t-1)-subset.  Sizes 0 and 1
+    are vacuously complete: a non-identity element has at least one odd
+    letter multiplicity.  No subset is larger than n, so once tier n+1
+    (the single n-subset) fits, every larger tier is complete at no cost.
     """
-    n = len(vecs)
-    mid = n // 2
-    left = list(range(mid))
-    right = list(range(mid, n))
-    right_by_size: dict[int, dict[int, list[tuple[int, ...]]]] = {
-        0: {0: [()]}}
-
-    found = []
-    used = 0
-    # sizes 0 and 1 are vacuously complete: non-identity elements have at
-    # least one odd letter multiplicity
     complete_to = min(1, max_subset)
+    used = 0
     for t in range(2, max_subset + 1):
-        cost = sum(comb(len(left), k) for k in range(0, min(t, len(left)) + 1))
-        cost += sum(comb(len(right), j) for j in range(0, min(t, len(right)) + 1)
-                    if j not in right_by_size)
+        cost = comb(n, t - 1)
         if used + cost > node_budget:
             break
-        for j in range(0, min(t, len(right)) + 1):
-            if j in right_by_size:
-                continue
-            table: dict[int, list[tuple[int, ...]]] = {}
-            for combo in combinations(right, j):
-                used += 1
-                r = 0
-                for i in combo:
-                    r ^= vecs[i]
-                table.setdefault(r, []).append(combo)
-            right_by_size[j] = table
-        for k in range(0, min(t, len(left)) + 1):
-            j = t - k
-            if j < 0 or j > len(right):
-                continue
-            table = right_by_size[j]
-            for combo in combinations(left, k):
-                used += 1
-                r = 0
-                for i in combo:
-                    r ^= vecs[i]
-                for rc in table.get(r, ()):
-                    found.append(combo + rc)
+        used += cost
         complete_to = t
-    return tuple(found), complete_to, used
+        if t > n:
+            return max_subset, used
+    return complete_to, used
+
+
+def _even_subsets(vecs, max_size: int) -> list[tuple[int, ...]]:
+    """Every subset of size 2..max_size whose vectors XOR to zero, as
+    increasing index tuples, each found exactly once.
+
+    The vectors are distinct, so a subset XORs to zero exactly when its
+    smaller members XOR to the vector of an element whose index comes
+    after all of them.  A depth-first walk over the subsets of size
+    1..max_size-1 carries their running XOR and finds each zero-XOR subset
+    by one lookup; it visits each of those subsets once, which is the node
+    count of _completed_tiers.
+    """
+    last = {v: i for i, v in enumerate(vecs)}
+    if len(last) != len(vecs):
+        raise ValueError("coordinate vectors are not distinct")
+    n = len(vecs)
+    found: list[tuple[int, ...]] = []
+
+    def extend(prefix: tuple[int, ...], r: int) -> None:
+        deeper = len(prefix) + 2 < max_size
+        for i in range(prefix[-1] + 1 if prefix else 0, n):
+            ri = r ^ vecs[i]
+            if last.get(ri, -1) > i:
+                found.append(prefix + (i, last[ri]))
+            if deeper:
+                extend(prefix + (i,), ri)
+
+    if max_size >= 2:
+        extend((), 0)
+    return found

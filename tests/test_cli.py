@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import codeword_paradoxes
 from codeword_paradoxes.cli import main
 from codeword_paradoxes.report import REPORT_DIR_ENV
 
@@ -192,9 +194,14 @@ def test_text_format_mentions_verdict(capsys):
 
 
 def test_console_script_entry_point():
+    # the child interpreter imports the package this one imported, also
+    # when it comes from a checkout that is not installed
+    src = str(Path(codeword_paradoxes.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "codeword_paradoxes.cli", "verify-code",
          "--code", "mermin", "--format", "json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "pass"

@@ -1,4 +1,4 @@
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import combinations
 
 import pytest
@@ -190,6 +190,8 @@ def test_array_rejects_non_hermitian_cells():
 def test_search_five_qubit(five, five_group):
     res = search_parity_contradictions(five_group, 0, 6, five.codeword0)
     assert res.complete_to_size == 6
+    # tiers 2..6 visit every 1..5-subset of the 31 elements once
+    assert res.nodes_used == 206_367
     hist = {s: res.subset_sizes.count(s) for s in sorted(set(res.subset_sizes))}
     assert hist == {4: 60, 5: 180, 6: 572}
     canon = set(canonical_pentagon_instance(five, 0).members)
@@ -232,7 +234,9 @@ def test_search_steane_finds_small_subsets(steane):
         assert res.found
         assert min(res.subset_sizes) == 4
         assert res.subset_sizes.count(4) == 2016
-        assert res.complete_to_size >= 4
+        # 127 + 8001 + 333,375 nodes; size 5 would need another 10,334,625
+        assert res.complete_to_size == 4
+        assert res.nodes_used == 341_503
 
 
 def _size4_contradictions(group, which_state) -> tuple[set, set]:
@@ -300,30 +304,48 @@ def test_search_checks_each_element_sign_once(steane, monkeypatch):
     assert sorted(map(str, calls)) == sorted(str(e.op) for e in group.non_identity())
 
 
-def _search_record(res):
-    return ([i.members for i in res.instances], res.subset_sizes,
-            res.complete_to_size, res.nodes_used)
-
-
-def test_shared_tier_search_is_independent_of_cache_order(steane):
+def test_steane_budget_is_spent_by_whole_tiers(steane):
     group = steane.group()
-    orders = ((1, 0), (0, 1))
-    records = []
-    for order in orders:
-        paradoxes._tiered_search.cache_clear()
-        records.append({ws: _search_record(search_parity_contradictions(
-            group, ws, 10, steane.codeword(ws))) for ws in order})
-    assert records[0] == records[1]
-    assert records[0][0] != records[0][1]
-
-    # a budget that stops before size 4 raises on a cold and a warm cache
-    messages = []
-    paradoxes._tiered_search.cache_clear()
-    for ws in (0, 1, 0):
+    # tiers 2..4 cost 127 + 8001 + 333,375 nodes: any budget below their
+    # sum stops at size 3, on every call and for either codeword
+    messages = set()
+    for ws, budget in ((0, 100_000), (1, 100_000), (0, 100_000), (1, 341_502)):
         with pytest.raises(BudgetExceededError) as err:
             search_parity_contradictions(group, ws, 10, steane.codeword(ws),
-                                         node_budget=100_000)
-        messages.append(str(err.value))
-    assert len(set(messages)) == 1
-    assert "at size 3 of 10" in messages[0]
+                                         node_budget=budget)
+        messages.add(str(err.value))
+    assert messages == {"parity search exhausted its budget at size 3 "
+                        "of 10 with nothing found"}
+    res = search_parity_contradictions(group, 0, 10, steane.codeword0,
+                                       node_budget=341_503)
+    assert res.complete_to_size == 4 and res.nodes_used == 341_503
+    assert res.subset_sizes == [4] * 2016
 
+
+def test_three_qubit_search_matches_every_subset(mermin):
+    """All 2^7 subsets of the seven non-identity elements, by bitmask: the
+    contradictions of every size are exactly the search's instances."""
+    group = mermin.group()
+    elems = group.non_identity()
+    assert len(elems) == 7
+    for ws in (0, 1):
+        members = [(e.op, e.sign(ws)) for e in elems]
+        expected = set()
+        for mask in range(1, 1 << len(members)):
+            chosen = [m for k, m in enumerate(members) if mask >> k & 1]
+            counts = Counter((k, letter) for op, _sign in chosen
+                             for k, letter in enumerate(op.letters)
+                             if letter != "I")
+            if (all(c % 2 == 0 for c in counts.values())
+                    and [sign for _op, sign in chosen].count(-1) % 2):
+                expected.add(frozenset(chosen))
+        res = search_parity_contradictions(group, ws, 7, mermin.codeword(ws))
+        assert res.complete_to_size == 7
+        assert {frozenset(inst.members) for inst in res.instances} == expected
+        assert len(res.instances) == len(expected) == 2
+
+
+def test_even_subsets_requires_distinct_vectors():
+    assert paradoxes._even_subsets([0b011, 0b101, 0b110], 3) == [(0, 1, 2)]
+    with pytest.raises(ValueError):
+        paradoxes._even_subsets([0b011, 0b101, 0b011], 3)
