@@ -2,8 +2,8 @@
 
 One subcommand per claim cluster, so a CI run can pinpoint which
 construction regressed.  Exit codes: 0 the predicted verdict is reproduced,
-1 it is falsified (a prominent report is emitted), 2 usage error, 3 a
-bounded search ran out of budget.
+1 it is falsified (a prominent report is emitted), 2 usage error or an
+output path that cannot be written, 3 a bounded search ran out of budget.
 """
 
 from __future__ import annotations
@@ -32,12 +32,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, exit_code = args.handler(args)
+        out = report.to_json() if args.format == "json" else report.to_text()
+        sys.stdout.write(out)
+        path = report.write_to_report_dir()
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
-    out = report.to_json() if args.format == "json" else report.to_text()
-    sys.stdout.write(out)
-    path = report.write_to_report_dir()
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if path and args.format == "text":
         print(f"report written to {path}")
     return exit_code

@@ -13,9 +13,12 @@ turns an unfinished search into a hard error rather than a silent partial
 answer.  It tracks only the diagonal of the partial projector sum: the
 chosen projectors are pairwise orthogonal, so their sum is a projector, and
 a projector fixes basis ket j exactly when its (j, j) entry is 1 (the
-premises are checked when the tables are built; see _CoverTables).  The
-coloring search then imposes: adjacent vertices never both true, every
-context exactly one true.
+premises are checked when the tables are built; see _CoverTables).
+
+The coloring search works on the same vertex bitmasks.  Its clauses are one
+(not u or not v) per edge (KS1: orthogonal vertices are never both true)
+and one vertex mask per context (KS2: some member is true), and its
+assignment is two masks, the true vertices and the false ones.
 """
 
 from __future__ import annotations
@@ -170,6 +173,14 @@ def _row_subspace_vectors(a: int, b: int, c: int, m: int, n: int,
     return tuple(vectors)
 
 
+def _vertex_mask(ids) -> int:
+    """The bitmask with a bit set for each vertex id in ids."""
+    mask = 0
+    for vid in ids:
+        mask |= 1 << vid
+    return mask
+
+
 def bit_indices(mask: int) -> list[int]:
     """Positions of the set bits of mask, lowest first."""
     out = []
@@ -315,13 +326,8 @@ def enumerate_contexts(graph: OrthogonalityGraph,
     ranks = tables.ranks
     deltas = tables.deltas
     adj = graph.adj
-    rank1_mask = 0
-    rank4_mask = 0
-    for v in graph.vertices:
-        if v.rank == 1:
-            rank1_mask |= 1 << v.vid
-        else:
-            rank4_mask |= 1 << v.vid
+    rank1_mask = _vertex_mask(v.vid for v in graph.vertices if v.rank == 1)
+    rank4_mask = _vertex_mask(v.vid for v in graph.vertices if v.rank != 1)
 
     chosen: list[int] = []
     results: list[Context] = []
@@ -393,145 +399,118 @@ class ColorabilityVerdict:
     conflicts: int
 
 
-_UNSET, _TRUE, _FALSE = 0, 1, 2
-
-
 def ks_colorability(graph: OrthogonalityGraph, contexts: list[Context],
                     decision_budget: int = 1_000_000) -> ColorabilityVerdict:
     """Search for a true/false labeling with no true-true edge (KS1) and at
     least one true per context (KS2).
 
-    Within a context all members are mutually orthogonal, so the two rules
-    force exactly one true member; the search branches on which one it is.
-    Returns UNSAT with statistics, or SAT with an explicit coloring (checked
-    before it is returned).
+    The clauses are explicit: one (not u or not v) per edge of graph.adj
+    and one vertex mask per context.  The assignment is two vertex masks,
+    true and false.  A context is satisfied when it meets true, dead when
+    every member is false, and forces its one open member true when only
+    one is left.  Within a context all members are mutually orthogonal, so
+    the two rules force exactly one true member; the search branches on
+    which one it is, in ascending id, on the unsatisfied context with the
+    fewest open members (the first such context on ties).  Propagation
+    visits neighbours in ascending id and each vertex's contexts in list
+    order, and stops at the first conflict.  Returns UNSAT with
+    statistics, or SAT with an explicit coloring (checked before it is
+    returned).
     """
     nv = len(graph.vertices)
     adj = graph.adj
-    ctx_members = [list(c.ids) for c in contexts]
+    ctx_masks = [_vertex_mask(c.ids) for c in contexts]
     member_ctxs: list[list[int]] = [[] for _ in range(nv)]
-    for ci, members in enumerate(ctx_members):
-        for vid in members:
-            member_ctxs[vid].append(ci)
+    for c, mask in zip(contexts, ctx_masks):
+        for vid in c.ids:
+            member_ctxs[vid].append(mask)
 
-    assign = [_UNSET] * nv
-    stats = {"decisions": 0, "propagations": 0, "conflicts": 0}
+    true = false = 0
+    decisions = propagations = conflicts = 0
 
-    def set_true(vid: int, trail: list[int]) -> bool:
+    def set_true(vid: int) -> bool:
         """Assign vid true and propagate; False on conflict."""
-        if assign[vid] == _TRUE:
+        nonlocal true, propagations
+        bit = 1 << vid
+        if true & bit:
             return True
-        if assign[vid] == _FALSE:
+        if false & bit:
             return False
-        assign[vid] = _TRUE
-        trail.append(vid)
-        stats["propagations"] += 1
-        for u in bit_indices(adj[vid]):
-            if not set_false(u, trail):
+        true |= bit
+        propagations += 1
+        todo = adj[vid]
+        while todo := todo & ~false:  # a neighbour already false is settled
+            low = todo & -todo
+            if not set_false(low.bit_length() - 1):
                 return False
+            todo ^= low
         return True
 
-    def set_false(vid: int, trail: list[int]) -> bool:
-        if assign[vid] == _FALSE:
+    def set_false(vid: int) -> bool:
+        nonlocal false, propagations
+        bit = 1 << vid
+        if false & bit:
             return True
-        if assign[vid] == _TRUE:
+        if true & bit:
             return False
-        assign[vid] = _FALSE
-        trail.append(vid)
-        stats["propagations"] += 1
-        for ci in member_ctxs[vid]:
-            state = _context_state(ci)
-            if state == "dead":
+        false |= bit
+        propagations += 1
+        for ctx in member_ctxs[vid]:
+            if ctx & true:
+                continue
+            left = ctx & ~false
+            if not left:
                 return False
-            if isinstance(state, int):
-                if not set_true(state, trail):
-                    return False
+            if left & (left - 1) == 0 and not set_true(left.bit_length() - 1):
+                return False
         return True
-
-    def _context_state(ci: int):
-        """'ok' if satisfied or >=2 open, 'dead' if all false, or the single
-        remaining unset member (a forced assignment)."""
-        unset = -1
-        count = 0
-        for vid in ctx_members[ci]:
-            a = assign[vid]
-            if a == _TRUE:
-                return "ok"
-            if a == _UNSET:
-                count += 1
-                unset = vid
-                if count > 1:
-                    return "ok"
-        if count == 0:
-            return "dead"
-        return unset
-
-    def undo(trail: list[int]) -> None:
-        for vid in trail:
-            assign[vid] = _UNSET
 
     def pick_context() -> int | None:
-        best = None
-        best_open = None
-        for ci, members in enumerate(ctx_members):
-            open_count = 0
-            satisfied = False
-            for vid in members:
-                if assign[vid] == _TRUE:
-                    satisfied = True
-                    break
-                if assign[vid] == _UNSET:
-                    open_count += 1
-            if satisfied:
-                continue
-            if best_open is None or open_count < best_open:
-                best, best_open = ci, open_count
+        best, best_open = None, nv + 1
+        for ctx in ctx_masks:
+            if not ctx & true:
+                left = (ctx & ~false).bit_count()
+                if left < best_open:
+                    best, best_open = ctx, left
         return best
 
-    def solve() -> dict[int, bool] | None:
-        ci = pick_context()
-        if ci is None:
-            coloring = {vid: assign[vid] == _TRUE for vid in range(nv)}
-            return coloring
-        stats["decisions"] += 1
-        if stats["decisions"] > decision_budget:
+    def solve() -> bool:
+        nonlocal true, false, decisions, conflicts
+        ctx = pick_context()
+        if ctx is None:
+            return True
+        decisions += 1
+        if decisions > decision_budget:
             raise BudgetExceededError(
                 f"coloring search exceeded {decision_budget} decisions")
-        node_trail: list[int] = []
-        try:
-            for vid in ctx_members[ci]:
-                if assign[vid] != _UNSET:
-                    continue
-                trail: list[int] = []
-                if set_true(vid, trail):
-                    res = solve()
-                    if res is not None:
-                        return res
-                undo(trail)
-                # vid is not the true member of ci in any remaining branch
-                if not set_false(vid, node_trail):
-                    stats["conflicts"] += 1
-                    return None
-            stats["conflicts"] += 1
-            return None
-        finally:
-            undo(node_trail)
+        while left := ctx & ~(true | false):
+            vid = (left & -left).bit_length() - 1
+            saved = true, false
+            if set_true(vid) and solve():
+                return True
+            true, false = saved
+            # vid is not the true member of ctx in any remaining branch
+            if not set_false(vid):
+                break
+        conflicts += 1
+        return False
 
-    coloring = solve()
-    if coloring is not None:
-        _check_coloring(graph, contexts, coloring)
-        return ColorabilityVerdict(True, coloring, stats["decisions"],
-                                   stats["propagations"], stats["conflicts"])
-    return ColorabilityVerdict(False, None, stats["decisions"],
-                               stats["propagations"], stats["conflicts"])
+    if not solve():
+        return ColorabilityVerdict(False, None, decisions, propagations,
+                                   conflicts)
+    coloring = {vid: bool(true >> vid & 1) for vid in range(nv)}
+    _check_coloring(graph, contexts, coloring)
+    return ColorabilityVerdict(True, coloring, decisions, propagations,
+                               conflicts)
 
 
 def _check_coloring(graph: OrthogonalityGraph, contexts, coloring) -> None:
-    for u in range(len(graph.vertices)):
-        if coloring[u]:
-            for v in bit_indices(graph.adj[u]):
-                if coloring[v]:
-                    raise AssertionError(f"KS1 violated on edge ({u},{v})")
+    true = _vertex_mask(vid for vid, value in coloring.items() if value)
+    for u in bit_indices(true):
+        clash = graph.adj[u] & true
+        if clash:
+            v = (clash & -clash).bit_length() - 1
+            raise AssertionError(f"KS1 violated on edge ({u},{v})")
     for ctx in contexts:
-        if not any(coloring[vid] for vid in ctx.ids):
+        if not _vertex_mask(ctx.ids) & true:
             raise AssertionError(f"KS2 violated on context {ctx.ids}")

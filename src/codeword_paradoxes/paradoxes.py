@@ -156,7 +156,8 @@ def check_parity_contradiction(inst: ParityInstance) -> ParityReport:
     for op, sign in inst.members:
         _check_eigensign(op, sign, inst.state, inst.state_label)
 
-    all_even, product_sign, prod = _parity_bookkeeping(inst.members)
+    all_even, product_sign, prod = _parity_bookkeeping(
+        inst.members, [_coord_mask(op) for op, _sign in inst.members])
     mult = inst.factor_multiset()
     return ParityReport(
         state_label=inst.state_label,
@@ -179,17 +180,18 @@ def _check_eigensign(op: PauliString, sign: int, state: StateVector,
             f" (observed {got})")
 
 
-def _parity_bookkeeping(members) -> tuple[bool, int, PauliString]:
+def _parity_bookkeeping(members, masks) -> tuple[bool, int, PauliString]:
     """(all multiplicities even, eigenvalue product, operator product).
 
-    The members' eigensigns must already be verified against the state:
-    then an even-multiplicity instance has operator product exactly
-    (eigenvalue product) x identity, and a disagreement is a bug.
+    masks are the members' _coord_masks, in order.  The members'
+    eigensigns must already be verified against the state: then an
+    even-multiplicity instance has operator product exactly (eigenvalue
+    product) x identity, and a disagreement is a bug.
     """
     coords = 0
     product_sign = 1
-    for op, sign in members:
-        coords ^= _coord_mask(op)
+    for (_op, sign), mask in zip(members, masks):
+        coords ^= mask
         product_sign *= sign
     all_even = coords == 0
     prod = _product([op for op, _sign in members])
@@ -468,7 +470,8 @@ def search_parity_contradictions(group: StabilizerGroup, which_state: int,
     subsets.sort(key=lambda idxs: (len(idxs), tuple(texts[i] for i in idxs)))
     for idxs in subsets:
         members = tuple((elements[i].op, signs[i]) for i in idxs)
-        all_even, product_sign, _prod = _parity_bookkeeping(members)
+        all_even, product_sign, _prod = _parity_bookkeeping(
+            members, [vecs[i] for i in idxs])
         if not (all_even and product_sign == -1):
             raise AssertionError("search returned a non-contradiction subset")
         result.instances.append(ParityInstance(label, state, members))

@@ -47,10 +47,11 @@ def dense_oracle_suite(rng: random.Random, trials: int = 1000) -> SuiteResult:
         a = random_pauli(rng, n)
         b = random_pauli(rng, n)
         ma, mb = dense.pauli_matrix(a), dense.pauli_matrix(b)
-        if not dense.mat_eq(dense.pauli_matrix(a * b), dense.mat_mul(ma, mb)):
+        mab = dense.mat_mul(ma, mb)
+        if not dense.mat_eq(dense.pauli_matrix(a * b), mab):
             return SuiteResult("dense-oracle", t + 1, False,
                                f"product mismatch for {a}, {b}")
-        if a.commutes_with(b) != dense.commutator_is_zero(ma, mb):
+        if a.commutes_with(b) != dense.mat_eq(mab, dense.mat_mul(mb, ma)):
             return SuiteResult("dense-oracle", t + 1, False,
                                f"commutation mismatch for {a}, {b}")
         v = random_state(rng, n)

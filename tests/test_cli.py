@@ -187,6 +187,24 @@ def test_report_dir_env(capsys, tmp_path, monkeypatch):
     assert written["verdict"] == "contradiction-confirmed"
 
 
+def test_unwritable_dump_path_is_usage_error(capsys, tmp_path):
+    code = main(["ks", "--dump-set", str(tmp_path / "missing" / "x.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_report_dir_that_is_a_file_is_usage_error(capsys, tmp_path, monkeypatch):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    monkeypatch.setenv(REPORT_DIR_ENV, str(blocker))
+    code = main(["array", "--format", "json"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_text_format_mentions_verdict(capsys):
     code, out = run_cli(capsys, "verify-code", "--code", "mermin")
     assert code == 0

@@ -10,7 +10,8 @@ from codeword_paradoxes.kochen_specker import (Context, KSVertex, ROW_SITES,
                                                build_orthogonality_graph,
                                                canonical_contexts,
                                                enumerate_contexts,
-                                               ks_colorability)
+                                               ks_colorability,
+                                               _check_coloring)
 from codeword_paradoxes.pauli import identity, single_site
 from codeword_paradoxes.statevector import (apply, eigensign, inner,
                                             orthogonal,
@@ -288,16 +289,25 @@ def test_cover_tables_reject_non_orthogonal_spanning_vectors():
         enumerate_contexts(build_orthogonality_graph([bad]))
 
 
+def _counts(verdict):
+    return verdict.decisions, verdict.propagations, verdict.conflicts
+
+
+def _true_ids(verdict):
+    return {vid for vid, value in verdict.coloring.items() if value}
+
+
 def test_colorability_unsat(ks_graph, ks_contexts):
     verdict = ks_colorability(ks_graph, ks_contexts)
     assert not verdict.satisfiable
     assert verdict.coloring is None
-    assert verdict.decisions > 0
+    assert _counts(verdict) == (281, 6705, 281)
 
 
 def test_canonical_contexts_alone_already_unsat(ks_graph):
     verdict = ks_colorability(ks_graph, canonical_contexts(ks_graph))
     assert not verdict.satisfiable
+    assert _counts(verdict) == (281, 6894, 281)
 
 
 def test_classical_context_alone_is_satisfiable(ks_graph):
@@ -306,7 +316,8 @@ def test_classical_context_alone_is_satisfiable(ks_graph):
     ctx = Context(tuple(range(32)), 32)
     verdict = ks_colorability(sub, [ctx])
     assert verdict.satisfiable
-    assert sum(verdict.coloring.values()) == 1
+    assert _true_ids(verdict) == {0}
+    assert _counts(verdict) == (1, 32, 0)
 
 
 def test_rank1_subinstance_with_basis_contexts_is_satisfiable(ks_graph):
@@ -321,6 +332,20 @@ def test_rank1_subinstance_with_basis_contexts_is_satisfiable(ks_graph):
     verdict = ks_colorability(sub, [Context(classical, 32),
                                     Context(mutation, 32)])
     assert verdict.satisfiable
+    assert _true_ids(verdict) == {0, 32}
+    assert _counts(verdict) == (2, 64, 0)
+
+
+def test_check_coloring_rejects_ks1_and_ks2_violations(ks_graph):
+    classical = Context(tuple(range(32)), 32)
+    u, v = ks_graph.edges()[0]
+    both_ends = {vid: vid in (u, v) for vid in range(len(ks_graph))}
+    ks1 = fr"KS1 violated on edge \({u},{v}\)"
+    with pytest.raises(AssertionError, match=ks1):
+        _check_coloring(ks_graph, [classical], both_ends)
+    all_false = dict.fromkeys(range(len(ks_graph)), False)
+    with pytest.raises(AssertionError, match="KS2 violated on context"):
+        _check_coloring(ks_graph, [classical], all_false)
 
 
 def test_colorability_budget_error(ks_graph, ks_contexts):

@@ -4,7 +4,9 @@ perfbench/spans.py patches names on the package modules from outside; a
 rename inside the package would leave its span silently reading 0.
 """
 
+import contextlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 from codeword_paradoxes import cli, codes, paradoxes, report, selftest
@@ -12,18 +14,39 @@ from codeword_paradoxes import cli, codes, paradoxes, report, selftest
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def test_every_traced_entry_point_exists(capsys):
+@contextlib.contextmanager
+def _traced():
+    """perfbench's tracer installed on the package; every patched attribute
+    is restored on exit."""
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     targets = (cli, codes, paradoxes, selftest, report.Report)
     saved = [(t, dict(vars(t))) for t in targets]
+    tracer = spans.Tracer()
     try:
-        spans.install(spans.Tracer())
+        spans.install(tracer)
+        yield tracer
     finally:
         for target, attrs in saved:
             for name, value in attrs.items():
                 if vars(target).get(name) is not value:
                     setattr(target, name, value)
+
+
+def test_every_traced_entry_point_exists(capsys):
+    with _traced():
+        pass
     err = capsys.readouterr().err
     assert "not found; span" not in err, err
+
+
+def test_ks_traces_both_colorings(capsys):
+    # the canonical colouring is told apart by the identity of the list
+    # canonical_contexts returns; a copy would leave its span empty
+    with _traced() as tracer:
+        assert cli.main(["ks", "--format", "json"]) == 0
+    names = Counter(span[0] for span in tracer.spans)
+    assert names["kochen_specker.coloring"] == 1
+    assert names["kochen_specker.coloring_canonical"] == 1
+    assert tracer.counts["kochen_specker.decisions"] == 281
