@@ -9,6 +9,7 @@ output path that cannot be written, 3 a bounded search ran out of budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -46,6 +47,9 @@ def main(argv=None) -> int:
     return exit_code
 
 
+# Built once per process: in-process callers run main() many times, and the
+# handlers look up the layer functions as module globals at call time.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="codeword-paradoxes",

@@ -4,6 +4,11 @@ Builds 2**n x 2**n matrices by Kronecker products of the literal 2x2 letter
 matrices and multiplies them entry by entry.  Nothing here shares code with
 the symplectic fast paths in pauli/statevector, which is the point: the two
 routes must agree exactly, and tests check that they do.
+
+kron and mat_mul skip every product with a zero factor (a Pauli matrix
+has one nonzero entry per row), but each matrix is still a dense tuple of
+tuples built from the literal letter matrices, so the module stays an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -33,11 +38,18 @@ _LETTER_MATRIX: dict[str, Matrix] = {
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    ra, rb = len(a), len(b)
-    return tuple(
-        tuple(a[i // rb][j // rb] * b[i % rb][j % rb] for j in range(ra * rb))
-        for i in range(ra * rb)
-    )
+    zeros = (ZERO,) * len(b[0])
+    rows = []
+    for row_a in a:
+        for row_b in b:
+            row: list[Dyadic] = []
+            for x in row_a:
+                if x.is_zero():
+                    row.extend(zeros)
+                else:
+                    row.extend(ZERO if y.is_zero() else x * y for y in row_b)
+            rows.append(tuple(row))
+    return tuple(rows)
 
 
 def pauli_matrix(p: PauliString) -> Matrix:
@@ -48,11 +60,19 @@ def pauli_matrix(p: PauliString) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(_dot(row, col) for col in bt)
-        for row in a
-    )
+    """Row i of a·b as the sum of a[i][k] · (row k of b) over nonzero a[i][k]."""
+    width = len(b[0])
+    rows = []
+    for row_a in a:
+        acc = [ZERO] * width
+        for x, row_b in zip(row_a, b):
+            if x.is_zero():
+                continue
+            for j, y in enumerate(row_b):
+                if not y.is_zero():
+                    acc[j] = acc[j] + x * y
+        rows.append(tuple(acc))
+    return tuple(rows)
 
 
 def _dot(row, col) -> Dyadic:

@@ -238,18 +238,23 @@ def _ivec_dot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
 
 
 def build_orthogonality_graph(vertices: list[KSVertex]) -> OrthogonalityGraph:
+    """Edges between vertices whose spanning vectors are pairwise orthogonal.
+
+    Two vectors with disjoint supports are orthogonal without a dot
+    product, so each vector carries its nonzero-coordinate mask and only
+    pairs whose supports meet reach _ivec_dot.
+    """
     nv = len(vertices)
+    spans = [[(sum(1 << k for k, a in enumerate(u) if a), u) for u in v.ivecs]
+             for v in vertices]
     adj = [0] * nv
     for i in range(nv):
         for j in range(i + 1, nv):
-            if _vertices_orthogonal(vertices[i], vertices[j]):
+            if all(su & sv == 0 or _ivec_dot(u, v) == 0
+                   for su, u in spans[i] for sv, v in spans[j]):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return OrthogonalityGraph(vertices, adj)
-
-
-def _vertices_orthogonal(p: KSVertex, q: KSVertex) -> bool:
-    return all(_ivec_dot(u, v) == 0 for u in p.ivecs for v in q.ivecs)
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +497,11 @@ def ks_colorability(graph: OrthogonalityGraph, contexts: list[Context],
             # vid is not the true member of ctx in any remaining branch
             if not set_false(vid):
                 break
+        else:
+            # ruling members out can force the last open one true: that
+            # state is a branch of its own, not a dead end
+            if ctx & true and solve():
+                return True
         conflicts += 1
         return False
 

@@ -102,10 +102,9 @@ def compatible_pairs(determinations) -> list[tuple[Determination, Determination]
 
 
 def _sitewise_compatible(a: PauliString, b: PauliString) -> bool:
-    for la, lb in zip(a.letters, b.letters):
-        if la != "I" and lb != "I" and la != lb:
-            return False
-    return True
+    """Letters equal or one of them I at every site, read off the masks:
+    no site in both supports where the (x, z) bits differ."""
+    return not ((a.x ^ b.x) | (a.z ^ b.z)) & (a.x | a.z) & (b.x | b.z)
 
 
 # ---------------------------------------------------------------------------

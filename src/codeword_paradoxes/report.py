@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from . import __version__
 
@@ -29,7 +29,10 @@ class Report:
     version: str = __version__
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
+        fields = {"command": self.command, "verdict": self.verdict,
+                  "code": self.code, "details": self.details,
+                  "version": self.version}
+        return json.dumps(fields, sort_keys=True, indent=2) + "\n"
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]

@@ -204,14 +204,22 @@ class KnillLaflammeReport:
 
 def knill_laflamme_check(v0: StateVector, v1: StateVector,
                          errors) -> KnillLaflammeReport:
+    """Check every pair of errors, each error applied once per codeword.
+
+    <v_i|Ea·Eb|v_j> = <Ea†v_i|Eb v_j>, and (i**p P)† = i**(-p) P for a
+    Hermitian letter part P, so the left images Ea†v_0, Ea†v_1 and the
+    right images Eb v_0, Eb v_1 are built once per error (4·|E| applies)
+    and each term is one inner product of two of them.
+    """
     errors = list(errors)
+    left = [(apply(a, v0), apply(a, v1)) for a in map(_adjoint, errors)]
+    right = [(apply(e, v0), apply(e, v1)) for e in errors]
     report = KnillLaflammeReport()
-    for ea in errors:
-        for eb in errors:
-            m = ea * eb
-            off = inner(v0, apply(m, v1))
-            d0 = inner(v0, apply(m, v0))
-            d1 = inner(v1, apply(m, v1))
+    for ea, (l0, l1) in zip(errors, left):
+        for eb, (r0, r1) in zip(errors, right):
+            off = inner(l0, r1)
+            d0 = inner(l0, r0)
+            d1 = inner(l1, r1)
             report.pairs_checked += 1
             if not off.is_zero() or d0 != d1:
                 report.failures.append({
@@ -221,3 +229,7 @@ def knill_laflamme_check(v0: StateVector, v1: StateVector,
                     "diag1": str(d1),
                 })
     return report
+
+
+def _adjoint(p: PauliString) -> PauliString:
+    return PauliString(p.n, -p.phase_exp, p.x, p.z)

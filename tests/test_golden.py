@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from codeword_paradoxes import cli
 from codeword_paradoxes.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -48,6 +49,23 @@ def golden(name: str) -> str:
 def test_report_matches_golden(capsys, name):
     assert main(CASES[name] + ["--format", "json"]) == 0
     assert capsys.readouterr().out == golden(name)
+
+
+def test_one_parser_serves_every_call(capsys):
+    """main() builds its parser once per process; a usage error between
+    calls leaves it intact, and no option value leaks into the next call
+    (the state-1 reality run comes before a default-state one)."""
+    cli._build_parser.cache_clear()
+    names = ["reality_five_3y_state1", "verify-code_mermin", "array",
+             "reality_mermin_1z"]
+    for name in names:
+        assert main(CASES[name] + ["--format", "json"]) == 0
+        assert capsys.readouterr().out == golden(name)
+        with pytest.raises(SystemExit) as err:
+            main(["reality", "--code", "five", "--site", "1", "--letter", "w"])
+        assert err.value.code == 2
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2 * len(names) - 1)
 
 
 def test_ks_report_and_dump_match_golden(ks_dump_run):

@@ -7,6 +7,7 @@ from codeword_paradoxes import dense
 from codeword_paradoxes.codes import five_qubit_code
 from codeword_paradoxes.errors import BudgetExceededError
 from codeword_paradoxes.kochen_specker import (Context, KSVertex, ROW_SITES,
+                                               OrthogonalityGraph,
                                                build_orthogonality_graph,
                                                canonical_contexts,
                                                enumerate_contexts,
@@ -205,6 +206,18 @@ def test_graph_is_symmetric_irreflexive_and_reproducible(ks_graph, ks_vertices):
     assert rebuilt.adj == ks_graph.adj
 
 
+def test_graph_matches_every_spanning_dot_product(ks_graph, ks_vertices):
+    """The support prefilter only skips dot products that are zero."""
+    def orthogonal_by_dots(p, q):
+        return all(sum(a * b for a, b in zip(u, v)) == 0
+                   for u in p.ivecs for v in q.ivecs)
+
+    for i, p in enumerate(ks_vertices):
+        for j in range(i + 1, len(ks_vertices)):
+            assert bool(ks_graph.adj[i] >> j & 1) == \
+                orthogonal_by_dots(p, ks_vertices[j])
+
+
 def test_graph_edges_match_exact_projector_orthogonality(ks_graph):
     rng = random.Random(17)
     verts = ks_graph.vertices
@@ -301,13 +314,13 @@ def test_colorability_unsat(ks_graph, ks_contexts):
     verdict = ks_colorability(ks_graph, ks_contexts)
     assert not verdict.satisfiable
     assert verdict.coloring is None
-    assert _counts(verdict) == (281, 6705, 281)
+    assert _counts(verdict) == (681, 13427, 681)
 
 
 def test_canonical_contexts_alone_already_unsat(ks_graph):
     verdict = ks_colorability(ks_graph, canonical_contexts(ks_graph))
     assert not verdict.satisfiable
-    assert _counts(verdict) == (281, 6894, 281)
+    assert _counts(verdict) == (681, 13939, 681)
 
 
 def test_classical_context_alone_is_satisfiable(ks_graph):
@@ -346,6 +359,56 @@ def test_check_coloring_rejects_ks1_and_ks2_violations(ks_graph):
     all_false = dict.fromkeys(range(len(ks_graph)), False)
     with pytest.raises(AssertionError, match="KS2 violated on context"):
         _check_coloring(ks_graph, [classical], all_false)
+
+
+def _small_instance(nv, edges, contexts):
+    """A colouring instance on nv abstract vertices: the search reads only
+    the vertex count and the adjacency masks."""
+    adj = [0] * nv
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return (OrthogonalityGraph([None] * nv, adj),
+            [Context(tuple(ids), len(ids)) for ids in contexts])
+
+
+def _brute_force_satisfiable(graph, contexts) -> bool:
+    nv = len(graph.vertices)
+    ctx_masks = [sum(1 << vid for vid in c.ids) for c in contexts]
+    for true in range(1 << nv):
+        if all(m & true for m in ctx_masks) and not any(
+                true >> u & 1 and graph.adj[u] & true for u in range(nv)):
+            return True
+    return False
+
+
+def test_forced_last_member_is_searched():
+    # ruling 0 out of {0,1} forces 1 true, whose branch holds the colouring
+    graph, contexts = _small_instance(
+        4, [(0, 1), (2, 3), (0, 2), (0, 3)], [(0, 1), (2, 3)])
+    verdict = ks_colorability(graph, contexts)
+    assert verdict.satisfiable
+    assert _true_ids(verdict) == {1, 2}
+
+
+def test_colorability_matches_brute_force_on_small_instances():
+    rng = random.Random(2024)
+    sat = 0
+    for _ in range(2000):
+        nv = rng.randint(2, 9)
+        edges = {tuple(rng.sample(range(nv), 2))
+                 for _ in range(rng.randint(0, nv))}
+        contexts = []
+        for _ in range(rng.randint(1, 4)):
+            ids = sorted(rng.sample(range(nv), rng.randint(1, min(nv, 4))))
+            contexts.append(ids)
+            edges.update((u, v) for i, u in enumerate(ids) for v in ids[i + 1:])
+        graph, ctxs = _small_instance(nv, edges, contexts)
+        expected = _brute_force_satisfiable(graph, ctxs)
+        assert ks_colorability(graph, ctxs).satisfiable == expected, \
+            (nv, sorted(edges), contexts)
+        sat += expected
+    assert 0 < sat < 2000
 
 
 def test_colorability_budget_error(ks_graph, ks_contexts):

@@ -1,5 +1,5 @@
 from collections import Counter, defaultdict
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -16,7 +16,7 @@ from codeword_paradoxes.paradoxes import (OperatorArray, ParityInstance,
                                           parity_instance_from_group,
                                           pentagon_description,
                                           search_parity_contradictions)
-from codeword_paradoxes.pauli import identity, parse
+from codeword_paradoxes.pauli import from_letters, identity, parse
 from codeword_paradoxes.statevector import eigensign
 
 # The eight ways of learning sigma_1x from the other qubits, written as
@@ -78,6 +78,19 @@ def test_incompatible_example(five_group):
     ds = {str(d.witness): d for d in find_determinations(five_group, 1, "X")}
     pairs = compatible_pairs([ds["IZXII"], ds["IXYZY"]])
     assert pairs == []   # site 2 letters Z vs X differ
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sitewise_compatible_matches_letter_rule(n):
+    strings = [from_letters(ls) for ls in product("IXYZ", repeat=n)]
+
+    def letterwise(a, b):
+        return all(la == "I" or lb == "I" or la == lb
+                   for la, lb in zip(a.letters, b.letters))
+
+    for a in strings:
+        for b in strings:
+            assert paradoxes._sitewise_compatible(a, b) == letterwise(a, b), (a, b)
 
 
 def test_empty_determinations():

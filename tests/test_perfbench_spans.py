@@ -49,4 +49,4 @@ def test_ks_traces_both_colorings(capsys):
     names = Counter(span[0] for span in tracer.spans)
     assert names["kochen_specker.coloring"] == 1
     assert names["kochen_specker.coloring_canonical"] == 1
-    assert tracer.counts["kochen_specker.decisions"] == 281
+    assert tracer.counts["kochen_specker.decisions"] == 681

@@ -1,6 +1,7 @@
 import pytest
 
-from codeword_paradoxes.codes import code_by_name, single_qubit_errors
+from codeword_paradoxes import stabilizer
+from codeword_paradoxes.codes import CODE_NAMES, code_by_name, single_qubit_errors
 from codeword_paradoxes.errors import (NonCommutingGeneratorsError,
                                        SignConflictError)
 from codeword_paradoxes.pauli import parse, single_site
@@ -8,6 +9,7 @@ from codeword_paradoxes.stabilizer import (StabilizerElement, StabilizerGroup,
                                            close, invariant_subgroup,
                                            knill_laflamme_check,
                                            verify_stabilizes)
+from codeword_paradoxes.statevector import apply, inner
 
 
 def _expected_five_qubit_listing():
@@ -153,6 +155,62 @@ def test_knill_laflamme_steane(steane):
                                   single_qubit_errors(7))
     assert report.ok
     assert report.pairs_checked == 484
+
+
+def _knill_laflamme_per_pair(v0, v1, errors):
+    """Reference: each term as <v|(Ea·Eb) w>, three applies per pair."""
+    pairs, failures = 0, []
+    for ea in errors:
+        for eb in errors:
+            m = ea * eb
+            off = inner(v0, apply(m, v1))
+            d0 = inner(v0, apply(m, v0))
+            d1 = inner(v1, apply(m, v1))
+            pairs += 1
+            if not off.is_zero() or d0 != d1:
+                failures.append({"pair": (str(ea), str(eb)),
+                                 "off_diagonal": str(off),
+                                 "diag0": str(d0), "diag1": str(d1)})
+    return pairs, failures
+
+
+def _kl_error_lists():
+    for name in CODE_NAMES:
+        code = code_by_name(name)
+        yield code, list(code.correctable)
+        for err in code.must_fail:
+            yield code, list(code.correctable) + [err]
+    # phases 1, 2 and 3 exercise the adjoint on the left; the logical
+    # XXXXX and YYYYY fail KL, <0|YYYYY|1> and <1|YYYYY|0> differ
+    code = code_by_name("five")
+    yield code, [parse(t) for t in ("IIIII", "iXIIII", "-ZIIII", "-iYIIII",
+                                    "iIZIII", "XXXXX", "-iXXXXX", "YYYYY")]
+
+
+def test_knill_laflamme_matches_per_pair_products():
+    failing = 0
+    for code, errors in _kl_error_lists():
+        report = knill_laflamme_check(code.codeword0, code.codeword1, errors)
+        assert (report.pairs_checked, report.failures) == \
+            _knill_laflamme_per_pair(code.codeword0, code.codeword1, errors)
+        failing += not report.ok
+    assert failing == 2   # the mermin Z probe and the phased list
+
+
+@pytest.mark.parametrize("name, applies", [("five", 64), ("steane", 88),
+                                           ("mermin", 16)])
+def test_knill_laflamme_applies_each_error_once_per_side(monkeypatch, name,
+                                                         applies):
+    calls = []
+
+    def counting_apply(p, v):
+        calls.append(p)
+        return apply(p, v)
+
+    monkeypatch.setattr(stabilizer, "apply", counting_apply)
+    code = code_by_name(name)
+    knill_laflamme_check(code.codeword0, code.codeword1, code.correctable)
+    assert len(calls) == applies == 4 * len(code.correctable)
 
 
 def test_group_serialization_lines(five_group):
