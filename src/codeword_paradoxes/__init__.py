@@ -13,14 +13,13 @@ __version__ = "0.1.0"
 from .codes import five_qubit_code, mermin_code, steane_code  # noqa: E402
 from .dyadic import Dyadic  # noqa: E402
 from .pauli import PauliString, parse  # noqa: E402
-from .statevector import Projector, StateVector  # noqa: E402
+from .statevector import StateVector  # noqa: E402
 
 __all__ = [
     "__version__",
     "Dyadic",
     "PauliString",
     "parse",
-    "Projector",
     "StateVector",
     "five_qubit_code",
     "mermin_code",

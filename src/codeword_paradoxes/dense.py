@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from .dyadic import Dyadic, ZERO, ONE, MINUS_ONE, I_UNIT
 from .pauli import PauliString
-from .statevector import Projector
 
 __all__ = [
     "pauli_matrix",
@@ -95,18 +94,24 @@ def commutator_is_zero(a: Matrix, b: Matrix) -> bool:
     return mat_eq(mat_mul(a, b), mat_mul(b, a))
 
 
-def projector_matrix(p: Projector) -> Matrix:
-    """Sum of |s><s| / <s|s> over the spanning set, as an exact dense matrix."""
-    dim = 1 << p.n
+def projector_matrix(vectors) -> Matrix:
+    """Sum of |s><s| / <s|s> over the spanning vectors, as an exact dense matrix.
+
+    Each vector is a sequence of Dyadic amplitudes; its norm <s|s> must be a
+    power of two so that the division stays in the ring.  The sum is the
+    orthogonal projector onto their span only when the vectors are pairwise
+    orthogonal, which callers check separately.
+    """
+    dim = len(vectors[0])
     rows = [[ZERO] * dim for _ in range(dim)]
-    for s in p.vectors:
-        m = s.norm2().as_pow2()
+    for s in vectors:
+        m = _dot([a.conj() for a in s], s).as_pow2()
         if m is None:
             raise ValueError("spanning norm is not a power of two")
-        for i, ai in enumerate(s.amps):
+        for i, ai in enumerate(s):
             if ai.is_zero():
                 continue
-            for j, aj in enumerate(s.amps):
+            for j, aj in enumerate(s):
                 if aj.is_zero():
                     continue
                 rows[i][j] = rows[i][j] + (ai * aj.conj()).half_power(m)

@@ -12,11 +12,7 @@ are dropped, ``0`` for the zero value).
 
 from __future__ import annotations
 
-import re
-
 __all__ = ["Dyadic", "ZERO", "ONE", "MINUS_ONE", "I_UNIT"]
-
-_TERM_RE = re.compile(r"^([+-]?\d+)(?:/2\^(\d+))?$")
 
 
 class Dyadic:
@@ -99,7 +95,7 @@ class Dyadic:
         """If the value is a positive real power of two, return its exponent.
 
         Returns m with self == 2**m, or None.  Used where a reciprocal is
-        needed (projector application) without leaving the dyadic ring.
+        needed (a projector's matrix) without leaving the dyadic ring.
         """
         if self.im != 0 or self.re <= 0:
             return None
@@ -134,30 +130,6 @@ class Dyadic:
 
     def __repr__(self) -> str:
         return f"Dyadic({self.re}, {self.im}, {self.exp})"
-
-    @staticmethod
-    def parse(text: str) -> "Dyadic":
-        """Inverse of str(); accepts e.g. '-1/2^2', '3/2^1 + 1/2^1 i', '0'."""
-        text = text.strip()
-        if text == "0":
-            return ZERO
-        total = ZERO
-        # normalize "a - b i" into "a + -b i" before splitting on '+'
-        normalized = re.sub(r"\s*-\s+", " + -", text)
-        for chunk in normalized.split("+"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            imag = chunk.endswith("i")
-            if imag:
-                chunk = chunk[:-1].strip()
-            m = _TERM_RE.match(chunk)
-            if not m:
-                raise ValueError(f"bad dyadic literal: {text!r}")
-            num = int(m.group(1))
-            exp = int(m.group(2) or 0)
-            total = total + (Dyadic(0, num, exp) if imag else Dyadic(num, 0, exp))
-        return total
 
 
 def _term(num: int, exp: int, suffix: str) -> str:

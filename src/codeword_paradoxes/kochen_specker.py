@@ -30,7 +30,7 @@ from .dyadic import Dyadic
 from .errors import BudgetExceededError
 from .paradoxes import ROW_SITES
 from .pauli import PauliString
-from .statevector import Projector, StateVector, apply
+from .statevector import StateVector, apply
 
 __all__ = [
     "KSVertex",
@@ -59,8 +59,8 @@ class KSVertex:
     and determines the projector uniquely.  ivecs is the only stored form:
     mutually orthogonal integer spanning vectors equal to the amplitudes
     times 2**scale_exp (scale_exp is 2 for mutation vectors, whose
-    amplitudes are quarters, and 0 otherwise).  The exact vectors and the
-    projector are built from them on demand.
+    amplitudes are quarters, and 0 otherwise).  The exact vectors are built
+    from them on demand.
     """
 
     vid: int
@@ -81,10 +81,6 @@ class KSVertex:
         """The spanning vectors with their exact amplitudes."""
         return tuple(StateVector(5, (Dyadic(x, 0, self.scale_exp) for x in iv))
                      for iv in self.ivecs)
-
-    @property
-    def projector(self) -> Projector:
-        return Projector(self.vectors)
 
     def label(self) -> str:
         if self.kind == "classical":
@@ -207,12 +203,6 @@ class OrthogonalityGraph:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def are_orthogonal(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
-    def neighbors(self, v: int) -> list[int]:
-        return bit_indices(self.adj[v])
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(len(self.vertices))
                 for v in bit_indices(self.adj[u]) if v > u]
@@ -265,7 +255,6 @@ def build_orthogonality_graph(vertices: list[KSVertex]) -> OrthogonalityGraph:
 @dataclass(frozen=True)
 class Context:
     ids: tuple[int, ...]
-    total_rank: int
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -290,8 +279,8 @@ class _CoverTables:
     whose diagonal field is below 16, and P = I exactly when every field is
     16.  Packed fields never exceed 16, so addition never carries.  The
     premises are checked here: each vertex's spanning vectors must be
-    mutually orthogonal with one norm that divides 16, so that 16 times
-    the projector is the scaled sum of their outer products.
+    mutually orthogonal with one nonzero norm that divides 16, so that 16
+    times the projector is the scaled sum of their outer products.
     """
 
     def __init__(self, vertices: list[KSVertex]):
@@ -300,14 +289,15 @@ class _CoverTables:
         self.deltas: list[int] = []
         for v in vertices:
             norms = {_ivec_dot(s, s) for s in v.ivecs}
-            if len(norms) != 1 or 16 % norms.pop():
+            norm = norms.pop() if len(norms) == 1 else 0
+            if not norm or 16 % norm:
                 raise ValueError(f"vertex {v.vid}: spanning norms must be a "
-                                 "uniform divisor of 16")
+                                 "uniform nonzero divisor of 16")
             if any(_ivec_dot(s, t) for i, s in enumerate(v.ivecs)
                    for t in v.ivecs[i + 1:]):
                 raise ValueError(f"vertex {v.vid}: spanning vectors must be "
                                  "mutually orthogonal")
-            scale = 16 // _ivec_dot(v.ivecs[0], v.ivecs[0])
+            scale = 16 // norm
             delta = 0
             for s in v.ivecs:
                 for j, sj in enumerate(s):
@@ -351,7 +341,7 @@ def enumerate_contexts(graph: OrthogonalityGraph,
         if diff == 0:
             if rank_sum != _DIM:
                 raise AssertionError("covered identity with wrong rank sum")
-            results.append(Context(tuple(sorted(chosen)), rank_sum))
+            results.append(Context(tuple(sorted(chosen))))
             return
         j = ((diff & -diff).bit_length() - 1) // _FIELD_BITS
         cands = allowed & tables.covers[j]
@@ -383,10 +373,10 @@ def canonical_contexts(graph: OrthogonalityGraph) -> list[Context]:
             rows[v.provenance[1]].append(v.vid)
         else:
             by_kind[v.kind].append(v.vid)
-    out = [Context(tuple(by_kind["classical"]), _DIM),
-           Context(tuple(by_kind["mutation"]), _DIM)]
+    out = [Context(tuple(by_kind["classical"])),
+           Context(tuple(by_kind["mutation"]))]
     for r in range(2, 7):
-        out.append(Context(tuple(rows[r]), _DIM))
+        out.append(Context(tuple(rows[r])))
     return out
 
 

@@ -401,7 +401,6 @@ def mermin_peres_square() -> OperatorArray:
 @dataclass
 class ParitySearchResult:
     which_state: int
-    max_subset: int
     instances: list[ParityInstance] = field(default_factory=list)
     subset_sizes: list[int] = field(default_factory=list)
     complete_to_size: int = 0
@@ -451,7 +450,7 @@ def search_parity_contradictions(group: StabilizerGroup, which_state: int,
     signs = [e.sign(which_state) for e in elements]
     neg_mask = sum(1 << i for i, s in enumerate(signs) if s == -1)
     label = state_label or f"codeword{which_state}"
-    result = ParitySearchResult(which_state=which_state, max_subset=max_subset)
+    result = ParitySearchResult(which_state=which_state)
 
     complete_to, used = _completed_tiers(len(vecs), max_subset, node_budget)
     subsets = [idxs for idxs in _even_subsets(vecs, complete_to)

@@ -72,12 +72,16 @@ class PauliString:
 
     def letter(self, site: int) -> str:
         """Letter at 1-based site."""
-        bit = 1 << (self.n - site)
-        return _BITS_TO_LETTER[(1 if self.x & bit else 0, 1 if self.z & bit else 0)]
+        if not 1 <= site <= self.n:
+            raise ValueError(f"site {site} out of range 1..{self.n}")
+        b = self.n - site
+        return _BITS_TO_LETTER[(self.x >> b & 1, self.z >> b & 1)]
 
     @property
     def letters(self) -> tuple[str, ...]:
-        return tuple(self.letter(k) for k in range(1, self.n + 1))
+        x, z = self.x, self.z
+        return tuple(_BITS_TO_LETTER[(x >> b & 1, z >> b & 1)]
+                     for b in range(self.n - 1, -1, -1))
 
     @property
     def weight(self) -> int:

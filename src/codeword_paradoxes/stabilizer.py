@@ -141,7 +141,6 @@ def close(generators) -> StabilizerGroup:
 class StabilizeReport:
     """Outcome of replaying every element against the codeword pair."""
 
-    checks: list[dict] = field(default_factory=list)
     violations: list[dict] = field(default_factory=list)
 
     @property
@@ -156,14 +155,12 @@ def verify_stabilizes(group: StabilizerGroup, v0: StateVector,
     for e in group:
         got0 = eigensign(e.op, v0)
         got1 = eigensign(e.op, v1)
-        record = {
-            "op": str(e.op),
-            "expected": (e.sign0, e.sign1),
-            "observed": (got0, got1),
-        }
-        report.checks.append(record)
         if got0 != e.sign0 or got1 != e.sign1:
-            report.violations.append(record)
+            report.violations.append({
+                "op": str(e.op),
+                "expected": (e.sign0, e.sign1),
+                "observed": (got0, got1),
+            })
     return report
 
 

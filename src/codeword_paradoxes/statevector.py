@@ -2,13 +2,8 @@
 
 Amplitudes are Dyadic values and the basis is ordered lexicographically with
 site 1 as the most significant bit, so a ket label like |10010> maps straight
-to its integer index.  Zero means zero: every orthogonality, eigenvector and
-identity-resolution statement below is decided by exact comparison.
-
-Projectors are stored by an orthogonal (not normalized) spanning set.  That
-keeps sqrt factors out of the ring; tests that need the induced matrix divide
-by the spanning norms, which are powers of two for every vector this package
-builds.
+to its integer index.  Zero means zero: every eigenvector and orthogonality
+statement below is decided by exact comparison.
 """
 
 from __future__ import annotations
@@ -19,14 +14,10 @@ from .pauli import PauliString
 
 __all__ = [
     "StateVector",
-    "Projector",
     "basis_ket",
     "apply",
     "eigensign",
     "inner",
-    "orthogonal",
-    "resolves_identity",
-    "projectors_sum_to_identity",
 ]
 
 
@@ -53,19 +44,8 @@ class StateVector:
     def __hash__(self) -> int:
         return hash((self.n, self.amps))
 
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.amps)
-
     def scaled(self, c: Dyadic) -> "StateVector":
         return StateVector(self.n, (a * c for a in self.amps))
-
-    def __add__(self, other: "StateVector") -> "StateVector":
-        _same_n(self, other)
-        return StateVector(self.n, (a + b for a, b in zip(self.amps, other.amps)))
-
-    def __sub__(self, other: "StateVector") -> "StateVector":
-        _same_n(self, other)
-        return StateVector(self.n, (a - b for a, b in zip(self.amps, other.amps)))
 
     def __neg__(self) -> "StateVector":
         return StateVector(self.n, (-a for a in self.amps))
@@ -94,13 +74,6 @@ class StateVector:
         """Nonzero amplitudes as (basis label, amplitude text) pairs."""
         return [(format(j, f"0{self.n}b"), str(a))
                 for j, a in enumerate(self.amps) if not a.is_zero()]
-
-    @staticmethod
-    def from_pairs(n: int, pairs) -> "StateVector":
-        amps = [ZERO] * (1 << n)
-        for label, text in pairs:
-            amps[int(label, 2)] = Dyadic.parse(text)
-        return StateVector(n, amps)
 
     def __repr__(self) -> str:
         body = ", ".join(f"|{label}> {amp}" for label, amp in self.to_pairs())
@@ -159,100 +132,3 @@ def inner(u: StateVector, v: StateVector) -> Dyadic:
         if not (a.is_zero() or b.is_zero()):
             total = total + a.conj() * b
     return total
-
-
-class Projector:
-    """Orthogonal projector given by a spanning set of orthogonal vectors.
-
-    The spanning vectors are not normalized; rank is their count.  Pairwise
-    orthogonality is enforced here so that later tests reduce to inner
-    products against a clean spanning set.
-    """
-
-    __slots__ = ("n", "vectors",)
-
-    def __init__(self, vectors):
-        vectors = tuple(vectors)
-        if not vectors:
-            raise ValueError("a projector needs at least one spanning vector")
-        n = vectors[0].n
-        for v in vectors:
-            if v.n != n:
-                raise DimensionMismatchError("spanning vectors on different qubit counts")
-            if v.is_zero():
-                raise ValueError("zero vector in spanning set")
-        for i in range(len(vectors)):
-            for j in range(i + 1, len(vectors)):
-                if not inner(vectors[i], vectors[j]).is_zero():
-                    raise ValueError(
-                        f"spanning vectors {i} and {j} are not orthogonal")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "vectors", vectors)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Projector is immutable")
-
-    @property
-    def rank(self) -> int:
-        return len(self.vectors)
-
-    def apply(self, v: StateVector) -> StateVector:
-        """P·v = sum over spanning s of s <s|v> / <s|s>.
-
-        The spanning norms must be powers of two so the reciprocal stays
-        dyadic; every vector constructed in this package satisfies that.
-        """
-        _same_n(self, v)
-        out = StateVector(v.n, [ZERO] * (1 << v.n))
-        for s in self.vectors:
-            coeff = inner(s, v)
-            if coeff.is_zero():
-                continue
-            m = s.norm2().as_pow2()
-            if m is None:
-                raise ValueError("spanning norm is not a power of two; "
-                                 "cannot divide inside the dyadic ring")
-            out = out + s.scaled(coeff.half_power(m))
-        return out
-
-    def contains(self, v: StateVector) -> bool:
-        """Exact membership of v in the range of the projector."""
-        return (self.apply(v) - v).is_zero()
-
-
-def orthogonal(p: Projector, q: Projector) -> bool:
-    """True iff PQ = 0, i.e. every spanning pair has zero inner product."""
-    return all(inner(u, v).is_zero() for u in p.vectors for v in q.vectors)
-
-
-def resolves_identity(projectors) -> bool:
-    """Ranks sum to the dimension and all pairs are orthogonal.
-
-    For pairwise-orthogonal projectors the rank count settles it: their sum
-    is itself a projector, and a projector of full trace is the identity.
-    """
-    projectors = list(projectors)
-    if not projectors:
-        return False
-    n = projectors[0].n
-    if sum(p.rank for p in projectors) != 1 << n:
-        return False
-    for i in range(len(projectors)):
-        for j in range(i + 1, len(projectors)):
-            if not orthogonal(projectors[i], projectors[j]):
-                return False
-    return True
-
-
-def projectors_sum_to_identity(projectors) -> bool:
-    """Direct exact check that sum(P) e_j == e_j for every basis ket."""
-    projectors = list(projectors)
-    n = projectors[0].n
-    for j in range(1 << n):
-        e = basis_ket(n, j)
-        total = StateVector(n, [ZERO] * (1 << n))
-        for p in projectors:
-            total = total + p.apply(e)
-        if total != e:
-            return False
-    return True

@@ -11,7 +11,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from codeword_paradoxes import dense
+from codeword_paradoxes import dense, stabilizer
 from codeword_paradoxes.codes import five_qubit_code, mermin_code, steane_code
 from codeword_paradoxes.kochen_specker import (build_ks_set,
                                                build_orthogonality_graph,
@@ -30,9 +30,7 @@ from codeword_paradoxes.selftest import random_pauli, random_state
 from codeword_paradoxes.stabilizer import (invariant_subgroup,
                                            knill_laflamme_check,
                                            verify_stabilizes)
-from codeword_paradoxes.statevector import (apply, inner,
-                                            projectors_sum_to_identity,
-                                            resolves_identity)
+from codeword_paradoxes.statevector import apply, eigensign, inner
 
 
 @contextmanager
@@ -54,13 +52,32 @@ def criterion(number: int, limit_s: float, title: str):
                 f"criterion {number} exceeded its {limit_s}s budget: {elapsed:.2f}s")
 
 
-def test_criterion_1_stabilizer_verification():
+def _resolves_identity(vertices) -> bool:
+    """The vertices' spanning vectors number 32, are pairwise orthogonal, and
+    their dense projector sum (the sum of the projectors, by that
+    orthogonality) is exactly the identity."""
+    vecs = [s for v in vertices for s in v.vectors]
+    return (len(vecs) == 32
+            and all(inner(u, w).is_zero() for i, u in enumerate(vecs)
+                    for w in vecs[i + 1:])
+            and dense.mat_eq(dense.projector_matrix([s.amps for s in vecs]),
+                             dense.pauli_matrix(identity(5))))
+
+
+def test_criterion_1_stabilizer_verification(monkeypatch):
+    calls = []
+
+    def counting_eigensign(op, state):
+        calls.append(op)
+        return eigensign(op, state)
+
+    monkeypatch.setattr(stabilizer, "eigensign", counting_eigensign)
     with criterion(1, 1.0, "five-qubit stabilizer group, signs, subgroup"):
         code = five_qubit_code()
         group = code.group()
         assert len(group) == 32
         report = verify_stabilizes(group, code.codeword0, code.codeword1)
-        assert report.ok and len(report.checks) == 32
+        assert report.ok and len(calls) == 2 * 32
         # reference sign table: (sign on |0_L>, sign on |1_L>)
         reference = {"XZIZX": (+1, +1), "YXIXY": (+1, +1), "ZYIYZ": (+1, +1),
                    "IXZXI": (-1, +1), "YIZIY": (-1, +1), "XYZYX": (+1, -1)}
@@ -143,9 +160,9 @@ def test_criterion_6_ks_set_construction():
         assert len(vertices) / 32 == 3.25
 
         for family in ("classical", "mutation"):
-            vecs = [v.projector.vectors[0] for v in by_kind[family]]
+            vecs = [v.vectors[0] for v in by_kind[family]]
             assert all(u.norm2().as_pow2() == 0 for u in vecs)
-            assert resolves_identity([v.projector for v in by_kind[family]])
+            assert _resolves_identity(by_kind[family])
 
         graph = build_orthogonality_graph(vertices)
         mutation_mask = sum(1 << v.vid for v in by_kind["mutation"])
@@ -156,11 +173,10 @@ def test_criterion_6_ks_set_construction():
                    for v in by_kind["mutation"])
 
         for r in range(2, 7):
-            fam = [v.projector for v in by_kind["row"] if v.provenance[1] == r]
+            fam = [v for v in by_kind["row"] if v.provenance[1] == r]
             assert len(fam) == 8
-            assert all(p.rank == 4 for p in fam)
-            assert resolves_identity(fam)
-            assert projectors_sum_to_identity(fam)
+            assert all(v.rank == 4 for v in fam)
+            assert _resolves_identity(fam)
 
         row3_minus = [v for v in by_kind["row"]
                       if v.provenance[1] == 3 and v.provenance[4] == -1]
@@ -169,7 +185,7 @@ def test_criterion_6_ks_set_construction():
             for j in range(32):
                 if not (j >> 3) & 1:  # kets |a0cde>
                     assert all(vec.amps[j].is_zero()
-                               for vec in v.projector.vectors)
+                               for vec in v.vectors)
 
         m_eq_n = [v for v in row3_minus if v.provenance[2] == v.provenance[3]]
         assert len(m_eq_n) == 2
@@ -183,7 +199,7 @@ def test_criterion_6_ks_set_construction():
                 w = apply(op, code.codeword1)
                 for v in m_eq_n:
                     assert all(inner(s, w).is_zero()
-                               for s in v.projector.vectors)
+                               for s in v.vectors)
 
 
 def test_criterion_7_ks_non_colorability():

@@ -1,8 +1,10 @@
 """The dense oracle's zero-skipping kron and mat_mul against the index
 formulas they replaced."""
 
+import ast
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -69,3 +71,25 @@ def test_every_pauli_matrix_matches_index_formulas(n):
             if q.phase_exp == 0:   # a phase on q only scales the product
                 assert dense.mat_mul(mats[p], mats[q]) == \
                     mat_mul_by_index(mats[p], mats[q])
+
+
+def test_dense_imports_nothing_from_statevector():
+    """The oracle checks the state-vector route, so it must not use it."""
+    tree = ast.parse(Path(dense.__file__).read_text())
+    sources = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            sources.append(node.module or "")
+            sources.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            sources.extend(alias.name for alias in node.names)
+    assert not [s for s in sources if s.split(".")[-1] == "statevector"]
+
+
+def test_projector_matrix_divides_by_each_norm():
+    half = Dyadic(1, 0, 1)
+    m = dense.projector_matrix([(ONE, ONE), (ONE, Dyadic(-1))])
+    assert m == ((ONE, ZERO), (ZERO, ONE))
+    assert dense.projector_matrix([(ONE, ONE)]) == ((half, half), (half, half))
+    with pytest.raises(ValueError, match="not a power of two"):
+        dense.projector_matrix([(ONE, ONE, ONE, ZERO)])

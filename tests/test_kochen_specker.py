@@ -8,23 +8,42 @@ from codeword_paradoxes.codes import five_qubit_code
 from codeword_paradoxes.errors import BudgetExceededError
 from codeword_paradoxes.kochen_specker import (Context, KSVertex, ROW_SITES,
                                                OrthogonalityGraph,
+                                               bit_indices,
                                                build_orthogonality_graph,
                                                canonical_contexts,
                                                enumerate_contexts,
                                                ks_colorability,
                                                _check_coloring)
 from codeword_paradoxes.pauli import identity, single_site
-from codeword_paradoxes.statevector import (apply, eigensign, inner,
-                                            orthogonal,
-                                            projectors_sum_to_identity,
-                                            resolves_identity)
+from codeword_paradoxes.statevector import apply, eigensign, inner
 
 EDGE_COUNT = 3084        # frozen from the first exhaustive pairwise run
 CONTEXT_COUNT = 39       # frozen from the first exhaustive enumeration
+IDENTITY_MATRIX = dense.pauli_matrix(identity(5))
 
 
 def _family(vertices, kind):
     return [v for v in vertices if v.kind == kind]
+
+
+def _spanning(vertices):
+    return [s for v in vertices for s in v.vectors]
+
+
+def _orthogonal(p, q):
+    return all(inner(u, w).is_zero() for u in p.vectors for w in q.vectors)
+
+
+def _assert_resolves_identity(vectors):
+    """32 pairwise orthogonal vectors whose dense projector sum is exactly
+    the identity; by their orthogonality that sum is the sum of the
+    vertices' projectors."""
+    assert len(vectors) == 32
+    for i, u in enumerate(vectors):
+        for w in vectors[i + 1:]:
+            assert inner(u, w).is_zero()
+    assert dense.mat_eq(dense.projector_matrix([v.amps for v in vectors]),
+                        IDENTITY_MATRIX)
 
 
 def _row_family(vertices, r, **conds):
@@ -46,13 +65,9 @@ def test_vertex_counts(ks_vertices):
 
 
 def test_mutation_family_is_orthonormal_basis(ks_vertices):
-    vectors = [v.projector.vectors[0] for v in _family(ks_vertices, "mutation")]
-    assert len(vectors) == 32
-    for i, u in enumerate(vectors):
-        assert u.norm2().as_pow2() == 0      # exactly norm 1
-        for w in vectors[i + 1:]:
-            assert inner(u, w).is_zero()
-    assert resolves_identity([v.projector for v in _family(ks_vertices, "mutation")])
+    vectors = _spanning(_family(ks_vertices, "mutation"))
+    assert all(u.norm2().as_pow2() == 0 for u in vectors)   # exactly norm 1
+    _assert_resolves_identity(vectors)
 
 
 def test_sixteen_mutations_per_codeword(ks_vertices):
@@ -86,7 +101,7 @@ def test_row3_spanning_vectors_match_expected_form(ks_vertices):
             expected_supports.append({(ba << 4) | (bc << 2) | tail
                                       for ba in (0, 1) for bc in (0, 1)})
     got_supports = []
-    for vec in v.projector.vectors:
+    for vec in v.vectors:
         support = {j for j, a in enumerate(vec.amps) if not a.is_zero()}
         assert all(vec.amps[j] == ONE for j in support)
         got_supports.append(support)
@@ -102,7 +117,7 @@ def test_row_spanning_vectors_are_eigenvectors_of_their_triple(ks_vertices):
     for v in rows:
         _, r, m, n, s = v.provenance
         a, b, c = ROW_SITES[r]
-        for vec in v.projector.vectors:
+        for vec in v.vectors:
             assert eigensign(single_site(5, a, "X"), vec) == m
             assert eigensign(single_site(5, b, "Z"), vec) == s
             assert eigensign(single_site(5, c, "X"), vec) == n
@@ -112,29 +127,26 @@ def test_row_spanning_vectors_are_eigenvectors_of_their_triple(ks_vertices):
 
 def test_row_families_resolve_identity(ks_vertices):
     for r in range(2, 7):
-        family = [v.projector for v in _row_family(ks_vertices, r)]
+        family = _row_family(ks_vertices, r)
         assert len(family) == 8
-        assert all(p.rank == 4 for p in family)
-        assert resolves_identity(family)
-        assert projectors_sum_to_identity(family)
+        assert all(v.rank == 4 for v in family)
+        _assert_resolves_identity(_spanning(family))
 
 
 def test_rank4_projector_matrix_properties(ks_vertices):
-    p = _row_family(ks_vertices, 3, m=+1, n=+1, s=+1)[0].projector
-    m = dense.projector_matrix(p)
+    v = _row_family(ks_vertices, 3, m=+1, n=+1, s=+1)[0]
+    m = dense.projector_matrix([s.amps for s in v.vectors])
     assert dense.mat_eq(dense.mat_mul(m, m), m)
     assert all(m[i][j] == m[j][i].conj()
                for i in range(32) for j in range(32))
 
 
 def test_rank4_acts_as_identity_on_untouched_qubits(ks_vertices):
-    from codeword_paradoxes.statevector import basis_ket
-    p = _row_family(ks_vertices, 3, m=+1, n=-1, s=-1)[0].projector
+    v = _row_family(ks_vertices, 3, m=+1, n=-1, s=-1)[0]
+    p = dense.projector_matrix([s.amps for s in v.vectors])
     for op in (single_site(5, 4, "X"), single_site(5, 5, "Z"),
                single_site(5, 4, "Y")):
-        for j in range(32):
-            e = basis_ket(5, j)
-            assert p.apply(apply(op, e)) == apply(op, p.apply(e))
+        assert dense.commutator_is_zero(p, dense.pauli_matrix(op))
 
 
 def test_row3_z_minus_family_orthogonal_to_a0cde_kets(ks_vertices):
@@ -145,7 +157,7 @@ def test_row3_z_minus_family_orthogonal_to_a0cde_kets(ks_vertices):
         for j in range(32):
             if not (j >> 3) & 1:
                 assert all(vec.amps[j].is_zero()
-                           for vec in v.projector.vectors)
+                           for vec in v.vectors)
 
 
 def test_row3_m_equals_n_family_orthogonal_to_codeword1_mutations(ks_vertices):
@@ -162,7 +174,7 @@ def test_row3_m_equals_n_family_orthogonal_to_codeword1_mutations(ks_vertices):
                 op = op * single_site(5, 5, e)
             w = apply(op, code.codeword1)
             for v in family:
-                assert all(inner(s, w).is_zero() for s in v.projector.vectors)
+                assert all(inner(s, w).is_zero() for s in v.vectors)
 
 
 def test_row3_m_equals_n_family_orthogonal_to_odd_codeword0_mutations(ks_vertices):
@@ -173,7 +185,7 @@ def test_row3_m_equals_n_family_orthogonal_to_odd_codeword0_mutations(ks_vertice
                          (3, "Y"), (3, "Z")):
         w = apply(single_site(5, site, letter), code.codeword0)
         for v in family:
-            assert all(inner(s, w).is_zero() for s in v.projector.vectors)
+            assert all(inner(s, w).is_zero() for s in v.vectors)
 
 
 def test_row3_row6_shared_x_orthogonality(ks_vertices):
@@ -185,7 +197,7 @@ def test_row3_row6_shared_x_orthogonality(ks_vertices):
         assert len(r3) == 4 and len(r6) == 4
         for a in r3:
             for b in r6:
-                assert orthogonal(a.projector, b.projector)
+                assert _orthogonal(a, b)
 
 
 def test_row_sites_table():
@@ -198,10 +210,11 @@ def test_edge_count_frozen(ks_graph):
 
 
 def test_graph_is_symmetric_irreflexive_and_reproducible(ks_graph, ks_vertices):
+    adj = ks_graph.adj
     for v in range(len(ks_graph)):
-        assert not ks_graph.are_orthogonal(v, v)
-        for u in ks_graph.neighbors(v):
-            assert ks_graph.are_orthogonal(u, v)
+        assert not adj[v] >> v & 1
+        for u in bit_indices(adj[v]):
+            assert adj[u] >> v & 1
     rebuilt = build_orthogonality_graph(ks_vertices)
     assert rebuilt.adj == ks_graph.adj
 
@@ -223,8 +236,7 @@ def test_graph_edges_match_exact_projector_orthogonality(ks_graph):
     verts = ks_graph.vertices
     for _ in range(300):
         u, v = rng.sample(range(len(verts)), 2)
-        assert ks_graph.are_orthogonal(u, v) == \
-            orthogonal(verts[u].projector, verts[v].projector)
+        assert bool(ks_graph.adj[u] >> v & 1) == _orthogonal(verts[u], verts[v])
 
 
 def test_context_enumeration(ks_graph, ks_contexts):
@@ -241,10 +253,9 @@ def test_context_enumeration(ks_graph, ks_contexts):
 def test_contexts_are_exact_resolutions(ks_graph, ks_contexts):
     verts = ks_graph.vertices
     for ctx in ks_contexts:
-        projectors = [verts[v].projector for v in ctx.ids]
-        assert sum(p.rank for p in projectors) == 32
-        assert resolves_identity(projectors)
-        assert projectors_sum_to_identity(projectors)
+        members = [verts[v] for v in ctx.ids]
+        assert sum(v.rank for v in members) == 32
+        _assert_resolves_identity(_spanning(members))
 
 
 def test_rank4_contexts_against_independent_clique_search(ks_graph, ks_contexts):
@@ -252,7 +263,7 @@ def test_rank4_contexts_against_independent_clique_search(ks_graph, ks_contexts)
     induced 40-vertex subgraph, found here by plain Bron-Kerbosch."""
     row_ids = [v.vid for v in ks_graph.vertices if v.kind == "row"]
     sub, remap = ks_graph.induced(row_ids)
-    neighbors = {v: set(sub.neighbors(v)) for v in range(len(sub))}
+    neighbors = {v: set(bit_indices(sub.adj[v])) for v in range(len(sub))}
 
     cliques = []
 
@@ -302,6 +313,17 @@ def test_cover_tables_reject_non_orthogonal_spanning_vectors():
         enumerate_contexts(build_orthogonality_graph([bad]))
 
 
+@pytest.mark.parametrize("ivecs", [((0,) * 32,), ()],
+                         ids=["zero-vector", "no-vectors"])
+def test_cover_tables_reject_empty_spans(ivecs):
+    # a zero vector is orthogonal to everything, so it reaches the tables
+    ket = (1,) + (0,) * 31
+    bad = KSVertex(0, ("classical", "00000"), ivecs)
+    good = KSVertex(1, ("classical", "00001"), (ket,))
+    with pytest.raises(ValueError, match="vertex 0: .* nonzero divisor"):
+        enumerate_contexts(build_orthogonality_graph([bad, good]))
+
+
 def _counts(verdict):
     return verdict.decisions, verdict.propagations, verdict.conflicts
 
@@ -326,7 +348,7 @@ def test_canonical_contexts_alone_already_unsat(ks_graph):
 def test_classical_context_alone_is_satisfiable(ks_graph):
     classical = [v.vid for v in ks_graph.vertices if v.kind == "classical"]
     sub, remap = ks_graph.induced(classical)
-    ctx = Context(tuple(range(32)), 32)
+    ctx = Context(tuple(range(32)))
     verdict = ks_colorability(sub, [ctx])
     assert verdict.satisfiable
     assert _true_ids(verdict) == {0}
@@ -342,15 +364,14 @@ def test_rank1_subinstance_with_basis_contexts_is_satisfiable(ks_graph):
                       if v.kind == "classical")
     mutation = tuple(remap[v.vid] for v in ks_graph.vertices
                      if v.kind == "mutation")
-    verdict = ks_colorability(sub, [Context(classical, 32),
-                                    Context(mutation, 32)])
+    verdict = ks_colorability(sub, [Context(classical), Context(mutation)])
     assert verdict.satisfiable
     assert _true_ids(verdict) == {0, 32}
     assert _counts(verdict) == (2, 64, 0)
 
 
 def test_check_coloring_rejects_ks1_and_ks2_violations(ks_graph):
-    classical = Context(tuple(range(32)), 32)
+    classical = Context(tuple(range(32)))
     u, v = ks_graph.edges()[0]
     both_ends = {vid: vid in (u, v) for vid in range(len(ks_graph))}
     ks1 = fr"KS1 violated on edge \({u},{v}\)"
@@ -369,7 +390,7 @@ def _small_instance(nv, edges, contexts):
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return (OrthogonalityGraph([None] * nv, adj),
-            [Context(tuple(ids), len(ids)) for ids in contexts])
+            [Context(tuple(ids)) for ids in contexts])
 
 
 def _brute_force_satisfiable(graph, contexts) -> bool:

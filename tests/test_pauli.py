@@ -159,6 +159,21 @@ def test_restrict_rejects_bad_site():
         parse("XX").restrict([3])
 
 
+def test_letter_rejects_out_of_range_sites():
+    p = parse("XYZ")
+    for site in (-1, 0, 4):
+        with pytest.raises(ValueError, match=f"site {site} out of range 1..3"):
+            p.letter(site)
+
+
+def test_letter_and_letters_read_every_site():
+    for n in (1, 2, 3):
+        for ls in itertools.product(LETTERS, repeat=n):
+            p = from_letters(ls)
+            assert p.letters == ls
+            assert tuple(p.letter(k) for k in range(1, n + 1)) == ls
+
+
 def test_single_site():
     assert single_site(5, 2, "Z") == parse("IZIII")
     with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from codeword_paradoxes.stabilizer import (StabilizerElement, StabilizerGroup,
                                            close, invariant_subgroup,
                                            knill_laflamme_check,
                                            verify_stabilizes)
-from codeword_paradoxes.statevector import apply, inner
+from codeword_paradoxes.statevector import apply, eigensign, inner
 
 
 def _expected_five_qubit_listing():
@@ -90,10 +90,17 @@ def test_closed_groups_are_closed_with_multiplicative_signs(name):
                                           a.sign1 * b.sign1 * flip)
 
 
-def test_verify_stabilizes_all_pass(five, five_group):
+def test_verify_stabilizes_all_pass(five, five_group, monkeypatch):
+    calls = []
+
+    def counting_eigensign(op, state):
+        calls.append(op)
+        return eigensign(op, state)
+
+    monkeypatch.setattr(stabilizer, "eigensign", counting_eigensign)
     report = verify_stabilizes(five_group, five.codeword0, five.codeword1)
     assert report.ok
-    assert len(report.checks) == 32
+    assert len(calls) == 2 * 32
 
 
 def test_verify_stabilizes_reports_violations(five):
