@@ -8,7 +8,11 @@ routes must agree exactly, and tests check that they do.
 kron and mat_mul skip every product with a zero factor (a Pauli matrix
 has one nonzero entry per row), but each matrix is still a dense tuple of
 tuples built from the literal letter matrices, so the module stays an
-independent oracle.
+independent oracle.  It keeps no cache of built matrices either: a table
+of the few hundred distinct Pauli matrices that `selftest` meets would
+spare rebuilding them, but it would hold them for the rest of the
+process, more memory on every run for a saving in one command.  Matrices
+compare by plain tuple equality, so two of different shapes are unequal.
 """
 
 from __future__ import annotations
@@ -43,10 +47,10 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
         for row_b in b:
             row: list[Dyadic] = []
             for x in row_a:
-                if x.is_zero():
-                    row.extend(zeros)
+                if x.re or x.im:
+                    row.extend(x * y if y.re or y.im else ZERO for y in row_b)
                 else:
-                    row.extend(ZERO if y.is_zero() else x * y for y in row_b)
+                    row.extend(zeros)
             rows.append(tuple(row))
     return tuple(rows)
 
@@ -65,11 +69,10 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     for row_a in a:
         acc = [ZERO] * width
         for x, row_b in zip(row_a, b):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(row_b):
-                if not y.is_zero():
-                    acc[j] = acc[j] + x * y
+            if x.re or x.im:
+                for j, y in enumerate(row_b):
+                    if y.re or y.im:
+                        acc[j] = acc[j] + x * y
         rows.append(tuple(acc))
     return tuple(rows)
 
@@ -77,17 +80,19 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def _dot(row, col) -> Dyadic:
     total = ZERO
     for x, y in zip(row, col):
-        if not (x.is_zero() or y.is_zero()):
+        if (x.re or x.im) and (y.re or y.im):
             total = total + x * y
     return total
 
 
 def mat_vec(a: Matrix, v: list[Dyadic]) -> list[Dyadic]:
+    if len(v) != len(a[0]):
+        raise ValueError(f"vector of length {len(v)} for a matrix of width {len(a[0])}")
     return [_dot(row, v) for row in a]
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    return a == b
 
 
 def commutator_is_zero(a: Matrix, b: Matrix) -> bool:
@@ -109,10 +114,8 @@ def projector_matrix(vectors) -> Matrix:
         if m is None:
             raise ValueError("spanning norm is not a power of two")
         for i, ai in enumerate(s):
-            if ai.is_zero():
-                continue
-            for j, aj in enumerate(s):
-                if aj.is_zero():
-                    continue
-                rows[i][j] = rows[i][j] + (ai * aj.conj()).half_power(m)
+            if ai.re or ai.im:
+                for j, aj in enumerate(s):
+                    if aj.re or aj.im:
+                        rows[i][j] = rows[i][j] + (ai * aj.conj()).half_power(m)
     return tuple(tuple(r) for r in rows)

@@ -6,6 +6,15 @@ quarters, projector spanning vectors have integer or quarter entries, and
 Pauli action only multiplies by powers of i and permutes entries.  Staying
 inside this ring makes every comparison exact; there is no epsilon anywhere.
 
+Every value is kept in lowest terms: exp == 0, or at least one of re, im
+is odd; zero is (0, 0, 0).  The form is unique, so equality and hashing
+compare the three fields.  The constructor reaches it in one step, by
+shifting out the trailing zero bits common to re and im (those of re | im),
+at most exp of them.  Negation, conjugation and multiplication by a power
+of i skip that step and build their result raw: each maps (re, im) to
+(±re, ±im) or (±im, ±re) at the same exp, and neither a sign nor a swap
+changes which parts are odd, so a value in lowest terms stays in them.
+
 The canonical text form is ``a/2^k + b/2^k i`` (terms with zero numerator
 are dropped, ``0`` for the zero value).
 """
@@ -16,11 +25,8 @@ __all__ = ["Dyadic", "ZERO", "ONE", "MINUS_ONE", "I_UNIT"]
 
 
 class Dyadic:
-    """Immutable Gaussian rational (a + b*i) / 2**exp, kept in lowest terms.
-
-    Lowest terms means exp == 0 or at least one of a, b is odd; the zero
-    value is stored as (0, 0, 0).
-    """
+    """Immutable Gaussian rational (re + im*i) / 2**exp, kept in lowest terms
+    (see the module docstring)."""
 
     __slots__ = ("re", "im", "exp")
 
@@ -29,16 +35,20 @@ class Dyadic:
             re <<= -exp
             im <<= -exp
             exp = 0
-        if re == 0 and im == 0:
-            exp = 0
-        else:
-            while exp > 0 and (re & 1) == 0 and (im & 1) == 0:
-                re >>= 1
-                im >>= 1
-                exp -= 1
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-        object.__setattr__(self, "exp", exp)
+        elif exp:
+            both = re | im
+            if both:
+                shift = (both & -both).bit_length() - 1
+                if shift > exp:
+                    shift = exp
+                re >>= shift
+                im >>= shift
+                exp -= shift
+            else:
+                exp = 0
+        _set_re(self, re)
+        _set_im(self, im)
+        _set_exp(self, exp)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Dyadic values are immutable")
@@ -58,7 +68,7 @@ class Dyadic:
         return self + (-other)
 
     def __neg__(self) -> "Dyadic":
-        return Dyadic(-self.re, -self.im, self.exp)
+        return _raw(-self.re, -self.im, self.exp)
 
     def __mul__(self, other: "Dyadic") -> "Dyadic":
         return Dyadic(self.re * other.re - self.im * other.im,
@@ -66,7 +76,7 @@ class Dyadic:
                       self.exp + other.exp)
 
     def conj(self) -> "Dyadic":
-        return Dyadic(self.re, -self.im, self.exp)
+        return _raw(self.re, -self.im, self.exp)
 
     def times_i_power(self, t: int) -> "Dyadic":
         """Multiply by i**t without general complex multiplication."""
@@ -74,10 +84,10 @@ class Dyadic:
         if t == 0:
             return self
         if t == 1:
-            return Dyadic(-self.im, self.re, self.exp)
+            return _raw(-self.im, self.re, self.exp)
         if t == 2:
-            return Dyadic(-self.re, -self.im, self.exp)
-        return Dyadic(self.im, -self.re, self.exp)
+            return _raw(-self.re, -self.im, self.exp)
+        return _raw(self.im, -self.re, self.exp)
 
     def half_power(self, k: int) -> "Dyadic":
         """Divide by 2**k (k may be negative to multiply)."""
@@ -106,7 +116,8 @@ class Dyadic:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dyadic):
             return NotImplemented
-        return (self.re, self.im, self.exp) == (other.re, other.im, other.exp)
+        return (self.re == other.re and self.im == other.im
+                and self.exp == other.exp)
 
     def __hash__(self) -> int:
         return hash((self.re, self.im, self.exp))
@@ -130,6 +141,20 @@ class Dyadic:
 
     def __repr__(self) -> str:
         return f"Dyadic({self.re}, {self.im}, {self.exp})"
+
+
+_set_re = Dyadic.re.__set__
+_set_im = Dyadic.im.__set__
+_set_exp = Dyadic.exp.__set__
+
+
+def _raw(re: int, im: int, exp: int) -> Dyadic:
+    """A Dyadic from a triple already in lowest terms, without the check."""
+    z = object.__new__(Dyadic)
+    _set_re(z, re)
+    _set_im(z, im)
+    _set_exp(z, exp)
+    return z
 
 
 def _term(num: int, exp: int, suffix: str) -> str:

@@ -44,14 +44,8 @@ class StateVector:
     def __hash__(self) -> int:
         return hash((self.n, self.amps))
 
-    def scaled(self, c: Dyadic) -> "StateVector":
-        return StateVector(self.n, (a * c for a in self.amps))
-
     def __neg__(self) -> "StateVector":
         return StateVector(self.n, (-a for a in self.amps))
-
-    def norm2(self) -> Dyadic:
-        return inner(self, self)
 
     def phase_canonical(self) -> "StateVector":
         """Rotate by a power of i so the first nonzero amplitude is positive real.
@@ -105,7 +99,7 @@ def apply(p: PauliString, v: StateVector) -> StateVector:
     base_phase = (p.phase_exp + y_count) & 3
     out = [ZERO] * (1 << v.n)
     for j, a in enumerate(v.amps):
-        if a.is_zero():
+        if not (a.re or a.im):
             continue
         t = base_phase + 2 * ((j & p.z).bit_count() & 1)
         out[j ^ p.x] = a.times_i_power(t)
@@ -113,22 +107,56 @@ def apply(p: PauliString, v: StateVector) -> StateVector:
 
 
 def eigensign(p: PauliString, v: StateVector):
-    """+1 or -1 when p·v == ±v exactly, None when v is not an eigenvector."""
+    """+1 or -1 when p·v == ±v exactly, None when v is not an eigenvector.
+
+    Compares p·v with v one amplitude at a time and stops at the first
+    amplitude that rules out both signs.  The zero vector has every sign,
+    so it is refused.
+    """
     if not p.is_hermitian():
         raise NonHermitianError(f"{p} has phase i**{p.phase_exp}; eigensigns need ±1 spectra")
-    w = apply(p, v)
-    if w == v:
-        return +1
-    if w == -v:
-        return -1
-    return None
+    sign = 0
+    for a, b in zip(apply(p, v).amps, v.amps):
+        if not (b.re or b.im):
+            continue    # p·v has v's support permuted: a mismatch meets a nonzero b
+        if a.exp != b.exp:
+            return None
+        if a.re == b.re and a.im == b.im:
+            s = 1
+        elif a.re == -b.re and a.im == -b.im:
+            s = -1
+        else:
+            return None
+        if s != sign:
+            if sign:
+                return None
+            sign = s
+    if not sign:
+        raise ValueError("eigensign of the zero vector: every sign fits")
+    return sign
 
 
 def inner(u: StateVector, v: StateVector) -> Dyadic:
-    """<u|v>, conjugate-linear in the first argument."""
+    """<u|v>, conjugate-linear in the first argument.
+
+    Sums the integer parts of conj(a)·b at a common exponent, the largest
+    seen so far, and builds one Dyadic at the end.
+    """
     _same_n(u, v)
-    total = ZERO
+    re = im = exp = 0
     for a, b in zip(u.amps, v.amps):
-        if not (a.is_zero() or b.is_zero()):
-            total = total + a.conj() * b
-    return total
+        if (a.re or a.im) and (b.re or b.im):
+            ar, ai, br, bi = a.re, a.im, b.re, b.im
+            r = ar * br + ai * bi
+            i = ar * bi - ai * br
+            e = a.exp + b.exp
+            if e > exp:
+                re <<= e - exp
+                im <<= e - exp
+                exp = e
+            elif e < exp:
+                r <<= exp - e
+                i <<= exp - e
+            re += r
+            im += i
+    return Dyadic(re, im, exp)

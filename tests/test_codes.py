@@ -30,9 +30,9 @@ def test_five_qubit_codewords_cyclically_invariant(five):
 
 
 def test_codeword_norms(five, mermin, steane):
-    assert five.codeword0.norm2() == ONE
-    assert mermin.codeword0.norm2() == Dyadic(mermin.norm2)
-    assert steane.codeword0.norm2() == Dyadic(steane.norm2)
+    assert inner(five.codeword0, five.codeword0) == ONE
+    assert inner(mermin.codeword0, mermin.codeword0) == Dyadic(mermin.norm2)
+    assert inner(steane.codeword0, steane.codeword0) == Dyadic(steane.norm2)
     for code in (five, mermin, steane):
         assert inner(code.codeword0, code.codeword1).is_zero()
 

@@ -93,3 +93,20 @@ def test_projector_matrix_divides_by_each_norm():
     assert dense.projector_matrix([(ONE, ONE)]) == ((half, half), (half, half))
     with pytest.raises(ValueError, match="not a power of two"):
         dense.projector_matrix([(ONE, ONE, ONE, ZERO)])
+
+
+def test_mat_eq_compares_shapes():
+    one_qubit = dense.pauli_matrix(from_letters("I"))
+    two_qubit = dense.pauli_matrix(from_letters("II"))
+    assert not dense.mat_eq(one_qubit, two_qubit)
+    assert not dense.mat_eq(two_qubit, one_qubit)
+    assert not dense.mat_eq(((ONE, ZERO),), ((ONE,),))
+    assert dense.mat_eq(one_qubit, ((ONE, ZERO), (ZERO, ONE)))
+
+
+def test_mat_vec_rejects_wrong_length():
+    m = dense.pauli_matrix(from_letters("XZ"))
+    assert dense.mat_vec(m, [ONE, ZERO, ZERO, ZERO]) == [ZERO, ZERO, ONE, ZERO]
+    for length in (1, 3, 5, 8):
+        with pytest.raises(ValueError, match="length"):
+            dense.mat_vec(m, [ONE] * length)

@@ -64,3 +64,43 @@ def test_text_forms():
 def test_hash_consistency():
     assert hash(Dyadic(2, 0, 1)) == hash(Dyadic(1))
     assert len({Dyadic(1), Dyadic(2, 0, 1), Dyadic(1, 0, 0)}) == 1
+
+
+def _halving_loop(re, im, exp):
+    """The constructor's lowest-terms form, one halving at a time."""
+    if exp < 0:
+        re, im, exp = re << -exp, im << -exp, 0
+    if re == 0 and im == 0:
+        return 0, 0, 0
+    while exp > 0 and re % 2 == 0 and im % 2 == 0:
+        re, im, exp = re // 2, im // 2, exp - 1
+    return re, im, exp
+
+
+TRIPLES = [(re, im, exp) for re in range(-17, 18) for im in range(-17, 18)
+           for exp in range(-3, 7)]
+
+
+def test_constructor_matches_halving_loop():
+    for re, im, exp in TRIPLES:
+        z = Dyadic(re, im, exp)
+        assert (z.re, z.im, z.exp) == _halving_loop(re, im, exp), (re, im, exp)
+
+
+def test_raw_built_results_are_in_lowest_terms():
+    """-z, conj and times_i_power skip normalisation; the form must match."""
+    for re, im, exp in TRIPLES:
+        z = Dyadic(re, im, exp)
+        a, b, k = z.re, z.im, z.exp
+        assert -z == Dyadic(-a, -b, k)
+        assert z.conj() == Dyadic(a, -b, k)
+        for t, (c, d) in enumerate([(a, b), (-b, a), (-a, -b), (b, -a)]):
+            assert z.times_i_power(t) == Dyadic(c, d, k)
+            assert z.times_i_power(t + 4) == Dyadic(c, d, k)
+
+
+def test_equality_compares_all_three_fields():
+    assert Dyadic(1, 0, 1) != Dyadic(1, 0, 2)
+    assert Dyadic(1, 1, 1) != Dyadic(1, -1, 1)
+    assert Dyadic(3, 1) != Dyadic(1, 1)
+    assert (Dyadic(1) == 1) is False

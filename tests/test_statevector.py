@@ -5,7 +5,7 @@ import pytest
 from codeword_paradoxes import dense
 from codeword_paradoxes.dyadic import Dyadic, I_UNIT, ONE, ZERO
 from codeword_paradoxes.errors import DimensionMismatchError, NonHermitianError
-from codeword_paradoxes.pauli import identity, parse, single_site
+from codeword_paradoxes.pauli import from_letters, identity, parse, single_site
 from codeword_paradoxes.selftest import random_pauli, random_state
 from codeword_paradoxes.statevector import (StateVector, apply, basis_ket,
                                             eigensign, inner)
@@ -77,8 +77,13 @@ def test_eigensign_requires_hermitian(five):
         eigensign(parse("iZZZZZ"), five.codeword0)
 
 
+def _times_i(v):
+    return StateVector(v.n, (a.times_i_power(1) for a in v.amps))
+
+
 def test_eigensign_global_phase_invariant(five):
-    rotated = five.codeword0.scaled(I_UNIT)
+    rotated = _times_i(five.codeword0)
+    assert rotated.amps[0] == five.codeword0.amps[0] * I_UNIT
     assert eigensign(parse("XZIZX"), rotated) == +1
     assert eigensign(parse("IXZXI"), rotated) == -1
 
@@ -138,3 +143,56 @@ def test_phase_canonical():
     assert w.amps[0] == ONE
     plain = StateVector(1, [ONE, ONE])
     assert plain.phase_canonical() is plain
+
+
+def _inner_by_terms(u, v):
+    total = ZERO
+    for a, b in zip(u.amps, v.amps):
+        total = total + a.conj() * b
+    return total
+
+
+def _eigensign_by_vectors(p, v):
+    w = apply(p, v)
+    if w == v:
+        return +1
+    if w == -v:
+        return -1
+    return None
+
+
+def _eigenvectors(p, v):
+    """v + p·v and v - p·v: eigenvectors of p for +1 and -1 (or zero)."""
+    w = apply(p, v)
+    return (StateVector(v.n, (a + b for a, b in zip(v.amps, w.amps))),
+            StateVector(v.n, (a - b for a, b in zip(v.amps, w.amps))))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_inner_and_eigensign_match_reference_formulas(n):
+    rng = random.Random(100 + n)
+    signs = set()
+    for _ in range(12):
+        u, v = random_state(rng, n), random_state(rng, n)
+        p = random_pauli(rng, n)
+        if not p.is_hermitian():
+            p = from_letters(p.letters)
+        plus, minus = _eigenvectors(p, v)
+        vectors = [u, v, -v, _times_i(v), plus, minus, -plus, _times_i(minus)]
+        for a in vectors:
+            for b in vectors:
+                assert inner(a, b) == _inner_by_terms(a, b)
+            if any(x.re or x.im for x in a.amps):
+                got = eigensign(p, a)
+                assert got == _eigensign_by_vectors(p, a)
+                signs.add(got)
+    assert signs == {+1, -1, None}
+
+
+def test_eigensign_rejects_zero_vector():
+    zero = StateVector(3, [ZERO] * 8)
+    with pytest.raises(ValueError, match="zero vector"):
+        eigensign(parse("XZY"), zero)
+    with pytest.raises(ValueError, match="zero vector"):
+        eigensign(identity(3), zero)
+
