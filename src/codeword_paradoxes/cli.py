@@ -15,9 +15,9 @@ import sys
 
 from .codes import code_by_name, five_qubit_code, steane_code, CODE_NAMES
 from .errors import BudgetExceededError
-from .kochen_specker import (build_ks_set, build_orthogonality_graph,
-                             canonical_contexts, enumerate_contexts,
-                             ks_colorability)
+from .kochen_specker import (bit_indices, build_ks_set,
+                             build_orthogonality_graph, canonical_contexts,
+                             enumerate_contexts, ks_colorability)
 from .paradoxes import (build_canonical_array, canonical_pentagon_instance,
                         check_array, check_parity_contradiction,
                         compatible_pairs, find_determinations,
@@ -228,8 +228,7 @@ def _cmd_ks(args) -> tuple[Report, int]:
     graph = build_orthogonality_graph(vertices)
     contexts = enumerate_contexts(graph, node_budget=args.budget)
     canon = canonical_contexts(graph)
-    context_ids = {c.ids for c in contexts}
-    canonical_found = all(c.ids in context_ids for c in canon)
+    canonical_found = set(canon) <= set(contexts)
 
     verdict_full = ks_colorability(graph, contexts,
                                    decision_budget=args.decision_budget)
@@ -255,8 +254,8 @@ def _cmd_ks(args) -> tuple[Report, int]:
     }
     if verdict_full.satisfiable:
         details["coloring"] = {
-            graph.vertices[vid].label(): value
-            for vid, value in sorted(verdict_full.coloring.items())
+            v.label(): bool(verdict_full.true >> v.vid & 1)
+            for v in graph.vertices
         }
     if args.dump_set:
         _dump_ks_set(args.dump_set, graph, contexts)
@@ -282,7 +281,7 @@ def _dump_ks_set(path: str, graph, contexts) -> None:
             for v in graph.vertices
         ],
         "edges": graph.edges(),
-        "contexts": [list(c.ids) for c in contexts],
+        "contexts": [bit_indices(c) for c in contexts],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
@@ -299,8 +298,8 @@ def _cmd_steane_search(args) -> tuple[Report, int]:
         res = search_parity_contradictions(group, ws, args.max_subset,
                                            code.codeword(ws),
                                            node_budget=args.budget)
-        any_found |= res.found
-        sizes = sorted(set(res.subset_sizes))
+        any_found |= bool(res.instances)
+        sizes = sorted({len(inst.members) for inst in res.instances})
         per_state[f"codeword{ws}"] = {
             "contradictions_found": len(res.instances),
             "subset_sizes": sizes,

@@ -105,8 +105,11 @@ def projector_matrix(vectors) -> Matrix:
     Each vector is a sequence of Dyadic amplitudes; its norm <s|s> must be a
     power of two so that the division stays in the ring.  The sum is the
     orthogonal projector onto their span only when the vectors are pairwise
-    orthogonal, which callers check separately.
+    orthogonal, which callers check separately.  The vectors must be at
+    least one and all of one length (ValueError otherwise).
     """
+    if len({len(s) for s in vectors}) != 1:
+        raise ValueError("spanning vectors must be nonempty and of one length")
     dim = len(vectors[0])
     rows = [[ZERO] * dim for _ in range(dim)]
     for s in vectors:

@@ -35,7 +35,6 @@ from .statevector import StateVector, apply
 __all__ = [
     "KSVertex",
     "OrthogonalityGraph",
-    "Context",
     "build_ks_set",
     "build_orthogonality_graph",
     "enumerate_contexts",
@@ -169,14 +168,6 @@ def _row_subspace_vectors(a: int, b: int, c: int, m: int, n: int,
     return tuple(vectors)
 
 
-def _vertex_mask(ids) -> int:
-    """The bitmask with a bit set for each vertex id in ids."""
-    mask = 0
-    for vid in ids:
-        mask |= 1 << vid
-    return mask
-
-
 def bit_indices(mask: int) -> list[int]:
     """Positions of the set bits of mask, lowest first."""
     out = []
@@ -252,14 +243,6 @@ def build_orthogonality_graph(vertices: list[KSVertex]) -> OrthogonalityGraph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Context:
-    ids: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
 _FIELD_BITS = 8  # 16 times a projector's diagonal entry lies in [0, 16]
 _TARGET = sum(16 << (_FIELD_BITS * j) for j in range(_DIM))  # 16·diag(I)
 
@@ -308,11 +291,13 @@ class _CoverTables:
 
 
 def enumerate_contexts(graph: OrthogonalityGraph,
-                       node_budget: int = 1_000_000) -> list[Context]:
+                       node_budget: int = 1_000_000) -> list[int]:
     """Every subset of pairwise-orthogonal vertices whose projectors resolve
     the identity, found by cover-directed backtracking.
 
-    The search always branches on the first basis ket the partial sum does
+    A context is the mask of its vertex ids; the list is ordered by the
+    members' ids (bit_indices), not by the masks' integer values.  The
+    search always branches on the first basis ket the partial sum does
     not yet reproduce, trying each compatible vertex that hits it and then
     excluding that vertex, so every context is produced exactly once.
     Raises BudgetExceededError before returning any partial enumeration.
@@ -321,17 +306,16 @@ def enumerate_contexts(graph: OrthogonalityGraph,
     ranks = tables.ranks
     deltas = tables.deltas
     adj = graph.adj
-    rank1_mask = _vertex_mask(v.vid for v in graph.vertices if v.rank == 1)
-    rank4_mask = _vertex_mask(v.vid for v in graph.vertices if v.rank != 1)
+    rank1_mask = sum(1 << v.vid for v in graph.vertices if v.rank == 1)
+    rank4_mask = sum(1 << v.vid for v in graph.vertices if v.rank != 1)
 
-    chosen: list[int] = []
-    results: list[Context] = []
+    results: list[int] = []
     nodes = 0
 
     def available_rank(mask: int) -> int:
         return (mask & rank1_mask).bit_count() + 4 * (mask & rank4_mask).bit_count()
 
-    def search(cov: int, allowed: int, rank_sum: int) -> None:
+    def search(chosen: int, cov: int, allowed: int, rank_sum: int) -> None:
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
@@ -341,7 +325,7 @@ def enumerate_contexts(graph: OrthogonalityGraph,
         if diff == 0:
             if rank_sum != _DIM:
                 raise AssertionError("covered identity with wrong rank sum")
-            results.append(Context(tuple(sorted(chosen))))
+            results.append(chosen)
             return
         j = ((diff & -diff).bit_length() - 1) // _FIELD_BITS
         cands = allowed & tables.covers[j]
@@ -353,31 +337,21 @@ def enumerate_contexts(graph: OrthogonalityGraph,
             if r <= _DIM:
                 nxt = allowed & adj[vid]
                 if r == _DIM or available_rank(nxt) >= _DIM - r:
-                    chosen.append(vid)
-                    search(cov + deltas[vid], nxt, r)
-                    chosen.pop()
+                    search(chosen | low, cov + deltas[vid], nxt, r)
             allowed &= ~low
 
-    search(0, (1 << len(graph.vertices)) - 1, 0)
-    results.sort(key=lambda ctx: ctx.ids)
+    search(0, 0, (1 << len(graph.vertices)) - 1, 0)
+    results.sort(key=bit_indices)
     return results
 
 
-def canonical_contexts(graph: OrthogonalityGraph) -> list[Context]:
-    """The seven contexts read straight off the construction: the two rank-1
-    bases and the five row families."""
-    by_kind: dict[str, list[int]] = {"classical": [], "mutation": []}
-    rows: dict[int, list[int]] = {r: [] for r in range(2, 7)}
+def canonical_contexts(graph: OrthogonalityGraph) -> list[int]:
+    """The seven contexts read straight off the construction, as vertex
+    masks: the two rank-1 bases and the five row families."""
+    masks = dict.fromkeys(["classical", "mutation", *range(2, 7)], 0)
     for v in graph.vertices:
-        if v.kind == "row":
-            rows[v.provenance[1]].append(v.vid)
-        else:
-            by_kind[v.kind].append(v.vid)
-    out = [Context(tuple(by_kind["classical"])),
-           Context(tuple(by_kind["mutation"]))]
-    for r in range(2, 7):
-        out.append(Context(tuple(rows[r])))
-    return out
+        masks[v.provenance[1] if v.kind == "row" else v.kind] |= 1 << v.vid
+    return list(masks.values())
 
 
 # ---------------------------------------------------------------------------
@@ -388,37 +362,36 @@ def canonical_contexts(graph: OrthogonalityGraph) -> list[Context]:
 @dataclass
 class ColorabilityVerdict:
     satisfiable: bool
-    coloring: dict[int, bool] | None
+    true: int  # mask of the true vertices; 0 when UNSAT
     decisions: int
     propagations: int
     conflicts: int
 
 
-def ks_colorability(graph: OrthogonalityGraph, contexts: list[Context],
+def ks_colorability(graph: OrthogonalityGraph, contexts: list[int],
                     decision_budget: int = 1_000_000) -> ColorabilityVerdict:
     """Search for a true/false labeling with no true-true edge (KS1) and at
     least one true per context (KS2).
 
     The clauses are explicit: one (not u or not v) per edge of graph.adj
-    and one vertex mask per context.  The assignment is two vertex masks,
-    true and false.  A context is satisfied when it meets true, dead when
-    every member is false, and forces its one open member true when only
-    one is left.  Within a context all members are mutually orthogonal, so
+    and one per context, its vertex mask.  The assignment is two vertex
+    masks, true and false.  A context is satisfied when it meets true, dead
+    when every member is false, and forces its one open member true when
+    only one is left.  Within a context all members are mutually orthogonal, so
     the two rules force exactly one true member; the search branches on
     which one it is, in ascending id, on the unsatisfied context with the
     fewest open members (the first such context on ties).  Propagation
     visits neighbours in ascending id and each vertex's contexts in list
     order, and stops at the first conflict.  Returns UNSAT with
-    statistics, or SAT with an explicit coloring (checked before it is
-    returned).
+    statistics, or SAT with the mask of true vertices (checked before it
+    is returned).
     """
     nv = len(graph.vertices)
     adj = graph.adj
-    ctx_masks = [_vertex_mask(c.ids) for c in contexts]
     member_ctxs: list[list[int]] = [[] for _ in range(nv)]
-    for c, mask in zip(contexts, ctx_masks):
-        for vid in c.ids:
-            member_ctxs[vid].append(mask)
+    for ctx in contexts:
+        for vid in bit_indices(ctx):
+            member_ctxs[vid].append(ctx)
 
     true = false = 0
     decisions = propagations = conflicts = 0
@@ -462,7 +435,7 @@ def ks_colorability(graph: OrthogonalityGraph, contexts: list[Context],
 
     def pick_context() -> int | None:
         best, best_open = None, nv + 1
-        for ctx in ctx_masks:
+        for ctx in contexts:
             if not ctx & true:
                 left = (ctx & ~false).bit_count()
                 if left < best_open:
@@ -496,21 +469,19 @@ def ks_colorability(graph: OrthogonalityGraph, contexts: list[Context],
         return False
 
     if not solve():
-        return ColorabilityVerdict(False, None, decisions, propagations,
+        return ColorabilityVerdict(False, 0, decisions, propagations,
                                    conflicts)
-    coloring = {vid: bool(true >> vid & 1) for vid in range(nv)}
-    _check_coloring(graph, contexts, coloring)
-    return ColorabilityVerdict(True, coloring, decisions, propagations,
-                               conflicts)
+    _check_coloring(graph, contexts, true)
+    return ColorabilityVerdict(True, true, decisions, propagations, conflicts)
 
 
-def _check_coloring(graph: OrthogonalityGraph, contexts, coloring) -> None:
-    true = _vertex_mask(vid for vid, value in coloring.items() if value)
+def _check_coloring(graph: OrthogonalityGraph, contexts: list[int],
+                    true: int) -> None:
     for u in bit_indices(true):
         clash = graph.adj[u] & true
         if clash:
             v = (clash & -clash).bit_length() - 1
             raise AssertionError(f"KS1 violated on edge ({u},{v})")
     for ctx in contexts:
-        if not _vertex_mask(ctx.ids) & true:
-            raise AssertionError(f"KS2 violated on context {ctx.ids}")
+        if not ctx & true:
+            raise AssertionError(f"KS2 violated on context {bit_indices(ctx)}")

@@ -13,7 +13,7 @@ identity) is computed as an independent cross-check on the sign data.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 from .errors import BudgetExceededError, NonHermitianError
@@ -58,8 +58,6 @@ class Determination:
     site by site and multiplying determines the target with certainty.
     """
 
-    target_site: int
-    target_letter: str
     witness: PauliString
     predicted_product: int
 
@@ -76,12 +74,8 @@ def find_determinations(group: StabilizerGroup, site: int, letter: str,
     other_sites = [k for k in range(1, n + 1) if k != site]
     for e in group:
         if e.op.letter(site) == letter:
-            out.append(Determination(
-                target_site=site,
-                target_letter=letter,
-                witness=e.op.restrict(other_sites),
-                predicted_product=e.sign(which_state),
-            ))
+            out.append(Determination(e.op.restrict(other_sites),
+                                     e.sign(which_state)))
     out.sort(key=lambda d: d.witness.key())
     return out
 
@@ -134,13 +128,11 @@ class ParityInstance:
 
 @dataclass
 class ParityReport:
-    state_label: str
     operators: list[str]
     multiplicities: dict
     all_even: bool
     eigenvalue_product: int
     matrix_product: str
-    matrix_product_is_minus_identity: bool
     contradiction: bool
 
 
@@ -159,13 +151,11 @@ def check_parity_contradiction(inst: ParityInstance) -> ParityReport:
         inst.members, [_coord_mask(op) for op, _sign in inst.members])
     mult = inst.factor_multiset()
     return ParityReport(
-        state_label=inst.state_label,
         operators=inst.operator_texts(),
         multiplicities={f"{site},{letter}": c for (site, letter), c in sorted(mult.items())},
         all_even=all_even,
         eigenvalue_product=product_sign,
         matrix_product=str(prod),
-        matrix_product_is_minus_identity=_scalar_sign(prod) == -1,
         contradiction=all_even and product_sign == -1,
     )
 
@@ -299,11 +289,9 @@ class OperatorArray:
 class ArrayReport:
     row_commuting: list[bool]
     row_products: list[str]
-    row_signs: list[int | None]
     row_signs_match: bool
     col_commuting: list[bool]
     col_products: list[str]
-    col_signs: list[int | None]
     col_signs_match: bool
     rowwise_total: str
     colwise_total: str
@@ -339,12 +327,10 @@ def check_array(arr: OperatorArray) -> ArrayReport:
     return ArrayReport(
         row_commuting=[_all_commute(row) for row in arr.rows],
         row_products=[str(p) for p in row_products],
-        row_signs=[_scalar_sign(p) for p in row_products],
         row_signs_match=all(_scalar_sign(p) == s
                             for p, s in zip(row_products, arr.declared_row_signs)),
         col_commuting=[_all_commute(arr.column(c)) for c in range(1, ncols + 1)],
         col_products=[str(p) for p in col_products],
-        col_signs=[_scalar_sign(p) for p in col_products],
         col_signs_match=all(_scalar_sign(p) == s
                             for p, s in zip(col_products, arr.declared_col_signs)),
         rowwise_total=str(rowwise),
@@ -400,15 +386,9 @@ def mermin_peres_square() -> OperatorArray:
 
 @dataclass
 class ParitySearchResult:
-    which_state: int
-    instances: list[ParityInstance] = field(default_factory=list)
-    subset_sizes: list[int] = field(default_factory=list)
-    complete_to_size: int = 0
-    nodes_used: int = 0
-
-    @property
-    def found(self) -> bool:
-        return bool(self.instances)
+    instances: list[ParityInstance]  # smallest first, then by element index
+    complete_to_size: int
+    nodes_used: int
 
 
 _LETTER_INDEX = {"X": 0, "Y": 1, "Z": 2}
@@ -424,7 +404,6 @@ def _coord_mask(op: PauliString) -> int:
 
 def search_parity_contradictions(group: StabilizerGroup, which_state: int,
                                  max_subset: int, state: StateVector,
-                                 state_label: str | None = None,
                                  node_budget: int = 3_000_000) -> ParitySearchResult:
     """Subsets of the group whose sign bookkeeping is classically impossible.
 
@@ -443,20 +422,20 @@ def search_parity_contradictions(group: StabilizerGroup, which_state: int,
     product -1, and operator product exactly minus the identity.
 
     The identity element is excluded: it contributes nothing and would only
-    pad otherwise-minimal subsets.
+    pad otherwise-minimal subsets.  Subsets come smallest first, then in
+    element index order.  The group keeps its elements sorted by op.key(),
+    and they all have phase 0 and one length, so index order is the order
+    of their texts.
     """
-    elements = sorted(group.non_identity(), key=lambda e: e.op.key())
+    elements = group.non_identity()
     vecs = tuple(_coord_mask(e.op) for e in elements)
     signs = [e.sign(which_state) for e in elements]
     neg_mask = sum(1 << i for i, s in enumerate(signs) if s == -1)
-    label = state_label or f"codeword{which_state}"
-    result = ParitySearchResult(which_state=which_state)
+    label = f"codeword{which_state}"
 
     complete_to, used = _completed_tiers(len(vecs), max_subset, node_budget)
     subsets = [idxs for idxs in _even_subsets(vecs, complete_to)
                if _odd_parity(idxs, neg_mask)]
-    result.complete_to_size = complete_to
-    result.nodes_used = used
     if not subsets and complete_to < max_subset:
         raise BudgetExceededError(
             f"parity search exhausted its budget at size {complete_to} "
@@ -464,17 +443,16 @@ def search_parity_contradictions(group: StabilizerGroup, which_state: int,
 
     for e, sign in zip(elements, signs):
         _check_eigensign(e.op, sign, state, label)
-    texts = [str(e.op) for e in elements]
-    subsets.sort(key=lambda idxs: (len(idxs), tuple(texts[i] for i in idxs)))
+    subsets.sort(key=lambda idxs: (len(idxs), idxs))
+    instances = []
     for idxs in subsets:
         members = tuple((elements[i].op, signs[i]) for i in idxs)
         all_even, product_sign, _prod = _parity_bookkeeping(
             members, [vecs[i] for i in idxs])
         if not (all_even and product_sign == -1):
             raise AssertionError("search returned a non-contradiction subset")
-        result.instances.append(ParityInstance(label, state, members))
-        result.subset_sizes.append(len(idxs))
-    return result
+        instances.append(ParityInstance(label, state, members))
+    return ParitySearchResult(instances, complete_to, used)
 
 
 def _odd_parity(idxs, neg_mask: int) -> bool:

@@ -20,6 +20,12 @@ from .statevector import StateVector, apply
 __all__ = ["SuiteResult", "run_all", "random_pauli", "random_state"]
 
 
+# Trials per seeded suite; the selftest report records them.
+DENSE_ORACLE_TRIALS = 1000
+APPLY_COMPOSE_TRIALS = 200
+ALGEBRA_LAWS_TRIALS = 300
+
+
 @dataclass
 class SuiteResult:
     name: str
@@ -28,9 +34,9 @@ class SuiteResult:
     detail: str = ""
 
 
-def random_pauli(rng: random.Random, n: int, phase: bool = True) -> PauliString:
+def random_pauli(rng: random.Random, n: int) -> PauliString:
     letters = [rng.choice("IXYZ") for _ in range(n)]
-    return from_letters(letters, rng.randrange(4) if phase else 0)
+    return from_letters(letters, rng.randrange(4))
 
 
 def random_state(rng: random.Random, n: int) -> StateVector:
@@ -39,10 +45,10 @@ def random_state(rng: random.Random, n: int) -> StateVector:
     return StateVector(n, amps)
 
 
-def dense_oracle_suite(rng: random.Random, trials: int = 1000) -> SuiteResult:
+def dense_oracle_suite(rng: random.Random) -> SuiteResult:
     """Multiplication, commutation and eigen-action against dense matrices,
     on random pairs at n <= 3."""
-    for t in range(trials):
+    for t in range(DENSE_ORACLE_TRIALS):
         n = rng.randint(1, 3)
         a = random_pauli(rng, n)
         b = random_pauli(rng, n)
@@ -60,24 +66,24 @@ def dense_oracle_suite(rng: random.Random, trials: int = 1000) -> SuiteResult:
         if list(fast.amps) != slow:
             return SuiteResult("dense-oracle", t + 1, False,
                                f"action mismatch for {a}")
-    return SuiteResult("dense-oracle", trials, True)
+    return SuiteResult("dense-oracle", DENSE_ORACLE_TRIALS, True)
 
 
-def apply_compose_suite(rng: random.Random, trials: int = 200) -> SuiteResult:
+def apply_compose_suite(rng: random.Random) -> SuiteResult:
     """apply(p, apply(q, v)) == apply(p·q, v) on random triples at n = 5."""
-    for t in range(trials):
+    for t in range(APPLY_COMPOSE_TRIALS):
         p = random_pauli(rng, 5)
         q = random_pauli(rng, 5)
         v = random_state(rng, 5)
         if apply(p, apply(q, v)) != apply(p * q, v):
             return SuiteResult("apply-compose", t + 1, False,
                                f"composition mismatch for {p}, {q}")
-    return SuiteResult("apply-compose", trials, True)
+    return SuiteResult("apply-compose", APPLY_COMPOSE_TRIALS, True)
 
 
-def algebra_laws_suite(rng: random.Random, trials: int = 300) -> SuiteResult:
+def algebra_laws_suite(rng: random.Random) -> SuiteResult:
     """Associativity, ± symmetry of products, squares, shift homomorphism."""
-    for t in range(trials):
+    for t in range(ALGEBRA_LAWS_TRIALS):
         n = rng.randint(1, 5)
         a, b, c = (random_pauli(rng, n) for _ in range(3))
         if (a * b) * c != a * (b * c):
@@ -95,7 +101,7 @@ def algebra_laws_suite(rng: random.Random, trials: int = 300) -> SuiteResult:
             return SuiteResult("algebra-laws", t + 1, False, "shift homomorphism")
         if identity(n) * a != a or a * identity(n) != a:
             return SuiteResult("algebra-laws", t + 1, False, "identity")
-    return SuiteResult("algebra-laws", trials, True)
+    return SuiteResult("algebra-laws", ALGEBRA_LAWS_TRIALS, True)
 
 
 def parity_rediscovery_suite() -> SuiteResult:

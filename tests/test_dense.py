@@ -110,3 +110,12 @@ def test_mat_vec_rejects_wrong_length():
     for length in (1, 3, 5, 8):
         with pytest.raises(ValueError, match="length"):
             dense.mat_vec(m, [ONE] * length)
+
+
+@pytest.mark.parametrize("vectors", [[(ONE, ZERO), (ONE,)],
+                                     [(ONE,), (ONE, ZERO)],
+                                     []],
+                         ids=["shorter-second", "longer-second", "empty"])
+def test_projector_matrix_rejects_ragged_or_empty_spans(vectors):
+    with pytest.raises(ValueError, match="one length"):
+        dense.projector_matrix(vectors)

@@ -6,7 +6,7 @@ import pytest
 from codeword_paradoxes import dense
 from codeword_paradoxes.codes import five_qubit_code
 from codeword_paradoxes.errors import BudgetExceededError
-from codeword_paradoxes.kochen_specker import (Context, KSVertex, ROW_SITES,
+from codeword_paradoxes.kochen_specker import (KSVertex, ROW_SITES,
                                                OrthogonalityGraph,
                                                bit_indices,
                                                build_orthogonality_graph,
@@ -243,17 +243,27 @@ def test_context_enumeration(ks_graph, ks_contexts):
     assert len(ks_contexts) == CONTEXT_COUNT
     sizes = {}
     for ctx in ks_contexts:
-        sizes[len(ctx.ids)] = sizes.get(len(ctx.ids), 0) + 1
+        sizes[ctx.bit_count()] = sizes.get(ctx.bit_count(), 0) + 1
     assert sizes == {8: 15, 20: 20, 32: 4}
-    ids = {c.ids for c in ks_contexts}
     for canon in canonical_contexts(ks_graph):
-        assert canon.ids in ids
+        assert canon in ks_contexts
+
+
+def test_contexts_are_ordered_by_member_ids(ks_graph, ks_contexts):
+    assert ks_contexts == sorted(ks_contexts, key=bit_indices)
+    assert ks_contexts != sorted(ks_contexts)   # not the masks' int order
+
+    def span(first, last):
+        return (1 << last + 1) - (1 << first)
+
+    rows = [span(64 + 8 * k, 71 + 8 * k) for k in range(5)]
+    assert canonical_contexts(ks_graph) == [span(0, 31), span(32, 63), *rows]
 
 
 def test_contexts_are_exact_resolutions(ks_graph, ks_contexts):
     verts = ks_graph.vertices
     for ctx in ks_contexts:
-        members = [verts[v] for v in ctx.ids]
+        members = [verts[v] for v in bit_indices(ctx)]
         assert sum(v.rank for v in members) == 32
         _assert_resolves_identity(_spanning(members))
 
@@ -284,9 +294,9 @@ def test_rank4_contexts_against_independent_clique_search(ks_graph, ks_contexts)
 
     back = {new: old for old, new in remap.items()}
     from_enumeration = {
-        frozenset(remap[v] for v in ctx.ids)
+        frozenset(remap[v] for v in bit_indices(ctx))
         for ctx in ks_contexts
-        if all(ks_graph.vertices[v].kind == "row" for v in ctx.ids)
+        if all(ks_graph.vertices[v].kind == "row" for v in bit_indices(ctx))
     }
     assert len(from_enumeration) == 15
     assert eight_cliques == from_enumeration
@@ -329,13 +339,13 @@ def _counts(verdict):
 
 
 def _true_ids(verdict):
-    return {vid for vid, value in verdict.coloring.items() if value}
+    return set(bit_indices(verdict.true))
 
 
 def test_colorability_unsat(ks_graph, ks_contexts):
     verdict = ks_colorability(ks_graph, ks_contexts)
     assert not verdict.satisfiable
-    assert verdict.coloring is None
+    assert verdict.true == 0
     assert _counts(verdict) == (681, 13427, 681)
 
 
@@ -348,8 +358,7 @@ def test_canonical_contexts_alone_already_unsat(ks_graph):
 def test_classical_context_alone_is_satisfiable(ks_graph):
     classical = [v.vid for v in ks_graph.vertices if v.kind == "classical"]
     sub, remap = ks_graph.induced(classical)
-    ctx = Context(tuple(range(32)))
-    verdict = ks_colorability(sub, [ctx])
+    verdict = ks_colorability(sub, [(1 << 32) - 1])
     assert verdict.satisfiable
     assert _true_ids(verdict) == {0}
     assert _counts(verdict) == (1, 32, 0)
@@ -360,26 +369,24 @@ def test_rank1_subinstance_with_basis_contexts_is_satisfiable(ks_graph):
     their cross edges still admit a classical labeling."""
     keep = [v.vid for v in ks_graph.vertices if v.rank == 1]
     sub, remap = ks_graph.induced(keep)
-    classical = tuple(remap[v.vid] for v in ks_graph.vertices
-                      if v.kind == "classical")
-    mutation = tuple(remap[v.vid] for v in ks_graph.vertices
-                     if v.kind == "mutation")
-    verdict = ks_colorability(sub, [Context(classical), Context(mutation)])
+    classical = sum(1 << remap[v.vid] for v in ks_graph.vertices
+                    if v.kind == "classical")
+    mutation = sum(1 << remap[v.vid] for v in ks_graph.vertices
+                   if v.kind == "mutation")
+    verdict = ks_colorability(sub, [classical, mutation])
     assert verdict.satisfiable
     assert _true_ids(verdict) == {0, 32}
     assert _counts(verdict) == (2, 64, 0)
 
 
 def test_check_coloring_rejects_ks1_and_ks2_violations(ks_graph):
-    classical = Context(tuple(range(32)))
+    classical = (1 << 32) - 1
     u, v = ks_graph.edges()[0]
-    both_ends = {vid: vid in (u, v) for vid in range(len(ks_graph))}
     ks1 = fr"KS1 violated on edge \({u},{v}\)"
     with pytest.raises(AssertionError, match=ks1):
-        _check_coloring(ks_graph, [classical], both_ends)
-    all_false = dict.fromkeys(range(len(ks_graph)), False)
+        _check_coloring(ks_graph, [classical], 1 << u | 1 << v)
     with pytest.raises(AssertionError, match="KS2 violated on context"):
-        _check_coloring(ks_graph, [classical], all_false)
+        _check_coloring(ks_graph, [classical], 0)
 
 
 def _small_instance(nv, edges, contexts):
@@ -390,14 +397,13 @@ def _small_instance(nv, edges, contexts):
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return (OrthogonalityGraph([None] * nv, adj),
-            [Context(tuple(ids)) for ids in contexts])
+            [sum(1 << vid for vid in ids) for ids in contexts])
 
 
 def _brute_force_satisfiable(graph, contexts) -> bool:
     nv = len(graph.vertices)
-    ctx_masks = [sum(1 << vid for vid in c.ids) for c in contexts]
     for true in range(1 << nv):
-        if all(m & true for m in ctx_masks) and not any(
+        if all(m & true for m in contexts) and not any(
                 true >> u & 1 and graph.adj[u] & true for u in range(nv)):
             return True
     return False

@@ -1,9 +1,12 @@
-"""Package-wide contracts: every exported name resolves, and the README's
-library example runs as written."""
+"""Package-wide contracts: every exported name resolves, the package imports
+nothing outside the standard library, and the README's library example runs
+as written."""
 
+import ast
 import importlib
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import codeword_paradoxes
@@ -25,3 +28,20 @@ def test_readme_library_example_runs():
     section = readme.split("## Library use", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_package_imports_only_the_standard_library():
+    sources = sorted(Path(codeword_paradoxes.__file__).parent.glob("*.py"))
+    outside = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert len(sources) > 10
+    assert outside == []

@@ -4,6 +4,7 @@ from itertools import combinations, product
 import pytest
 
 from codeword_paradoxes import paradoxes
+from codeword_paradoxes.codes import code_by_name
 from codeword_paradoxes.errors import BudgetExceededError
 from codeword_paradoxes.paradoxes import (OperatorArray, ParityInstance,
                                           build_canonical_array,
@@ -105,7 +106,6 @@ def test_pentagon_contradiction_both_codewords(five):
         assert report.all_even
         assert report.eigenvalue_product == -1
         assert report.matrix_product == "-IIIII"
-        assert report.matrix_product_is_minus_identity
         assert report.contradiction
         # every symbol that appears does so exactly twice
         assert set(report.multiplicities.values()) == {2}
@@ -158,8 +158,8 @@ def test_canonical_array_verdict():
     report = check_array(build_canonical_array())
     assert all(report.row_commuting)
     assert all(report.col_commuting)
-    assert report.row_signs == [+1] * 6
-    assert report.col_signs == [+1] * 12 + [-1]
+    assert report.row_products == ["IIIII"] * 6
+    assert report.col_products == ["IIIII"] * 12 + ["-IIIII"]
     assert report.row_signs_match and report.col_signs_match
     assert report.impossibility
     assert report.rowwise_total == "IIIII"
@@ -178,8 +178,8 @@ def test_array_last_column_is_the_pentagon_instance(five):
 
 def test_mermin_peres_square():
     report = check_array(mermin_peres_square())
-    assert report.row_signs == [+1, +1, +1]
-    assert report.col_signs == [+1, +1, -1]
+    assert report.row_products == ["II", "II", "II"]
+    assert report.col_products == ["II", "II", "-II"]
     assert all(report.row_commuting) and all(report.col_commuting)
     assert report.impossibility
 
@@ -190,7 +190,7 @@ def test_trivial_array_has_no_contradiction():
                         declared_col_signs=(+1,))
     report = check_array(arr)
     assert not report.impossibility
-    assert report.row_signs == [+1] and report.col_signs == [+1]
+    assert report.row_products == ["I"] and report.col_products == ["I"]
 
 
 def test_array_rejects_non_hermitian_cells():
@@ -205,12 +205,12 @@ def test_search_five_qubit(five, five_group):
     assert res.complete_to_size == 6
     # tiers 2..6 visit every 1..5-subset of the 31 elements once
     assert res.nodes_used == 206_367
-    hist = {s: res.subset_sizes.count(s) for s in sorted(set(res.subset_sizes))}
-    assert hist == {4: 60, 5: 180, 6: 572}
+    sizes = [len(inst.members) for inst in res.instances]
+    assert Counter(sizes) == {4: 60, 5: 180, 6: 572}
     canon = set(canonical_pentagon_instance(five, 0).members)
     assert any(set(inst.members) == canon for inst in res.instances)
     # results are ordered smallest first
-    assert res.subset_sizes == sorted(res.subset_sizes)
+    assert sizes == sorted(sizes)
 
 
 def test_search_is_deterministic(five, five_group):
@@ -244,9 +244,10 @@ def test_search_steane_finds_small_subsets(steane):
     group = steane.group()
     for ws in (0, 1):
         res = search_parity_contradictions(group, ws, 10, steane.codeword(ws))
-        assert res.found
-        assert min(res.subset_sizes) == 4
-        assert res.subset_sizes.count(4) == 2016
+        sizes = [len(inst.members) for inst in res.instances]
+        assert res.instances
+        assert min(sizes) == 4
+        assert sizes.count(4) == 2016
         # 127 + 8001 + 333,375 nodes; size 5 would need another 10,334,625
         assert res.complete_to_size == 4
         assert res.nodes_used == 341_503
@@ -332,7 +333,29 @@ def test_steane_budget_is_spent_by_whole_tiers(steane):
     res = search_parity_contradictions(group, 0, 10, steane.codeword0,
                                        node_budget=341_503)
     assert res.complete_to_size == 4 and res.nodes_used == 341_503
-    assert res.subset_sizes == [4] * 2016
+    assert [len(inst.members) for inst in res.instances] == [4] * 2016
+
+
+@pytest.mark.parametrize("name, max_subset",
+                         [("steane", 10), ("five", 6), ("mermin", 10)])
+def test_search_orders_by_size_then_element_index(name, max_subset):
+    """Instances come smallest first, then by the group indices of their
+    members; for these phase-0 elements of one length that is also the
+    order of the members' texts."""
+    code = code_by_name(name)
+    group = code.group()
+    index = {e.op: i for i, e in enumerate(group.non_identity())}
+    for ws in (0, 1):
+        res = search_parity_contradictions(group, ws, max_subset,
+                                           code.codeword(ws))
+        by_index = [(len(inst.members),
+                     tuple(index[op] for op, _ in inst.members))
+                    for inst in res.instances]
+        assert all(list(idxs) == sorted(idxs) for _size, idxs in by_index)
+        assert by_index == sorted(set(by_index))
+        by_text = [(len(inst.members), [str(op) for op, _ in inst.members])
+                   for inst in res.instances]
+        assert by_text == sorted(by_text)
 
 
 def test_three_qubit_search_matches_every_subset(mermin):

@@ -190,7 +190,7 @@ def test_weight_and_hermiticity():
 def test_squares():
     rng = random.Random(11)
     for _ in range(50):
-        p = random_pauli(rng, rng.randint(1, 5), phase=False)
+        p = random_pauli(rng, rng.randint(1, 5)).bare()
         assert p * p == identity(p.n)
 
 
