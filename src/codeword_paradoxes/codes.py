@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .dyadic import Dyadic, ZERO
 from .pauli import PauliString, identity, parse, single_site
-from .stabilizer import StabilizerElement, StabilizerGroup, close
+from .stabilizer import StabilizerElement, StabilizerGroup, close, codeword_index
 from .statevector import StateVector
 
 __all__ = ["CodeDefinition", "five_qubit_code", "mermin_code", "steane_code",
@@ -39,7 +39,7 @@ class CodeDefinition:
         return _closed_group(self.name)
 
     def codeword(self, which_state: int) -> StateVector:
-        return self.codeword0 if which_state == 0 else self.codeword1
+        return self.codeword1 if codeword_index(which_state) else self.codeword0
 
 
 @lru_cache(maxsize=None)

@@ -300,20 +300,28 @@ def enumerate_contexts(graph: OrthogonalityGraph,
     search always branches on the first basis ket the partial sum does
     not yet reproduce, trying each compatible vertex that hits it and then
     excluding that vertex, so every context is produced exactly once.
-    Raises BudgetExceededError before returning any partial enumeration.
+    Raises BudgetExceededError before returning any partial enumeration,
+    and ValueError when the vertices have more than two distinct ranks.
     """
     tables = _CoverTables(graph.vertices)
     ranks = tables.ranks
     deltas = tables.deltas
     adj = graph.adj
-    rank1_mask = sum(1 << v.vid for v in graph.vertices if v.rank == 1)
-    rank4_mask = sum(1 << v.vid for v in graph.vertices if v.rank != 1)
+    # The pruning weighs each vertex by its rank, summed inline over one
+    # mask per rank; a second rank that is absent weighs 0.
+    distinct = sorted(set(ranks))
+    if len(distinct) > 2:
+        raise ValueError(f"context enumeration takes at most two distinct "
+                         f"vertex ranks, not {distinct}")
+    ra, rb = (distinct + [0, 0])[:2]
+    mask_a = sum(1 << vid for vid, r in enumerate(ranks) if r == ra)
+    mask_b = sum(1 << vid for vid, r in enumerate(ranks) if r == rb)
 
     results: list[int] = []
     nodes = 0
 
     def available_rank(mask: int) -> int:
-        return (mask & rank1_mask).bit_count() + 4 * (mask & rank4_mask).bit_count()
+        return ra * (mask & mask_a).bit_count() + rb * (mask & mask_b).bit_count()
 
     def search(chosen: int, cov: int, allowed: int, rank_sum: int) -> None:
         nonlocal nodes

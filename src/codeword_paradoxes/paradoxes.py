@@ -147,16 +147,15 @@ def check_parity_contradiction(inst: ParityInstance) -> ParityReport:
     for op, sign in inst.members:
         _check_eigensign(op, sign, inst.state, inst.state_label)
 
-    all_even, product_sign, prod = _parity_bookkeeping(
-        inst.members, [_coord_mask(op) for op, _sign in inst.members])
+    xor, prod = _parity_bookkeeping(inst.members)
     mult = inst.factor_multiset()
     return ParityReport(
         operators=inst.operator_texts(),
         multiplicities={f"{site},{letter}": c for (site, letter), c in sorted(mult.items())},
-        all_even=all_even,
-        eigenvalue_product=product_sign,
+        all_even=xor & ~_ODD_SIGNS == 0,
+        eigenvalue_product=-1 if xor & _ODD_SIGNS else +1,
         matrix_product=str(prod),
-        contradiction=all_even and product_sign == -1,
+        contradiction=xor == _ODD_SIGNS,
     )
 
 
@@ -169,24 +168,38 @@ def _check_eigensign(op: PauliString, sign: int, state: StateVector,
             f" (observed {got})")
 
 
-def _parity_bookkeeping(members, masks) -> tuple[bool, int, PauliString]:
-    """(all multiplicities even, eigenvalue product, operator product).
+# Bit 0 of a parity vector: set for an eigenvalue of -1.
+_ODD_SIGNS = 1
 
-    masks are the members' _coord_masks, in order.  The members'
-    eigensigns must already be verified against the state: then an
-    even-multiplicity instance has operator product exactly (eigenvalue
-    product) x identity, and a disagreement is a bug.
+
+def _parity_vector(op: PauliString, sign: int) -> int:
+    """One GF(2) coordinate per (site, letter) symbol of op, above the sign
+    bit _ODD_SIGNS: the X, Y and Z sites of op in three n-bit fields.
+
+    A set of members XORs to 0 or _ODD_SIGNS exactly when every symbol
+    occurs an even number of times, and to _ODD_SIGNS exactly when,
+    besides, an odd number of the eigenvalues are -1: a contradiction.
     """
-    coords = 0
-    product_sign = 1
-    for (_op, sign), mask in zip(members, masks):
-        coords ^= mask
-        product_sign *= sign
-    all_even = coords == 0
+    x, z, n = op.x, op.z, op.n
+    symbols = (x & ~z) | (x & z) << n | (z & ~x) << 2 * n
+    return symbols << 1 | (sign == -1)
+
+
+def _parity_bookkeeping(members) -> tuple[int, PauliString]:
+    """(XOR of the members' parity vectors, operator product).
+
+    The members' eigensigns must already be verified against the state:
+    then an even-multiplicity instance has operator product exactly
+    (eigenvalue product) x identity, and a disagreement is a bug.
+    """
+    xor = 0
+    for op, sign in members:
+        xor ^= _parity_vector(op, sign)
     prod = _product([op for op, _sign in members])
-    if all_even and (_scalar_sign(prod) == -1) != (product_sign == -1):
+    all_even = xor & ~_ODD_SIGNS == 0
+    if all_even and (_scalar_sign(prod) == -1) != (xor == _ODD_SIGNS):
         raise AssertionError("sign bookkeeping and matrix product disagree")
-    return all_even, product_sign, prod
+    return xor, prod
 
 
 def parity_instance_from_group(group: StabilizerGroup, state: StateVector,
@@ -268,6 +281,13 @@ class OperatorArray:
         widths = {len(r) for r in self.rows}
         if len(widths) != 1:
             raise ValueError("ragged operator array")
+        if not self.rows[0]:
+            raise ValueError("operator array has no columns")
+        if (len(self.declared_row_signs), len(self.declared_col_signs)) != self.shape:
+            raise ValueError(
+                f"declared signs for {len(self.declared_row_signs)} rows and "
+                f"{len(self.declared_col_signs)} columns; the array is "
+                f"{self.shape[0]}x{self.shape[1]}")
         for row in self.rows:
             for cell in row:
                 if not cell.is_hermitian():
@@ -391,35 +411,23 @@ class ParitySearchResult:
     nodes_used: int
 
 
-_LETTER_INDEX = {"X": 0, "Y": 1, "Z": 2}
-
-
-def _coord_mask(op: PauliString) -> int:
-    mask = 0
-    for k, letter in enumerate(op.letters, start=1):
-        if letter != "I":
-            mask |= 1 << ((k - 1) * 3 + _LETTER_INDEX[letter])
-    return mask
-
-
 def search_parity_contradictions(group: StabilizerGroup, which_state: int,
                                  max_subset: int, state: StateVector,
                                  node_budget: int = 3_000_000) -> ParitySearchResult:
     """Subsets of the group whose sign bookkeeping is classically impossible.
 
-    Each element maps to a GF(2) vector over (site, letter) coordinates;
-    even-multiplicity subsets are exactly the nullspace of that linear map.
-    Tier t (subsets of size t) visits each (t-1)-subset once and costs
-    comb(n, t-1) nodes.  The tiers that fit node_budget are fixed before
-    anything is enumerated, so each is completed atomically and the result
-    is deterministic; the signs then select the even subsets with an odd
-    number of -1 members.
+    Each element maps to its _parity_vector: its (site, letter) symbols
+    over GF(2) plus its sign bit.  The contradictions are exactly the
+    subsets whose vectors XOR to _ODD_SIGNS.  Tier t (subsets of size t)
+    visits each (t-1)-subset once and costs comb(n, t-1) nodes.  The tiers
+    that fit node_budget are fixed before anything is enumerated, so each
+    is completed atomically and the result is deterministic.
 
     Every element's sign is checked against the given state with eigensign
     (ValueError on a mismatch), which covers every member of every returned
     subset.  Each subset is then rechecked by the bookkeeping that
-    check_parity_contradiction uses: even multiplicities, eigenvalue
-    product -1, and operator product exactly minus the identity.
+    check_parity_contradiction uses: its vectors XOR to _ODD_SIGNS, and its
+    operator product is exactly minus the identity.
 
     The identity element is excluded: it contributes nothing and would only
     pad otherwise-minimal subsets.  Subsets come smallest first, then in
@@ -428,14 +436,12 @@ def search_parity_contradictions(group: StabilizerGroup, which_state: int,
     of their texts.
     """
     elements = group.non_identity()
-    vecs = tuple(_coord_mask(e.op) for e in elements)
     signs = [e.sign(which_state) for e in elements]
-    neg_mask = sum(1 << i for i, s in enumerate(signs) if s == -1)
+    vecs = tuple(_parity_vector(e.op, s) for e, s in zip(elements, signs))
     label = f"codeword{which_state}"
 
     complete_to, used = _completed_tiers(len(vecs), max_subset, node_budget)
-    subsets = [idxs for idxs in _even_subsets(vecs, complete_to)
-               if _odd_parity(idxs, neg_mask)]
+    subsets = _contradiction_subsets(vecs, complete_to)
     if not subsets and complete_to < max_subset:
         raise BudgetExceededError(
             f"parity search exhausted its budget at size {complete_to} "
@@ -447,17 +453,10 @@ def search_parity_contradictions(group: StabilizerGroup, which_state: int,
     instances = []
     for idxs in subsets:
         members = tuple((elements[i].op, signs[i]) for i in idxs)
-        all_even, product_sign, _prod = _parity_bookkeeping(
-            members, [vecs[i] for i in idxs])
-        if not (all_even and product_sign == -1):
+        if _parity_bookkeeping(members)[0] != _ODD_SIGNS:
             raise AssertionError("search returned a non-contradiction subset")
         instances.append(ParityInstance(label, state, members))
     return ParitySearchResult(instances, complete_to, used)
-
-
-def _odd_parity(idxs, neg_mask: int) -> bool:
-    """True when an odd number of the indexed elements have sign -1."""
-    return sum((neg_mask >> i) & 1 for i in idxs) % 2 == 1
 
 
 def _completed_tiers(n: int, max_subset: int, node_budget: int) -> tuple[int, int]:
@@ -481,20 +480,20 @@ def _completed_tiers(n: int, max_subset: int, node_budget: int) -> tuple[int, in
     return complete_to, used
 
 
-def _even_subsets(vecs, max_size: int) -> list[tuple[int, ...]]:
-    """Every subset of size 2..max_size whose vectors XOR to zero, as
+def _contradiction_subsets(vecs, max_size: int) -> list[tuple[int, ...]]:
+    """Every subset of size 2..max_size whose vectors XOR to _ODD_SIGNS, as
     increasing index tuples, each found exactly once.
 
-    The vectors are distinct, so a subset XORs to zero exactly when its
-    smaller members XOR to the vector of an element whose index comes
-    after all of them.  A depth-first walk over the subsets of size
-    1..max_size-1 carries their running XOR and finds each zero-XOR subset
-    by one lookup; it visits each of those subsets once, which is the node
-    count of _completed_tiers.
+    The vectors are distinct, so a subset XORs to _ODD_SIGNS exactly when
+    its smaller members XOR to v ^ _ODD_SIGNS for the vector v of an
+    element whose index comes after all of them.  A depth-first walk over
+    the subsets of size 1..max_size-1 carries their running XOR and finds
+    each such subset by one lookup; it visits each of those subsets once,
+    which is the node count of _completed_tiers.
     """
-    last = {v: i for i, v in enumerate(vecs)}
+    last = {v ^ _ODD_SIGNS: i for i, v in enumerate(vecs)}
     if len(last) != len(vecs):
-        raise ValueError("coordinate vectors are not distinct")
+        raise ValueError("parity vectors are not distinct")
     n = len(vecs)
     found: list[tuple[int, ...]] = []
 

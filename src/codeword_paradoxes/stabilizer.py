@@ -30,6 +30,13 @@ __all__ = [
 ]
 
 
+def codeword_index(which_state: int) -> int:
+    """which_state itself, once checked to name codeword 0 or codeword 1."""
+    if which_state not in (0, 1):
+        raise ValueError(f"which_state must be 0 or 1, not {which_state!r}")
+    return which_state
+
+
 @dataclass(frozen=True)
 class StabilizerElement:
     """Bare Hermitian operator plus its eigenvalue on each codeword."""
@@ -50,7 +57,7 @@ class StabilizerElement:
         return self.sign0 == self.sign1
 
     def sign(self, which_state: int) -> int:
-        return self.sign0 if which_state == 0 else self.sign1
+        return self.sign1 if codeword_index(which_state) else self.sign0
 
     def as_line(self) -> str:
         return f"{self.sign0:+d} {self.sign1:+d} {self.op}"

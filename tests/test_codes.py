@@ -104,3 +104,10 @@ def test_code_by_name():
     assert code_by_name("steane") is steane_code()
     with pytest.raises(ValueError):
         code_by_name("shor")
+
+
+@pytest.mark.parametrize("which_state", [-1, 2, 5])
+def test_codeword_takes_only_0_or_1(five, which_state):
+    assert (five.codeword(0), five.codeword(1)) == (five.codeword0, five.codeword1)
+    with pytest.raises(ValueError, match="which_state must be 0 or 1"):
+        five.codeword(which_state)

@@ -314,6 +314,37 @@ def test_context_enumeration_takes_exactly_74093_nodes(ks_graph, ks_contexts):
     assert enumerate_contexts(ks_graph, node_budget=74_093) == ks_contexts
 
 
+def _block_vertices(*blocks):
+    """One vertex per block of basis kets, spanned by their unit vectors."""
+    def ket(j):
+        return tuple(int(k == j) for k in range(32))
+    return [KSVertex(vid, ("classical", f"block{vid}"),
+                     tuple(ket(j) for j in range(lo, hi)))
+            for vid, (lo, hi) in enumerate(blocks)]
+
+
+@pytest.mark.parametrize("blocks", [
+    [(0, 8), (8, 16), (16, 32)],
+    [(0, 8), (8, 16), (16, 24), (24, 32)],
+    [(0, 2), (2, 32)],
+    [(0, 4), (4, 32), (28, 32), (0, 28)],
+], ids=["8+8+16", "8+8+8+8", "2+30", "4+28-twice"])
+def test_contexts_weigh_each_vertex_by_its_own_rank(blocks):
+    # blocks that tile the 32 kets resolve the identity whatever their ranks
+    graph = build_orthogonality_graph(_block_vertices(*blocks))
+    tiles = [mask for mask in range(1, 1 << len(blocks))
+             if sorted(j for v in bit_indices(mask)
+                       for j in range(*blocks[v])) == list(range(32))]
+    assert tiles and enumerate_contexts(graph) == sorted(tiles, key=bit_indices)
+
+
+def test_contexts_reject_three_distinct_ranks():
+    graph = build_orthogonality_graph(
+        _block_vertices((0, 1), (1, 4), (4, 32)))
+    with pytest.raises(ValueError, match="at most two distinct vertex ranks"):
+        enumerate_contexts(graph)
+
+
 def test_cover_tables_reject_non_orthogonal_spanning_vectors():
     # equal norms (2, a divisor of 16) but a nonzero dot product
     u = (1, 1) + (0,) * 30

@@ -1,5 +1,9 @@
+import random
 from collections import Counter, defaultdict
+from dataclasses import replace
+from functools import reduce
 from itertools import combinations, product
+from operator import xor
 
 import pytest
 
@@ -200,6 +204,21 @@ def test_array_rejects_non_hermitian_cells():
                       declared_col_signs=(+1,))
 
 
+def test_array_rejects_declared_signs_off_its_shape():
+    # check_array zips the declared signs with the products, so a short
+    # tuple would leave the -I column 13 uncompared
+    arr = build_canonical_array()
+    for bad in ({"declared_col_signs": (+1,)},
+                {"declared_col_signs": arr.declared_col_signs + (+1,)},
+                {"declared_row_signs": (+1,) * 5},
+                {"declared_row_signs": (+1,) * 7}):
+        with pytest.raises(ValueError, match="declared signs"):
+            replace(arr, **bad)
+    with pytest.raises(ValueError, match="no columns"):
+        OperatorArray(rows=((), ()), declared_row_signs=(+1, +1),
+                      declared_col_signs=())
+
+
 def test_search_five_qubit(five, five_group):
     res = search_parity_contradictions(five_group, 0, 6, five.codeword0)
     assert res.complete_to_size == 6
@@ -304,6 +323,13 @@ def test_search_rejects_the_wrong_state(steane, five, five_group):
         search_parity_contradictions(five_group, 0, 6, five.codeword1)
 
 
+@pytest.mark.parametrize("which_state", [-1, 2, 5])
+def test_search_rejects_a_codeword_other_than_0_or_1(steane, which_state):
+    with pytest.raises(ValueError, match="which_state must be 0 or 1"):
+        search_parity_contradictions(steane.group(), which_state, 4,
+                                     steane.codeword1)
+
+
 def test_search_checks_each_element_sign_once(steane, monkeypatch):
     calls = []
 
@@ -381,7 +407,58 @@ def test_three_qubit_search_matches_every_subset(mermin):
         assert len(res.instances) == len(expected) == 2
 
 
-def test_even_subsets_requires_distinct_vectors():
-    assert paradoxes._even_subsets([0b011, 0b101, 0b110], 3) == [(0, 1, 2)]
+def test_contradiction_subsets_requires_distinct_vectors():
+    assert paradoxes._contradiction_subsets([0b011, 0b101, 0b111], 3) == [(0, 1, 2)]
     with pytest.raises(ValueError):
-        paradoxes._even_subsets([0b011, 0b101, 0b011], 3)
+        paradoxes._contradiction_subsets([0b011, 0b101, 0b011], 3)
+
+
+def test_contradiction_subsets_match_every_subset():
+    """Seeded random lists of distinct small vectors: the walk finds each
+    subset of size 2..max_size that XORs to the sign bit, once."""
+    rng = random.Random(11)
+    for _trial in range(300):
+        vecs = rng.sample(range(64), rng.randint(0, 9))
+        max_size = rng.randint(0, len(vecs) + 1)
+        expected = [idxs for size in range(2, max_size + 1)
+                    for idxs in combinations(range(len(vecs)), size)
+                    if reduce(xor, (vecs[i] for i in idxs)) == paradoxes._ODD_SIGNS]
+        got = paradoxes._contradiction_subsets(vecs, max_size)
+        assert sorted(got) == sorted(expected)
+
+
+def _even_completion(n, ops):
+    """Up to three operators that make every (site, letter) count of ops
+    even, with the odd letters of each site spread across them."""
+    odd = [sorted(letter for letter in "XYZ"
+                  if sum(op.letters[k] == letter for op in ops) % 2)
+           for k in range(n)]
+    return [from_letters(site[j] if j < len(site) else "I" for site in odd)
+            for j in range(3)]
+
+
+def test_parity_vector_xor_matches_letter_counts():
+    """Random phase-0 Pauli lists with Y letters, n <= 7, half of them made
+    even: the XOR reads _ODD_SIGNS exactly when every letter count is even
+    and an odd number of signs are -1, and its symbol part is 0 exactly when
+    every count is even."""
+    rng = random.Random(7)
+    seen = Counter()
+    for _trial in range(2000):
+        n = rng.randint(1, 7)
+        ops = [from_letters(rng.choice("IXYZ") for _ in range(n))
+               for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.5:
+            ops += _even_completion(n, ops)
+            rng.shuffle(ops)
+        members = [(op, rng.choice((+1, -1))) for op in ops]
+        counts = Counter((k, letter) for op, _sign in members
+                         for k, letter in enumerate(op.letters) if letter != "I")
+        all_even = all(c % 2 == 0 for c in counts.values())
+        odd_signs = [sign for _op, sign in members].count(-1) % 2 == 1
+        got = reduce(xor, (paradoxes._parity_vector(op, sign)
+                           for op, sign in members))
+        assert (got == paradoxes._ODD_SIGNS) == (all_even and odd_signs)
+        assert (got & ~paradoxes._ODD_SIGNS == 0) == all_even
+        seen[all_even, odd_signs] += 1
+    assert min(seen.values()) > 100 and len(seen) == 4

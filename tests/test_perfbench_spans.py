@@ -50,3 +50,15 @@ def test_ks_traces_both_colorings(capsys):
     assert names["kochen_specker.coloring"] == 1
     assert names["kochen_specker.coloring_canonical"] == 1
     assert tracer.counts["kochen_specker.decisions"] == 681
+
+
+def test_steane_search_counts_read_the_search_result(capsys):
+    # spans._search_counts reads ParitySearchResult fields by name; a
+    # renamed field would only show in a traced bench run
+    with _traced() as tracer:
+        assert cli.main(["steane-search", "--max", "4", "--state", "0",
+                         "--format", "json"]) == 0
+    assert tracer.counts["paradoxes.search_calls"] == 1
+    assert tracer.counts["paradoxes.search_nodes"] == 341_503
+    assert tracer.counts["paradoxes.instances"] == 2016
+    assert tracer.counts["paradoxes.complete_to_size"] == 4

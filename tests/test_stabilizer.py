@@ -76,6 +76,15 @@ def test_close_detects_sign_conflicts_only_a_product_reveals():
         {"+1 +1 III", "+1 +1 ZZI", "+1 +1 IZZ", "+1 +1 ZIZ"}
 
 
+
+def test_element_sign_takes_only_codeword_0_or_1():
+    e = StabilizerElement(parse("ZZ"), +1, -1)
+    assert (e.sign(0), e.sign(1)) == (+1, -1)
+    for which_state in (-1, 2, 5):
+        with pytest.raises(ValueError, match="which_state must be 0 or 1"):
+            e.sign(which_state)
+
+
 @pytest.mark.parametrize("name", ["five", "mermin", "steane"])
 def test_closed_groups_are_closed_with_multiplicative_signs(name):
     group = code_by_name(name).group()
