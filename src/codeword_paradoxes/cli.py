@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from collections import Counter
 
 from .codes import code_by_name, five_qubit_code, steane_code, CODE_NAMES
 from .errors import BudgetExceededError
@@ -32,7 +33,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        report, exit_code = args.handler(args)
+        report = args.handler(args)
         out = report.to_json() if args.format == "json" else report.to_text()
         sys.stdout.write(out)
         path = report.write_to_report_dir()
@@ -44,7 +45,7 @@ def main(argv=None) -> int:
         return 2
     if path and args.format == "text":
         print(f"report written to {path}")
-    return exit_code
+    return 1 if report.verdict == VERDICT_FAIL else 0
 
 
 # Built once per process: in-process callers run main() many times, and the
@@ -118,7 +119,7 @@ def _int_at_least(low: int):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_verify_code(args) -> tuple[Report, int]:
+def _cmd_verify_code(args) -> Report:
     code = code_by_name(args.code)
     group = code.group()
     stab = verify_stabilizes(group, code.codeword0, code.codeword1)
@@ -154,10 +155,10 @@ def _cmd_verify_code(args) -> tuple[Report, int]:
         "error_correction_failures": kl.failures,
     }
     return Report("verify-code", VERDICT_PASS if ok else VERDICT_FAIL,
-                  code=args.code, details=details), 0 if ok else 1
+                  code=args.code, details=details)
 
 
-def _cmd_reality(args) -> tuple[Report, int]:
+def _cmd_reality(args) -> Report:
     code = code_by_name(args.code)
     group = code.group()
     if not 1 <= args.site <= code.n:
@@ -180,10 +181,10 @@ def _cmd_reality(args) -> tuple[Report, int]:
         ],
         "compatible_pair_count": len(pairs),
     }
-    return Report("reality", VERDICT_PASS, code=args.code, details=details), 0
+    return Report("reality", VERDICT_PASS, code=args.code, details=details)
 
 
-def _cmd_pentagon(args) -> tuple[Report, int]:
+def _cmd_pentagon(args) -> Report:
     code = five_qubit_code()
     per_state = {}
     confirmed = True
@@ -200,10 +201,10 @@ def _cmd_pentagon(args) -> tuple[Report, int]:
         }
     details = {"pentagon": pentagon_description(code), "instances": per_state}
     verdict = VERDICT_CONTRADICTION if confirmed else VERDICT_FAIL
-    return Report("pentagon", verdict, code="five", details=details), 0 if confirmed else 1
+    return Report("pentagon", verdict, code="five", details=details)
 
 
-def _cmd_array(args) -> tuple[Report, int]:
+def _cmd_array(args) -> Report:
     arr = build_canonical_array()
     rep = check_array(arr)
     ok = (all(rep.row_commuting) and all(rep.col_commuting)
@@ -220,10 +221,10 @@ def _cmd_array(args) -> tuple[Report, int]:
         "impossibility": rep.impossibility,
     }
     verdict = VERDICT_CONTRADICTION if ok else VERDICT_FAIL
-    return Report("array", verdict, code="five", details=details), 0 if ok else 1
+    return Report("array", verdict, code="five", details=details)
 
 
-def _cmd_ks(args) -> tuple[Report, int]:
+def _cmd_ks(args) -> Report:
     vertices = build_ks_set()
     graph = build_orthogonality_graph(vertices)
     contexts = enumerate_contexts(graph, node_budget=args.budget)
@@ -235,11 +236,9 @@ def _cmd_ks(args) -> tuple[Report, int]:
     verdict_canon = ks_colorability(graph, canon,
                                     decision_budget=args.decision_budget)
 
-    ranks = {1: sum(1 for v in vertices if v.rank == 1),
-             4: sum(1 for v in vertices if v.rank == 4)}
     details = {
         "vertices": len(vertices),
-        "rank_counts": ranks,
+        "rank_counts": Counter(v.rank for v in vertices),
         "projectors_per_dimension": f"{len(vertices)}/32 = {len(vertices) / 32}",
         "edges": graph.edge_count,
         "contexts": len(contexts),
@@ -254,8 +253,8 @@ def _cmd_ks(args) -> tuple[Report, int]:
     }
     if verdict_full.satisfiable:
         details["coloring"] = {
-            v.label(): bool(verdict_full.true >> v.vid & 1)
-            for v in graph.vertices
+            v.label(): bool(verdict_full.true >> i & 1)
+            for i, v in enumerate(graph.vertices)
         }
     if args.dump_set:
         _dump_ks_set(args.dump_set, graph, contexts)
@@ -264,21 +263,21 @@ def _cmd_ks(args) -> tuple[Report, int]:
     ok = (len(vertices) == 104 and canonical_found
           and not verdict_full.satisfiable)
     verdict = VERDICT_CONTRADICTION if ok else VERDICT_FAIL
-    return Report("ks", verdict, code="five", details=details), 0 if ok else 1
+    return Report("ks", verdict, code="five", details=details)
 
 
 def _dump_ks_set(path: str, graph, contexts) -> None:
     payload = {
         "vertices": [
             {
-                "id": v.vid,
+                "id": i,
                 "rank": v.rank,
                 "kind": v.kind,
                 "label": v.label(),
                 "provenance": list(v.provenance),
                 "spanning_vectors": [vec.to_pairs() for vec in v.vectors],
             }
-            for v in graph.vertices
+            for i, v in enumerate(graph.vertices)
         ],
         "edges": graph.edges(),
         "contexts": [bit_indices(c) for c in contexts],
@@ -288,7 +287,7 @@ def _dump_ks_set(path: str, graph, contexts) -> None:
         fh.write("\n")
 
 
-def _cmd_steane_search(args) -> tuple[Report, int]:
+def _cmd_steane_search(args) -> Report:
     code = steane_code()
     group = code.group()
     states = (0, 1) if args.state == "both" else (int(args.state),)
@@ -315,11 +314,10 @@ def _cmd_steane_search(args) -> tuple[Report, int]:
         "results": per_state,
     }
     verdict = VERDICT_CONTRADICTION if any_found else VERDICT_FAIL
-    return Report("steane-search", verdict, code="steane",
-                  details=details), 0 if any_found else 1
+    return Report("steane-search", verdict, code="steane", details=details)
 
 
-def _cmd_selftest(args) -> tuple[Report, int]:
+def _cmd_selftest(args) -> Report:
     results = run_all(seed=args.seed)
     ok = all(r.ok for r in results)
     details = {
@@ -330,7 +328,7 @@ def _cmd_selftest(args) -> tuple[Report, int]:
         ],
     }
     return Report("selftest", VERDICT_PASS if ok else VERDICT_FAIL,
-                  details=details), 0 if ok else 1
+                  details=details)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ consumer is normalization-independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .dyadic import Dyadic, ZERO
 from .pauli import PauliString, identity, parse, single_site
@@ -36,15 +36,15 @@ class CodeDefinition:
     must_fail: tuple[PauliString, ...]     # errors the code claims NOT to handle
 
     def group(self) -> StabilizerGroup:
-        return _closed_group(self.name)
+        """The closure of this definition's generators, built once."""
+        return self._group
+
+    @cached_property
+    def _group(self) -> StabilizerGroup:
+        return close(self.generators)
 
     def codeword(self, which_state: int) -> StateVector:
         return self.codeword1 if codeword_index(which_state) else self.codeword0
-
-
-@lru_cache(maxsize=None)
-def _closed_group(name: str) -> StabilizerGroup:
-    return close(code_by_name(name).generators)
 
 
 def single_qubit_errors(n: int) -> tuple[PauliString, ...]:

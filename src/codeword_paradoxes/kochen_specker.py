@@ -13,7 +13,7 @@ turns an unfinished search into a hard error rather than a silent partial
 answer.  It tracks only the diagonal of the partial projector sum: the
 chosen projectors are pairwise orthogonal, so their sum is a projector, and
 a projector fixes basis ket j exactly when its (j, j) entry is 1 (the
-premises are checked when the tables are built; see _CoverTables).
+premises are checked when the tables are built; see _cover_tables).
 
 The coloring search works on the same vertex bitmasks.  Its clauses are one
 (not u or not v) per edge (KS1: orthogonal vertices are never both true)
@@ -23,7 +23,7 @@ assignment is two masks, the true vertices and the false ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .codes import five_qubit_code, single_qubit_errors
 from .dyadic import Dyadic
@@ -49,7 +49,8 @@ _DIM = 32
 
 @dataclass(frozen=True)
 class KSVertex:
-    """One projector of the set, tagged with how it was built.
+    """One projector of the set, tagged with how it was built.  A vertex's
+    id is its position in the vertex list.
 
     provenance is one of
       ("classical", ket_label)
@@ -62,7 +63,6 @@ class KSVertex:
     from them on demand.
     """
 
-    vid: int
     provenance: tuple
     ivecs: tuple[tuple[int, ...], ...]
     scale_exp: int = 0
@@ -110,8 +110,7 @@ def build_ks_set() -> list[KSVertex]:
 
     for j in range(_DIM):
         ket = tuple(int(i == j) for i in range(_DIM))
-        vertices.append(KSVertex(len(vertices), ("classical", format(j, "05b")),
-                                 (ket,)))
+        vertices.append(KSVertex(("classical", format(j, "05b")), (ket,)))
 
     for cw in (0, 1):
         base = code.codeword(cw)
@@ -124,17 +123,16 @@ def build_ks_set() -> list[KSVertex]:
                 f"codeword {cw}: expected 16 distinct mutation vectors, "
                 f"got {len(texts)}")
         for vec, text in texts.items():
-            vertices.append(KSVertex(len(vertices), ("mutation", cw, text),
-                                     (vec,), scale_exp=2))
+            vertices.append(KSVertex(("mutation", cw, text), (vec,),
+                                     scale_exp=2))
 
     for r in range(2, 7):
         a, b, c = ROW_SITES[r]
         for s in (+1, -1):
             for m in (+1, -1):
                 for n in (+1, -1):
-                    vertices.append(KSVertex(
-                        len(vertices), ("row", r, m, n, s),
-                        _row_subspace_vectors(a, b, c, m, n, s)))
+                    vecs = _row_subspace_vectors(a, b, c, m, n, s)
+                    vertices.append(KSVertex(("row", r, m, n, s), vecs))
 
     if len(vertices) != 104:
         raise AssertionError(f"built {len(vertices)} vertices, expected 104")
@@ -199,11 +197,10 @@ class OrthogonalityGraph:
                 for v in bit_indices(self.adj[u]) if v > u]
 
     def induced(self, ids) -> tuple["OrthogonalityGraph", dict[int, int]]:
-        """Subgraph on the given vertex ids; returns (graph, old->new map)."""
-        ids = sorted(ids)
+        """Subgraph on the set of ids given; returns (graph, old->new map)."""
+        ids = sorted(set(ids))
         remap = {old: new for new, old in enumerate(ids)}
-        verts = [replace(self.vertices[old], vid=new)
-                 for new, old in enumerate(ids)]
+        verts = [self.vertices[old] for old in ids]
         adj = []
         for old in ids:
             mask = 0
@@ -247,12 +244,13 @@ _FIELD_BITS = 8  # 16 times a projector's diagonal entry lies in [0, 16]
 _TARGET = sum(16 << (_FIELD_BITS * j) for j in range(_DIM))  # 16·diag(I)
 
 
-class _CoverTables:
-    """Packed-integer tables for exact-cover reasoning, scale 16.
+def _cover_tables(vertices: list[KSVertex]) -> tuple[list[int], list[int]]:
+    """Packed-integer tables for exact-cover reasoning, scale 16: returns
+    (covers, deltas), indexed by basis ket and by vertex id.
 
-    Each vertex contributes 16 times the diagonal of its projector, one
-    8-bit field per basis ket inside one integer.  covers[j] is the bitmask
-    of vertices whose projector does not annihilate basis ket j.
+    deltas[i] is 16 times the diagonal of vertex i's projector, one 8-bit
+    field per basis ket inside one integer.  covers[j] is the bitmask of
+    vertices whose projector does not annihilate basis ket j.
 
     The diagonal is all the search needs.  It only ever adds pairwise
     orthogonal vertices (orthogonality is exact, from the graph), so the
@@ -265,29 +263,27 @@ class _CoverTables:
     mutually orthogonal with one nonzero norm that divides 16, so that 16
     times the projector is the scaled sum of their outer products.
     """
-
-    def __init__(self, vertices: list[KSVertex]):
-        self.covers = [0] * _DIM
-        self.ranks = [v.rank for v in vertices]
-        self.deltas: list[int] = []
-        for v in vertices:
-            norms = {_ivec_dot(s, s) for s in v.ivecs}
-            norm = norms.pop() if len(norms) == 1 else 0
-            if not norm or 16 % norm:
-                raise ValueError(f"vertex {v.vid}: spanning norms must be a "
-                                 "uniform nonzero divisor of 16")
-            if any(_ivec_dot(s, t) for i, s in enumerate(v.ivecs)
-                   for t in v.ivecs[i + 1:]):
-                raise ValueError(f"vertex {v.vid}: spanning vectors must be "
-                                 "mutually orthogonal")
-            scale = 16 // norm
-            delta = 0
-            for s in v.ivecs:
-                for j, sj in enumerate(s):
-                    if sj:
-                        self.covers[j] |= 1 << v.vid
-                        delta += sj * sj * scale << (_FIELD_BITS * j)
-            self.deltas.append(delta)
+    covers = [0] * _DIM
+    deltas: list[int] = []
+    for i, v in enumerate(vertices):
+        norms = {_ivec_dot(s, s) for s in v.ivecs}
+        norm = norms.pop() if len(norms) == 1 else 0
+        if not norm or 16 % norm:
+            raise ValueError(f"vertex {i}: spanning norms must be a "
+                             "uniform nonzero divisor of 16")
+        if any(_ivec_dot(s, t) for k, s in enumerate(v.ivecs)
+               for t in v.ivecs[k + 1:]):
+            raise ValueError(f"vertex {i}: spanning vectors must be "
+                             "mutually orthogonal")
+        scale = 16 // norm
+        delta = 0
+        for s in v.ivecs:
+            for j, sj in enumerate(s):
+                if sj:
+                    covers[j] |= 1 << i
+                    delta += sj * sj * scale << (_FIELD_BITS * j)
+        deltas.append(delta)
+    return covers, deltas
 
 
 def enumerate_contexts(graph: OrthogonalityGraph,
@@ -303,9 +299,8 @@ def enumerate_contexts(graph: OrthogonalityGraph,
     Raises BudgetExceededError before returning any partial enumeration,
     and ValueError when the vertices have more than two distinct ranks.
     """
-    tables = _CoverTables(graph.vertices)
-    ranks = tables.ranks
-    deltas = tables.deltas
+    covers, deltas = _cover_tables(graph.vertices)
+    ranks = [v.rank for v in graph.vertices]
     adj = graph.adj
     # The pruning weighs each vertex by its rank, summed inline over one
     # mask per rank; a second rank that is absent weighs 0.
@@ -336,7 +331,7 @@ def enumerate_contexts(graph: OrthogonalityGraph,
             results.append(chosen)
             return
         j = ((diff & -diff).bit_length() - 1) // _FIELD_BITS
-        cands = allowed & tables.covers[j]
+        cands = allowed & covers[j]
         while cands:
             low = cands & -cands
             vid = low.bit_length() - 1
@@ -354,11 +349,13 @@ def enumerate_contexts(graph: OrthogonalityGraph,
 
 
 def canonical_contexts(graph: OrthogonalityGraph) -> list[int]:
-    """The seven contexts read straight off the construction, as vertex
-    masks: the two rank-1 bases and the five row families."""
-    masks = dict.fromkeys(["classical", "mutation", *range(2, 7)], 0)
-    for v in graph.vertices:
-        masks[v.provenance[1] if v.kind == "row" else v.kind] |= 1 << v.vid
+    """The contexts read straight off the construction, as vertex masks: one
+    per family present (a rank-1 basis or a row family), in order of first
+    appearance."""
+    masks: dict = {}
+    for i, v in enumerate(graph.vertices):
+        family = v.provenance[1] if v.kind == "row" else v.kind
+        masks[family] = masks.get(family, 0) | 1 << i
     return list(masks.values())
 
 
@@ -392,12 +389,14 @@ def ks_colorability(graph: OrthogonalityGraph, contexts: list[int],
     visits neighbours in ascending id and each vertex's contexts in list
     order, and stops at the first conflict.  Returns UNSAT with
     statistics, or SAT with the mask of true vertices (checked before it
-    is returned).
+    is returned).  Raises ValueError on an empty context.
     """
     nv = len(graph.vertices)
     adj = graph.adj
     member_ctxs: list[list[int]] = [[] for _ in range(nv)]
-    for ctx in contexts:
+    for k, ctx in enumerate(contexts):
+        if not ctx:
+            raise ValueError(f"context {k} is empty")
         for vid in bit_indices(ctx):
             member_ctxs[vid].append(ctx)
 

@@ -165,12 +165,14 @@ def test_criterion_6_ks_set_construction():
             assert _resolves_identity(by_kind[family])
 
         graph = build_orthogonality_graph(vertices)
-        mutation_mask = sum(1 << v.vid for v in by_kind["mutation"])
-        classical_mask = sum(1 << v.vid for v in by_kind["classical"])
-        assert all((graph.adj[v.vid] & mutation_mask).bit_count() == 16
-                   for v in by_kind["classical"])
-        assert all((graph.adj[v.vid] & classical_mask).bit_count() == 16
-                   for v in by_kind["mutation"])
+        ids = {kind: [i for i, v in enumerate(vertices) if v.kind == kind]
+               for kind in ("classical", "mutation")}
+        mutation_mask = sum(1 << i for i in ids["mutation"])
+        classical_mask = sum(1 << i for i in ids["classical"])
+        assert all((graph.adj[i] & mutation_mask).bit_count() == 16
+                   for i in ids["classical"])
+        assert all((graph.adj[i] & classical_mask).bit_count() == 16
+                   for i in ids["mutation"])
 
         for r in range(2, 7):
             fam = [v for v in by_kind["row"] if v.provenance[1] == r]
@@ -211,8 +213,8 @@ def test_criterion_7_ks_non_colorability():
         verdict = ks_colorability(graph, contexts)
         if verdict.satisfiable:
             print("UNEXPECTED COLORING FOUND:")
-            for v in graph.vertices:
-                print(f"  {v.label()}: {bool(verdict.true >> v.vid & 1)}")
+            for i, v in enumerate(graph.vertices):
+                print(f"  {v.label()}: {bool(verdict.true >> i & 1)}")
         assert not verdict.satisfiable
 
 

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import codeword_paradoxes
+from codeword_paradoxes import cli
 from codeword_paradoxes.cli import main
 from codeword_paradoxes.report import REPORT_DIR_ENV
 
@@ -105,6 +107,16 @@ def test_array(capsys):
     assert det["impossibility"] is True
     assert det["col_products"][-1] == "-IIIII"
     assert det["shape"] == [6, 13]
+
+
+def test_falsified_claim_exits_1(capsys, monkeypatch):
+    check_array = cli.check_array
+    monkeypatch.setattr(cli, "check_array", lambda arr: replace(
+        check_array(arr), impossibility=False))
+    code, payload = run_json(capsys, "array")
+    assert code == 1
+    assert payload["verdict"] == "fail"
+    assert payload["details"]["impossibility"] is False
 
 
 def test_ks(ks_dump_run):

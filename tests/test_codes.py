@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from codeword_paradoxes.codes import (code_by_name, five_qubit_code,
@@ -111,3 +113,13 @@ def test_codeword_takes_only_0_or_1(five, which_state):
     assert (five.codeword(0), five.codeword(1)) == (five.codeword0, five.codeword1)
     with pytest.raises(ValueError, match="which_state must be 0 or 1"):
         five.codeword(which_state)
+
+
+def test_group_closes_its_own_generators(five):
+    # the closure belongs to the definition, not to the name it is filed under
+    two = replace(five, generators=five.generators[:2])
+    assert len(two.group()) == 4
+    assert {e.op for e in two.generators} <= {e.op for e in two.group()}
+    custom = replace(five, name="custom")
+    assert custom.group().as_lines() == five.group().as_lines()
+    assert five.group() is five.group()

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -24,6 +23,10 @@ IDENTITY_MATRIX = dense.pauli_matrix(identity(5))
 
 def _family(vertices, kind):
     return [v for v in vertices if v.kind == kind]
+
+
+def _family_ids(vertices, kind):
+    return [i for i, v in enumerate(vertices) if v.kind == kind]
 
 
 def _spanning(vertices):
@@ -79,13 +82,14 @@ def test_sixteen_mutations_per_codeword(ks_vertices):
 
 
 def test_classical_mutation_cross_orthogonality(ks_graph):
-    verts = ks_graph.vertices
-    classical_mask = sum(1 << v.vid for v in _family(verts, "classical"))
-    mutation_mask = sum(1 << v.vid for v in _family(verts, "mutation"))
-    for v in _family(verts, "classical"):
-        assert (ks_graph.adj[v.vid] & mutation_mask).bit_count() == 16
-    for v in _family(verts, "mutation"):
-        assert (ks_graph.adj[v.vid] & classical_mask).bit_count() == 16
+    classical = _family_ids(ks_graph.vertices, "classical")
+    mutation = _family_ids(ks_graph.vertices, "mutation")
+    classical_mask = sum(1 << i for i in classical)
+    mutation_mask = sum(1 << i for i in mutation)
+    for i in classical:
+        assert (ks_graph.adj[i] & mutation_mask).bit_count() == 16
+    for i in mutation:
+        assert (ks_graph.adj[i] & classical_mask).bit_count() == 16
 
 
 def test_row3_spanning_vectors_match_expected_form(ks_vertices):
@@ -271,7 +275,7 @@ def test_contexts_are_exact_resolutions(ks_graph, ks_contexts):
 def test_rank4_contexts_against_independent_clique_search(ks_graph, ks_contexts):
     """Dual route: all rank-4-only contexts are exactly the 8-cliques of the
     induced 40-vertex subgraph, found here by plain Bron-Kerbosch."""
-    row_ids = [v.vid for v in ks_graph.vertices if v.kind == "row"]
+    row_ids = _family_ids(ks_graph.vertices, "row")
     sub, remap = ks_graph.induced(row_ids)
     neighbors = {v: set(bit_indices(sub.adj[v])) for v in range(len(sub))}
 
@@ -318,9 +322,9 @@ def _block_vertices(*blocks):
     """One vertex per block of basis kets, spanned by their unit vectors."""
     def ket(j):
         return tuple(int(k == j) for k in range(32))
-    return [KSVertex(vid, ("classical", f"block{vid}"),
+    return [KSVertex(("classical", f"block{i}"),
                      tuple(ket(j) for j in range(lo, hi)))
-            for vid, (lo, hi) in enumerate(blocks)]
+            for i, (lo, hi) in enumerate(blocks)]
 
 
 @pytest.mark.parametrize("blocks", [
@@ -349,7 +353,7 @@ def test_cover_tables_reject_non_orthogonal_spanning_vectors():
     # equal norms (2, a divisor of 16) but a nonzero dot product
     u = (1, 1) + (0,) * 30
     v = (0, 1, 1) + (0,) * 29
-    bad = KSVertex(0, ("row", 0, +1, +1, +1), (u, v))
+    bad = KSVertex(("row", 0, +1, +1, +1), (u, v))
     with pytest.raises(ValueError, match="mutually orthogonal"):
         enumerate_contexts(build_orthogonality_graph([bad]))
 
@@ -359,10 +363,45 @@ def test_cover_tables_reject_non_orthogonal_spanning_vectors():
 def test_cover_tables_reject_empty_spans(ivecs):
     # a zero vector is orthogonal to everything, so it reaches the tables
     ket = (1,) + (0,) * 31
-    bad = KSVertex(0, ("classical", "00000"), ivecs)
-    good = KSVertex(1, ("classical", "00001"), (ket,))
+    bad = KSVertex(("classical", "00000"), ivecs)
+    good = KSVertex(("classical", "00001"), (ket,))
     with pytest.raises(ValueError, match="vertex 0: .* nonzero divisor"):
         enumerate_contexts(build_orthogonality_graph([bad, good]))
+
+
+def test_a_sublist_is_the_induced_instance(ks_vertices, ks_graph):
+    # a vertex's id is its position, so a graph built from any vertex list
+    # is the same instance as the induced graph on those vertices
+    rebuilt = build_orthogonality_graph(ks_vertices[32:])
+    sub, _ = ks_graph.induced(range(32, 104))
+    assert rebuilt.adj == sub.adj
+    contexts = enumerate_contexts(rebuilt)
+    assert len(contexts) == 26
+    assert contexts == enumerate_contexts(sub)
+    assert set(canonical_contexts(rebuilt)) <= set(contexts)
+    assert ks_colorability(rebuilt, contexts).satisfiable
+    assert ks_colorability(sub, contexts).satisfiable
+    assert rebuilt.vertices == sub.vertices
+
+
+def test_canonical_contexts_are_the_families_present(ks_graph):
+    keep = [i for i, v in enumerate(ks_graph.vertices) if v.rank == 1]
+    sub, _ = ks_graph.induced(keep)
+    canon = canonical_contexts(sub)
+    assert canon == [(1 << 32) - 1, ((1 << 32) - 1) << 32]
+    assert ks_colorability(sub, canon).satisfiable
+
+
+def test_induced_takes_each_id_once(ks_graph):
+    sub, remap = ks_graph.induced([5, 3, 5, 70, 3])
+    assert remap == {3: 0, 5: 1, 70: 2}
+    assert sub.vertices == [ks_graph.vertices[i] for i in (3, 5, 70)]
+    assert len(sub.adj) == 3
+
+
+def test_colorability_rejects_an_empty_context(ks_graph):
+    with pytest.raises(ValueError, match="context 1 is empty"):
+        ks_colorability(ks_graph, [(1 << 32) - 1, 0])
 
 
 def _counts(verdict):
@@ -387,7 +426,7 @@ def test_canonical_contexts_alone_already_unsat(ks_graph):
 
 
 def test_classical_context_alone_is_satisfiable(ks_graph):
-    classical = [v.vid for v in ks_graph.vertices if v.kind == "classical"]
+    classical = _family_ids(ks_graph.vertices, "classical")
     sub, remap = ks_graph.induced(classical)
     verdict = ks_colorability(sub, [(1 << 32) - 1])
     assert verdict.satisfiable
@@ -398,12 +437,12 @@ def test_classical_context_alone_is_satisfiable(ks_graph):
 def test_rank1_subinstance_with_basis_contexts_is_satisfiable(ks_graph):
     """Regression fact: without the rank-4 projectors the two bases plus
     their cross edges still admit a classical labeling."""
-    keep = [v.vid for v in ks_graph.vertices if v.rank == 1]
+    keep = [i for i, v in enumerate(ks_graph.vertices) if v.rank == 1]
     sub, remap = ks_graph.induced(keep)
-    classical = sum(1 << remap[v.vid] for v in ks_graph.vertices
-                    if v.kind == "classical")
-    mutation = sum(1 << remap[v.vid] for v in ks_graph.vertices
-                   if v.kind == "mutation")
+    classical = sum(1 << remap[i]
+                    for i in _family_ids(ks_graph.vertices, "classical"))
+    mutation = sum(1 << remap[i]
+                   for i in _family_ids(ks_graph.vertices, "mutation"))
     verdict = ks_colorability(sub, [classical, mutation])
     assert verdict.satisfiable
     assert _true_ids(verdict) == {0, 32}
@@ -479,8 +518,7 @@ def test_verdict_stable_under_vertex_reordering(ks_vertices):
         rng = random.Random(seed)
         order = list(range(104))
         rng.shuffle(order)
-        shuffled = [replace(ks_vertices[old], vid=new)
-                    for new, old in enumerate(order)]
+        shuffled = [ks_vertices[old] for old in order]
         graph = build_orthogonality_graph(shuffled)
         contexts = enumerate_contexts(graph)
         assert len(contexts) == CONTEXT_COUNT

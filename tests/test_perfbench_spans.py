@@ -62,3 +62,26 @@ def test_steane_search_counts_read_the_search_result(capsys):
     assert tracer.counts["paradoxes.search_nodes"] == 341_503
     assert tracer.counts["paradoxes.instances"] == 2016
     assert tracer.counts["paradoxes.complete_to_size"] == 4
+
+
+def test_verify_code_closes_once_and_counts_kl_pairs(capsys):
+    # the closure is built behind CodeDefinition.group(); its span must
+    # still see the one call through codes.close
+    codes.mermin_code.cache_clear()
+    with _traced() as tracer:
+        assert cli.main(["verify-code", "--code", "mermin",
+                         "--format", "json"]) == 0
+    names = Counter(span[0] for span in tracer.spans)
+    assert names["stabilizer.close"] == 1
+    assert tracer.counts["stabilizer.kl_pairs"] == 41
+
+
+def test_selftest_traces_its_suites(capsys):
+    with _traced() as tracer:
+        assert cli.main(["selftest", "--seed", "0", "--format", "json"]) == 0
+    names = Counter(span[0] for span in tracer.spans)
+    for suite in ("dense_oracle", "apply_compose", "algebra_laws",
+                  "parity_rediscovery"):
+        assert names[f"selftest.{suite}"] == 1
+    assert tracer.counts["paradoxes.search_nodes"] == 206_367
+    assert tracer.counts["paradoxes.instances"] == 812
