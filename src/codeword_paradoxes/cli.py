@@ -231,9 +231,9 @@ def _cmd_ks(args) -> Report:
     canon = canonical_contexts(graph)
     canonical_found = set(canon) <= set(contexts)
 
-    verdict_full = ks_colorability(graph, contexts,
+    verdict_full = ks_colorability(graph.adj, contexts,
                                    decision_budget=args.decision_budget)
-    verdict_canon = ks_colorability(graph, canon,
+    verdict_canon = ks_colorability(graph.adj, canon,
                                     decision_budget=args.decision_budget)
 
     details = {
@@ -289,13 +289,11 @@ def _dump_ks_set(path: str, graph, contexts) -> None:
 
 def _cmd_steane_search(args) -> Report:
     code = steane_code()
-    group = code.group()
     states = (0, 1) if args.state == "both" else (int(args.state),)
     per_state = {}
     any_found = False
     for ws in states:
-        res = search_parity_contradictions(group, ws, args.max_subset,
-                                           code.codeword(ws),
+        res = search_parity_contradictions(code, ws, args.max_subset,
                                            node_budget=args.budget)
         any_found |= bool(res.instances)
         sizes = sorted({len(inst.members) for inst in res.instances})
@@ -309,7 +307,7 @@ def _cmd_steane_search(args) -> Report:
             ],
         }
     details = {
-        "group_order": len(group),
+        "group_order": len(code.group()),
         "max_subset": args.max_subset,
         "results": per_state,
     }

@@ -41,7 +41,6 @@ __all__ = [
     "canonical_contexts",
     "ks_colorability",
     "ColorabilityVerdict",
-    "ROW_SITES",
 ]
 
 _DIM = 32
@@ -182,9 +181,26 @@ def bit_indices(mask: int) -> list[int]:
 
 
 class OrthogonalityGraph:
-    """Vertices plus the exact mutual-orthogonality relation."""
+    """Vertices plus their exact mutual-orthogonality relation, computed
+    from the vertices alone: adj[i] is the mask of the vertices whose
+    spanning vectors are all orthogonal to those of vertex i.
 
-    def __init__(self, vertices: list[KSVertex], adj: list[int]):
+    Two vectors with disjoint supports are orthogonal without a dot
+    product, so each vector carries its nonzero-coordinate mask and only
+    pairs whose supports meet reach _ivec_dot.
+    """
+
+    def __init__(self, vertices: list[KSVertex]):
+        nv = len(vertices)
+        spans = [[(sum(1 << k for k, a in enumerate(u) if a), u)
+                  for u in v.ivecs] for v in vertices]
+        adj = [0] * nv
+        for i in range(nv):
+            for j in range(i + 1, nv):
+                if all(su & sv == 0 or _ivec_dot(u, v) == 0
+                       for su, u in spans[i] for sv, v in spans[j]):
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
         self.vertices = vertices
         self.adj = adj
         self.edge_count = sum(m.bit_count() for m in adj) // 2
@@ -196,43 +212,16 @@ class OrthogonalityGraph:
         return [(u, v) for u in range(len(self.vertices))
                 for v in bit_indices(self.adj[u]) if v > u]
 
-    def induced(self, ids) -> tuple["OrthogonalityGraph", dict[int, int]]:
-        """Subgraph on the set of ids given; returns (graph, old->new map)."""
-        ids = sorted(set(ids))
-        remap = {old: new for new, old in enumerate(ids)}
-        verts = [self.vertices[old] for old in ids]
-        adj = []
-        for old in ids:
-            mask = 0
-            for other in ids:
-                if self.adj[old] >> other & 1:
-                    mask |= 1 << remap[other]
-            adj.append(mask)
-        return OrthogonalityGraph(verts, adj), remap
-
 
 def _ivec_dot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     return sum(a * b for a, b in zip(u, v) if a and b)
 
 
 def build_orthogonality_graph(vertices: list[KSVertex]) -> OrthogonalityGraph:
-    """Edges between vertices whose spanning vectors are pairwise orthogonal.
-
-    Two vectors with disjoint supports are orthogonal without a dot
-    product, so each vector carries its nonzero-coordinate mask and only
-    pairs whose supports meet reach _ivec_dot.
-    """
-    nv = len(vertices)
-    spans = [[(sum(1 << k for k, a in enumerate(u) if a), u) for u in v.ivecs]
-             for v in vertices]
-    adj = [0] * nv
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            if all(su & sv == 0 or _ivec_dot(u, v) == 0
-                   for su, u in spans[i] for sv, v in spans[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return OrthogonalityGraph(vertices, adj)
+    """The orthogonality graph of a vertex list.  A vertex's id is its list
+    position, so the graph of a sublist, [vertices[i] for i in ids], is the
+    sub-instance on those vertices."""
+    return OrthogonalityGraph(vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -373,30 +362,35 @@ class ColorabilityVerdict:
     conflicts: int
 
 
-def ks_colorability(graph: OrthogonalityGraph, contexts: list[int],
+def ks_colorability(adj: list[int], contexts: list[int],
                     decision_budget: int = 1_000_000) -> ColorabilityVerdict:
     """Search for a true/false labeling with no true-true edge (KS1) and at
     least one true per context (KS2).
 
-    The clauses are explicit: one (not u or not v) per edge of graph.adj
-    and one per context, its vertex mask.  The assignment is two vertex
-    masks, true and false.  A context is satisfied when it meets true, dead
-    when every member is false, and forces its one open member true when
-    only one is left.  Within a context all members are mutually orthogonal, so
-    the two rules force exactly one true member; the search branches on
+    The clauses are explicit: one (not u or not v) per edge of the
+    adjacency masks adj (a graph's .adj) and one per context, its vertex
+    mask.  The assignment is two vertex masks, true and false.  A context
+    is satisfied when it meets true, dead when every member is false, and
+    forces its one open member true when only one is left.  Within a
+    context all members are mutually orthogonal, so the two rules force
+    exactly one true member; the search branches on
     which one it is, in ascending id, on the unsatisfied context with the
     fewest open members (the first such context on ties).  Propagation
     visits neighbours in ascending id and each vertex's contexts in list
     order, and stops at the first conflict.  Returns UNSAT with
     statistics, or SAT with the mask of true vertices (checked before it
-    is returned).  Raises ValueError on an empty context.
+    is returned).  Raises ValueError on an empty context or on one with a
+    vertex beyond len(adj).
     """
-    nv = len(graph.vertices)
-    adj = graph.adj
+    nv = len(adj)
     member_ctxs: list[list[int]] = [[] for _ in range(nv)]
     for k, ctx in enumerate(contexts):
         if not ctx:
             raise ValueError(f"context {k} is empty")
+        if ctx >> nv:
+            raise ValueError(f"context {k} has vertex "
+                             f"{nv + bit_indices(ctx >> nv)[0]}, beyond the "
+                             f"{nv} vertices")
         for vid in bit_indices(ctx):
             member_ctxs[vid].append(ctx)
 
@@ -478,14 +472,13 @@ def ks_colorability(graph: OrthogonalityGraph, contexts: list[int],
     if not solve():
         return ColorabilityVerdict(False, 0, decisions, propagations,
                                    conflicts)
-    _check_coloring(graph, contexts, true)
+    _check_coloring(adj, contexts, true)
     return ColorabilityVerdict(True, true, decisions, propagations, conflicts)
 
 
-def _check_coloring(graph: OrthogonalityGraph, contexts: list[int],
-                    true: int) -> None:
+def _check_coloring(adj: list[int], contexts: list[int], true: int) -> None:
     for u in bit_indices(true):
-        clash = graph.adj[u] & true
+        clash = adj[u] & true
         if clash:
             v = (clash & -clash).bit_length() - 1
             raise AssertionError(f"KS1 violated on edge ({u},{v})")

@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
+from .codes import CodeDefinition
 from .errors import BudgetExceededError, NonHermitianError
 from .pauli import PauliString, from_letters, identity, single_site
 from .stabilizer import StabilizerGroup
@@ -28,7 +29,7 @@ __all__ = [
     "ParityInstance",
     "ParityReport",
     "check_parity_contradiction",
-    "parity_instance_from_group",
+    "parity_instance",
     "canonical_pentagon_instance",
     "pentagon_description",
     "XZX_TRIPLES",
@@ -110,7 +111,6 @@ def _sitewise_compatible(a: PauliString, b: PauliString) -> bool:
 class ParityInstance:
     """Operators with their eigenvalues on one fixed state."""
 
-    state_label: str
     state: StateVector
     members: tuple[tuple[PauliString, int], ...]
 
@@ -145,7 +145,7 @@ def check_parity_contradiction(inst: ParityInstance) -> ParityReport:
     if not inst.members:
         raise ValueError("parity instance has no operators")
     for op, sign in inst.members:
-        _check_eigensign(op, sign, inst.state, inst.state_label)
+        _check_eigensign(op, sign, inst.state)
 
     xor, prod = _parity_bookkeeping(inst.members)
     mult = inst.factor_multiset()
@@ -159,12 +159,11 @@ def check_parity_contradiction(inst: ParityInstance) -> ParityReport:
     )
 
 
-def _check_eigensign(op: PauliString, sign: int, state: StateVector,
-                     state_label: str) -> None:
+def _check_eigensign(op: PauliString, sign: int, state: StateVector) -> None:
     got = eigensign(op, state)
     if got != sign:
         raise ValueError(
-            f"{op} is not a {sign:+d} eigenoperator of {state_label}"
+            f"{op} is not a {sign:+d} eigenoperator of the state"
             f" (observed {got})")
 
 
@@ -202,16 +201,19 @@ def _parity_bookkeeping(members) -> tuple[int, PauliString]:
     return xor, prod
 
 
-def parity_instance_from_group(group: StabilizerGroup, state: StateVector,
-                               state_label: str, ops, which_state: int) -> ParityInstance:
-    """Build an instance by looking up each operator's sign in the group."""
+def parity_instance(code: CodeDefinition, which_state: int,
+                    ops) -> ParityInstance:
+    """The operators on one codeword of code, each with the sign its
+    element of the code's group carries on that codeword."""
+    state = code.codeword(which_state)
+    group = code.group()
     members = []
     for op in ops:
         elem = group.find(op)
         if elem is None:
             raise ValueError(f"{op} is not a group element")
         members.append((elem.op, elem.sign(which_state)))
-    return ParityInstance(state_label, state, tuple(members))
+    return ParityInstance(state, tuple(members))
 
 
 # The five cyclic XZX triples (a, b, c) of the five-qubit code, one per
@@ -228,17 +230,15 @@ def xzx_operator(a: int, b: int, c: int) -> PauliString:
     return from_letters(letters.get(k, "I") for k in range(1, 6))
 
 
-def canonical_pentagon_instance(code, which_state: int) -> ParityInstance:
+def canonical_pentagon_instance(code: CodeDefinition,
+                                which_state: int) -> ParityInstance:
     """The six-operator instance: all-Z plus the five XZX triples."""
-    group = code.group()
     ops = [from_letters("Z" * 5)]
     ops += [xzx_operator(*t) for t in XZX_TRIPLES]
-    label = "|0_L>" if which_state == 0 else "|1_L>"
-    return parity_instance_from_group(group, code.codeword(which_state),
-                                      label, ops, which_state)
+    return parity_instance(code, which_state, ops)
 
 
-def pentagon_description(code) -> dict:
+def pentagon_description(code: CodeDefinition) -> dict:
     """Text/JSON rendering of the pentagon figure: one side per XZX triple."""
     group = code.group()
     sides = []
@@ -411,10 +411,11 @@ class ParitySearchResult:
     nodes_used: int
 
 
-def search_parity_contradictions(group: StabilizerGroup, which_state: int,
-                                 max_subset: int, state: StateVector,
+def search_parity_contradictions(code: CodeDefinition, which_state: int,
+                                 max_subset: int,
                                  node_budget: int = 3_000_000) -> ParitySearchResult:
-    """Subsets of the group whose sign bookkeeping is classically impossible.
+    """Subsets of the code's group whose sign bookkeeping on one of its
+    codewords is classically impossible.
 
     Each element maps to its _parity_vector: its (site, letter) symbols
     over GF(2) plus its sign bit.  The contradictions are exactly the
@@ -423,7 +424,7 @@ def search_parity_contradictions(group: StabilizerGroup, which_state: int,
     that fit node_budget are fixed before anything is enumerated, so each
     is completed atomically and the result is deterministic.
 
-    Every element's sign is checked against the given state with eigensign
+    Every element's sign is checked against the codeword with eigensign
     (ValueError on a mismatch), which covers every member of every returned
     subset.  Each subset is then rechecked by the bookkeeping that
     check_parity_contradiction uses: its vectors XOR to _ODD_SIGNS, and its
@@ -435,10 +436,10 @@ def search_parity_contradictions(group: StabilizerGroup, which_state: int,
     and they all have phase 0 and one length, so index order is the order
     of their texts.
     """
-    elements = group.non_identity()
+    state = code.codeword(which_state)
+    elements = code.group().non_identity()
     signs = [e.sign(which_state) for e in elements]
     vecs = tuple(_parity_vector(e.op, s) for e, s in zip(elements, signs))
-    label = f"codeword{which_state}"
 
     complete_to, used = _completed_tiers(len(vecs), max_subset, node_budget)
     subsets = _contradiction_subsets(vecs, complete_to)
@@ -448,14 +449,14 @@ def search_parity_contradictions(group: StabilizerGroup, which_state: int,
             f"of {max_subset} with nothing found")
 
     for e, sign in zip(elements, signs):
-        _check_eigensign(e.op, sign, state, label)
+        _check_eigensign(e.op, sign, state)
     subsets.sort(key=lambda idxs: (len(idxs), idxs))
     instances = []
     for idxs in subsets:
         members = tuple((elements[i].op, signs[i]) for i in idxs)
         if _parity_bookkeeping(members)[0] != _ODD_SIGNS:
             raise AssertionError("search returned a non-contradiction subset")
-        instances.append(ParityInstance(label, state, members))
+        instances.append(ParityInstance(state, members))
     return ParitySearchResult(instances, complete_to, used)
 
 

@@ -107,7 +107,7 @@ def algebra_laws_suite(rng: random.Random) -> SuiteResult:
 def parity_rediscovery_suite() -> SuiteResult:
     """The bounded search must rediscover the canonical six-operator instance."""
     code = five_qubit_code()
-    res = search_parity_contradictions(code.group(), 0, 6, code.codeword0)
+    res = search_parity_contradictions(code, 0, 6)
     canon = set(canonical_pentagon_instance(code, 0).members)
     hit = any(set(inst.members) == canon for inst in res.instances)
     return SuiteResult("parity-rediscovery", len(res.instances), hit,

@@ -210,7 +210,7 @@ def test_criterion_7_ks_non_colorability():
         graph = build_orthogonality_graph(vertices)
         contexts = enumerate_contexts(graph)
         assert set(canonical_contexts(graph)) <= set(contexts)
-        verdict = ks_colorability(graph, contexts)
+        verdict = ks_colorability(graph.adj, contexts)
         if verdict.satisfiable:
             print("UNEXPECTED COLORING FOUND:")
             for i, v in enumerate(graph.vertices):
@@ -226,8 +226,7 @@ def test_criterion_8_steane_code():
         assert all(3 <= e.op.weight <= 7 for e in group.non_identity())
         found_any = False
         for ws in (0, 1):
-            res = search_parity_contradictions(group, ws, 10,
-                                               code.codeword(ws))
+            res = search_parity_contradictions(code, ws, 10)
             found_any |= bool(res.instances)
         assert found_any
 
@@ -248,6 +247,6 @@ def test_criterion_9_property_suites():
             v = random_state(rng, 5)
             assert apply(p, apply(q, v)) == apply(p * q, v)
         code = five_qubit_code()
-        res = search_parity_contradictions(code.group(), 0, 6, code.codeword0)
+        res = search_parity_contradictions(code, 0, 6)
         canon = set(canonical_pentagon_instance(code, 0).members)
         assert any(set(inst.members) == canon for inst in res.instances)

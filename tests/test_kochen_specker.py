@@ -5,14 +5,13 @@ import pytest
 from codeword_paradoxes import dense
 from codeword_paradoxes.codes import five_qubit_code
 from codeword_paradoxes.errors import BudgetExceededError
-from codeword_paradoxes.kochen_specker import (KSVertex, ROW_SITES,
-                                               OrthogonalityGraph,
-                                               bit_indices,
+from codeword_paradoxes.kochen_specker import (KSVertex, bit_indices,
                                                build_orthogonality_graph,
                                                canonical_contexts,
                                                enumerate_contexts,
                                                ks_colorability,
                                                _check_coloring)
+from codeword_paradoxes.paradoxes import ROW_SITES
 from codeword_paradoxes.pauli import identity, single_site
 from codeword_paradoxes.statevector import apply, eigensign, inner
 
@@ -276,7 +275,8 @@ def test_rank4_contexts_against_independent_clique_search(ks_graph, ks_contexts)
     """Dual route: all rank-4-only contexts are exactly the 8-cliques of the
     induced 40-vertex subgraph, found here by plain Bron-Kerbosch."""
     row_ids = _family_ids(ks_graph.vertices, "row")
-    sub, remap = ks_graph.induced(row_ids)
+    sub = build_orthogonality_graph([ks_graph.vertices[i] for i in row_ids])
+    remap = {old: new for new, old in enumerate(row_ids)}
     neighbors = {v: set(bit_indices(sub.adj[v])) for v in range(len(sub))}
 
     cliques = []
@@ -369,39 +369,38 @@ def test_cover_tables_reject_empty_spans(ivecs):
         enumerate_contexts(build_orthogonality_graph([bad, good]))
 
 
-def test_a_sublist_is_the_induced_instance(ks_vertices, ks_graph):
+def test_a_sublist_is_the_induced_instance(ks_vertices, ks_graph,
+                                           ks_contexts):
     # a vertex's id is its position, so a graph built from any vertex list
-    # is the same instance as the induced graph on those vertices
+    # is the same instance as the induced graph on those vertices: here
+    # the full graph's masks and contexts shifted past the 32 dropped ids
     rebuilt = build_orthogonality_graph(ks_vertices[32:])
-    sub, _ = ks_graph.induced(range(32, 104))
-    assert rebuilt.adj == sub.adj
+    assert rebuilt.adj == [ks_graph.adj[i] >> 32 for i in range(32, 104)]
     contexts = enumerate_contexts(rebuilt)
     assert len(contexts) == 26
-    assert contexts == enumerate_contexts(sub)
+    assert contexts == [ctx >> 32 for ctx in ks_contexts
+                        if not ctx & (1 << 32) - 1]
     assert set(canonical_contexts(rebuilt)) <= set(contexts)
-    assert ks_colorability(rebuilt, contexts).satisfiable
-    assert ks_colorability(sub, contexts).satisfiable
-    assert rebuilt.vertices == sub.vertices
+    assert ks_colorability(rebuilt.adj, contexts).satisfiable
 
 
-def test_canonical_contexts_are_the_families_present(ks_graph):
-    keep = [i for i, v in enumerate(ks_graph.vertices) if v.rank == 1]
-    sub, _ = ks_graph.induced(keep)
+def test_canonical_contexts_are_the_families_present(ks_vertices):
+    sub = build_orthogonality_graph([v for v in ks_vertices if v.rank == 1])
     canon = canonical_contexts(sub)
     assert canon == [(1 << 32) - 1, ((1 << 32) - 1) << 32]
-    assert ks_colorability(sub, canon).satisfiable
-
-
-def test_induced_takes_each_id_once(ks_graph):
-    sub, remap = ks_graph.induced([5, 3, 5, 70, 3])
-    assert remap == {3: 0, 5: 1, 70: 2}
-    assert sub.vertices == [ks_graph.vertices[i] for i in (3, 5, 70)]
-    assert len(sub.adj) == 3
+    assert ks_colorability(sub.adj, canon).satisfiable
 
 
 def test_colorability_rejects_an_empty_context(ks_graph):
     with pytest.raises(ValueError, match="context 1 is empty"):
-        ks_colorability(ks_graph, [(1 << 32) - 1, 0])
+        ks_colorability(ks_graph.adj, [(1 << 32) - 1, 0])
+
+
+def test_colorability_rejects_a_context_beyond_the_vertices(ks_vertices):
+    adj = build_orthogonality_graph(ks_vertices[:32]).adj
+    with pytest.raises(ValueError, match="context 1 has vertex 40, beyond "
+                                         "the 32 vertices"):
+        ks_colorability(adj, [(1 << 32) - 1, 1 << 40])
 
 
 def _counts(verdict):
@@ -413,22 +412,21 @@ def _true_ids(verdict):
 
 
 def test_colorability_unsat(ks_graph, ks_contexts):
-    verdict = ks_colorability(ks_graph, ks_contexts)
+    verdict = ks_colorability(ks_graph.adj, ks_contexts)
     assert not verdict.satisfiable
     assert verdict.true == 0
     assert _counts(verdict) == (681, 13427, 681)
 
 
 def test_canonical_contexts_alone_already_unsat(ks_graph):
-    verdict = ks_colorability(ks_graph, canonical_contexts(ks_graph))
+    verdict = ks_colorability(ks_graph.adj, canonical_contexts(ks_graph))
     assert not verdict.satisfiable
     assert _counts(verdict) == (681, 13939, 681)
 
 
-def test_classical_context_alone_is_satisfiable(ks_graph):
-    classical = _family_ids(ks_graph.vertices, "classical")
-    sub, remap = ks_graph.induced(classical)
-    verdict = ks_colorability(sub, [(1 << 32) - 1])
+def test_classical_context_alone_is_satisfiable(ks_vertices):
+    sub = build_orthogonality_graph(_family(ks_vertices, "classical"))
+    verdict = ks_colorability(sub.adj, [(1 << 32) - 1])
     assert verdict.satisfiable
     assert _true_ids(verdict) == {0}
     assert _counts(verdict) == (1, 32, 0)
@@ -438,12 +436,13 @@ def test_rank1_subinstance_with_basis_contexts_is_satisfiable(ks_graph):
     """Regression fact: without the rank-4 projectors the two bases plus
     their cross edges still admit a classical labeling."""
     keep = [i for i, v in enumerate(ks_graph.vertices) if v.rank == 1]
-    sub, remap = ks_graph.induced(keep)
+    sub = build_orthogonality_graph([ks_graph.vertices[i] for i in keep])
+    remap = {old: new for new, old in enumerate(keep)}
     classical = sum(1 << remap[i]
                     for i in _family_ids(ks_graph.vertices, "classical"))
     mutation = sum(1 << remap[i]
                    for i in _family_ids(ks_graph.vertices, "mutation"))
-    verdict = ks_colorability(sub, [classical, mutation])
+    verdict = ks_colorability(sub.adj, [classical, mutation])
     assert verdict.satisfiable
     assert _true_ids(verdict) == {0, 32}
     assert _counts(verdict) == (2, 64, 0)
@@ -454,36 +453,35 @@ def test_check_coloring_rejects_ks1_and_ks2_violations(ks_graph):
     u, v = ks_graph.edges()[0]
     ks1 = fr"KS1 violated on edge \({u},{v}\)"
     with pytest.raises(AssertionError, match=ks1):
-        _check_coloring(ks_graph, [classical], 1 << u | 1 << v)
+        _check_coloring(ks_graph.adj, [classical], 1 << u | 1 << v)
     with pytest.raises(AssertionError, match="KS2 violated on context"):
-        _check_coloring(ks_graph, [classical], 0)
+        _check_coloring(ks_graph.adj, [classical], 0)
 
 
 def _small_instance(nv, edges, contexts):
-    """A colouring instance on nv abstract vertices: the search reads only
-    the vertex count and the adjacency masks."""
+    """A colouring instance on nv abstract vertices: (adjacency masks,
+    context masks), all the search reads."""
     adj = [0] * nv
     for u, v in edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return (OrthogonalityGraph([None] * nv, adj),
-            [sum(1 << vid for vid in ids) for ids in contexts])
+    return adj, [sum(1 << vid for vid in ids) for ids in contexts]
 
 
-def _brute_force_satisfiable(graph, contexts) -> bool:
-    nv = len(graph.vertices)
+def _brute_force_satisfiable(adj, contexts) -> bool:
+    nv = len(adj)
     for true in range(1 << nv):
         if all(m & true for m in contexts) and not any(
-                true >> u & 1 and graph.adj[u] & true for u in range(nv)):
+                true >> u & 1 and adj[u] & true for u in range(nv)):
             return True
     return False
 
 
 def test_forced_last_member_is_searched():
     # ruling 0 out of {0,1} forces 1 true, whose branch holds the colouring
-    graph, contexts = _small_instance(
+    adj, contexts = _small_instance(
         4, [(0, 1), (2, 3), (0, 2), (0, 3)], [(0, 1), (2, 3)])
-    verdict = ks_colorability(graph, contexts)
+    verdict = ks_colorability(adj, contexts)
     assert verdict.satisfiable
     assert _true_ids(verdict) == {1, 2}
 
@@ -500,9 +498,9 @@ def test_colorability_matches_brute_force_on_small_instances():
             ids = sorted(rng.sample(range(nv), rng.randint(1, min(nv, 4))))
             contexts.append(ids)
             edges.update((u, v) for i, u in enumerate(ids) for v in ids[i + 1:])
-        graph, ctxs = _small_instance(nv, edges, contexts)
-        expected = _brute_force_satisfiable(graph, ctxs)
-        assert ks_colorability(graph, ctxs).satisfiable == expected, \
+        adj, ctxs = _small_instance(nv, edges, contexts)
+        expected = _brute_force_satisfiable(adj, ctxs)
+        assert ks_colorability(adj, ctxs).satisfiable == expected, \
             (nv, sorted(edges), contexts)
         sat += expected
     assert 0 < sat < 2000
@@ -510,7 +508,7 @@ def test_colorability_matches_brute_force_on_small_instances():
 
 def test_colorability_budget_error(ks_graph, ks_contexts):
     with pytest.raises(BudgetExceededError):
-        ks_colorability(ks_graph, ks_contexts, decision_budget=5)
+        ks_colorability(ks_graph.adj, ks_contexts, decision_budget=5)
 
 
 def test_verdict_stable_under_vertex_reordering(ks_vertices):
@@ -522,4 +520,4 @@ def test_verdict_stable_under_vertex_reordering(ks_vertices):
         graph = build_orthogonality_graph(shuffled)
         contexts = enumerate_contexts(graph)
         assert len(contexts) == CONTEXT_COUNT
-        assert not ks_colorability(graph, contexts).satisfiable
+        assert not ks_colorability(graph.adj, contexts).satisfiable

@@ -18,7 +18,7 @@ from codeword_paradoxes.paradoxes import (OperatorArray, ParityInstance,
                                           compatible_pairs,
                                           find_determinations,
                                           mermin_peres_square,
-                                          parity_instance_from_group,
+                                          parity_instance,
                                           pentagon_description,
                                           search_parity_contradictions)
 from codeword_paradoxes.pauli import from_letters, identity, parse
@@ -129,16 +129,15 @@ def test_pentagon_description(five):
 
 
 def test_parity_instance_rejects_wrong_sign(five):
-    inst = ParityInstance("bad", five.codeword0,
+    inst = ParityInstance(five.codeword0,
                           ((parse("ZZZZZ"), -1),))   # actual eigensign is +1
     with pytest.raises(ValueError):
         check_parity_contradiction(inst)
 
 
 def test_mermin_ghz_instance(mermin):
-    group = mermin.group()
     ops = [parse(s) for s in ("XXX", "XYY", "YXY", "YYX")]
-    inst = parity_instance_from_group(group, mermin.codeword0, "|+>", ops, 0)
+    inst = parity_instance(mermin, 0, ops)
     report = check_parity_contradiction(inst)
     assert report.contradiction
     assert report.eigenvalue_product == -1
@@ -219,8 +218,8 @@ def test_array_rejects_declared_signs_off_its_shape():
                       declared_col_signs=())
 
 
-def test_search_five_qubit(five, five_group):
-    res = search_parity_contradictions(five_group, 0, 6, five.codeword0)
+def test_search_five_qubit(five):
+    res = search_parity_contradictions(five, 0, 6)
     assert res.complete_to_size == 6
     # tiers 2..6 visit every 1..5-subset of the 31 elements once
     assert res.nodes_used == 206_367
@@ -232,37 +231,36 @@ def test_search_five_qubit(five, five_group):
     assert sizes == sorted(sizes)
 
 
-def test_search_is_deterministic(five, five_group):
-    a = search_parity_contradictions(five_group, 0, 5, five.codeword0)
-    b = search_parity_contradictions(five_group, 0, 5, five.codeword0)
+def test_search_is_deterministic(five):
+    a = search_parity_contradictions(five, 0, 5)
+    b = search_parity_contradictions(five, 0, 5)
     assert [i.operator_texts() for i in a.instances] == \
         [i.operator_texts() for i in b.instances]
 
 
 def test_search_mermin_finds_ghz(mermin):
-    res = search_parity_contradictions(mermin.group(), 0, 4, mermin.codeword0)
+    res = search_parity_contradictions(mermin, 0, 4)
     assert len(res.instances) == 1
     assert res.instances[0].operator_texts() == \
         ["+1 XXX", "-1 XYY", "-1 YXY", "-1 YYX"]
 
 
-def test_search_tiny_bounds(five, five_group, steane):
+def test_search_tiny_bounds(five, steane):
     # no contradiction can use fewer than two elements
-    empty = search_parity_contradictions(five_group, 0, 2, five.codeword0)
+    empty = search_parity_contradictions(five, 0, 2)
     assert empty.instances == [] and empty.complete_to_size == 2
-    tiny = search_parity_contradictions(steane.group(), 0, 1, steane.codeword0)
+    tiny = search_parity_contradictions(steane, 0, 1)
     assert tiny.instances == [] and tiny.complete_to_size == 1
 
 
 def test_check_rejects_empty_instance(five):
     with pytest.raises(ValueError):
-        check_parity_contradiction(ParityInstance("empty", five.codeword0, ()))
+        check_parity_contradiction(ParityInstance(five.codeword0, ()))
 
 
 def test_search_steane_finds_small_subsets(steane):
-    group = steane.group()
     for ws in (0, 1):
-        res = search_parity_contradictions(group, ws, 10, steane.codeword(ws))
+        res = search_parity_contradictions(steane, ws, 10)
         sizes = [len(inst.members) for inst in res.instances]
         assert res.instances
         assert min(sizes) == 4
@@ -304,7 +302,7 @@ def test_steane_size4_matches_pair_bucket_oracle(steane):
         even, expected = _size4_contradictions(group, ws)
         assert len(even) == 4557
         assert len(expected) == 2016
-        res = search_parity_contradictions(group, ws, 10, steane.codeword(ws))
+        res = search_parity_contradictions(steane, ws, 10)
         assert _size4_instances(res) == expected
 
 
@@ -312,22 +310,26 @@ def test_five_qubit_size4_matches_pair_bucket_oracle(five, five_group):
     for ws in (0, 1):
         _even, expected = _size4_contradictions(five_group, ws)
         assert len(expected) == 60
-        res = search_parity_contradictions(five_group, ws, 6, five.codeword(ws))
+        res = search_parity_contradictions(five, ws, 6)
         assert _size4_instances(res) == expected
 
 
-def test_search_rejects_the_wrong_state(steane, five, five_group):
-    with pytest.raises(ValueError):
-        search_parity_contradictions(steane.group(), 0, 4, steane.codeword1)
-    with pytest.raises(ValueError):
-        search_parity_contradictions(five_group, 0, 6, five.codeword1)
+def test_search_rejects_codewords_that_contradict_the_group(steane, five):
+    # with the codewords swapped, the first element whose sign differs
+    # between them is declared with the wrong eigenvalue
+    for code, max_subset in ((steane, 4), (five, 6)):
+        swapped = replace(code, codeword0=code.codeword1,
+                          codeword1=code.codeword0)
+        first = next(e.op for e in code.group().non_identity()
+                     if e.sign0 != e.sign1)
+        with pytest.raises(ValueError, match=f"^{first} is not a"):
+            search_parity_contradictions(swapped, 0, max_subset)
 
 
 @pytest.mark.parametrize("which_state", [-1, 2, 5])
 def test_search_rejects_a_codeword_other_than_0_or_1(steane, which_state):
     with pytest.raises(ValueError, match="which_state must be 0 or 1"):
-        search_parity_contradictions(steane.group(), which_state, 4,
-                                     steane.codeword1)
+        search_parity_contradictions(steane, which_state, 4)
 
 
 def test_search_checks_each_element_sign_once(steane, monkeypatch):
@@ -339,25 +341,22 @@ def test_search_checks_each_element_sign_once(steane, monkeypatch):
 
     monkeypatch.setattr(paradoxes, "eigensign", counting_eigensign)
     group = steane.group()
-    res = search_parity_contradictions(group, 1, 10, steane.codeword1)
+    res = search_parity_contradictions(steane, 1, 10)
     assert len(res.instances) == 2016
     assert sorted(map(str, calls)) == sorted(str(e.op) for e in group.non_identity())
 
 
 def test_steane_budget_is_spent_by_whole_tiers(steane):
-    group = steane.group()
     # tiers 2..4 cost 127 + 8001 + 333,375 nodes: any budget below their
     # sum stops at size 3, on every call and for either codeword
     messages = set()
     for ws, budget in ((0, 100_000), (1, 100_000), (0, 100_000), (1, 341_502)):
         with pytest.raises(BudgetExceededError) as err:
-            search_parity_contradictions(group, ws, 10, steane.codeword(ws),
-                                         node_budget=budget)
+            search_parity_contradictions(steane, ws, 10, node_budget=budget)
         messages.add(str(err.value))
     assert messages == {"parity search exhausted its budget at size 3 "
                         "of 10 with nothing found"}
-    res = search_parity_contradictions(group, 0, 10, steane.codeword0,
-                                       node_budget=341_503)
+    res = search_parity_contradictions(steane, 0, 10, node_budget=341_503)
     assert res.complete_to_size == 4 and res.nodes_used == 341_503
     assert [len(inst.members) for inst in res.instances] == [4] * 2016
 
@@ -369,11 +368,9 @@ def test_search_orders_by_size_then_element_index(name, max_subset):
     members; for these phase-0 elements of one length that is also the
     order of the members' texts."""
     code = code_by_name(name)
-    group = code.group()
-    index = {e.op: i for i, e in enumerate(group.non_identity())}
+    index = {e.op: i for i, e in enumerate(code.group().non_identity())}
     for ws in (0, 1):
-        res = search_parity_contradictions(group, ws, max_subset,
-                                           code.codeword(ws))
+        res = search_parity_contradictions(code, ws, max_subset)
         by_index = [(len(inst.members),
                      tuple(index[op] for op, _ in inst.members))
                     for inst in res.instances]
@@ -401,7 +398,7 @@ def test_three_qubit_search_matches_every_subset(mermin):
             if (all(c % 2 == 0 for c in counts.values())
                     and [sign for _op, sign in chosen].count(-1) % 2):
                 expected.add(frozenset(chosen))
-        res = search_parity_contradictions(group, ws, 7, mermin.codeword(ws))
+        res = search_parity_contradictions(mermin, ws, 7)
         assert res.complete_to_size == 7
         assert {frozenset(inst.members) for inst in res.instances} == expected
         assert len(res.instances) == len(expected) == 2
