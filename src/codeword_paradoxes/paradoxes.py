@@ -19,7 +19,7 @@ from math import comb
 from .codes import CodeDefinition
 from .errors import BudgetExceededError, NonHermitianError
 from .pauli import PauliString, from_letters, identity, single_site
-from .stabilizer import StabilizerGroup
+from .stabilizer import StabilizerElement, StabilizerGroup
 from .statevector import StateVector, eigensign
 
 __all__ = [
@@ -129,10 +129,10 @@ class ParityInstance:
 @dataclass
 class ParityReport:
     operators: list[str]
-    multiplicities: dict
-    all_even: bool
+    symbol_multiplicities: dict
+    all_multiplicities_even: bool
     eigenvalue_product: int
-    matrix_product: str
+    operator_product: str
     contradiction: bool
 
 
@@ -151,10 +151,11 @@ def check_parity_contradiction(inst: ParityInstance) -> ParityReport:
     mult = inst.factor_multiset()
     return ParityReport(
         operators=inst.operator_texts(),
-        multiplicities={f"{site},{letter}": c for (site, letter), c in sorted(mult.items())},
-        all_even=xor & ~_ODD_SIGNS == 0,
+        symbol_multiplicities={f"{site},{letter}": c
+                               for (site, letter), c in sorted(mult.items())},
+        all_multiplicities_even=xor & ~_ODD_SIGNS == 0,
         eigenvalue_product=-1 if xor & _ODD_SIGNS else +1,
-        matrix_product=str(prod),
+        operator_product=str(prod),
         contradiction=xor == _ODD_SIGNS,
     )
 
@@ -209,11 +210,17 @@ def parity_instance(code: CodeDefinition, which_state: int,
     group = code.group()
     members = []
     for op in ops:
-        elem = group.find(op)
-        if elem is None:
-            raise ValueError(f"{op} is not a group element")
+        elem = _element(group, op)
         members.append((elem.op, elem.sign(which_state)))
     return ParityInstance(state, tuple(members))
+
+
+def _element(group: StabilizerGroup, op: PauliString) -> StabilizerElement:
+    """The element of group with op's letters; ValueError when there is none."""
+    elem = group.find(op)
+    if elem is None:
+        raise ValueError(f"{op} is not a group element")
+    return elem
 
 
 # The five cyclic XZX triples (a, b, c) of the five-qubit code, one per
@@ -241,9 +248,10 @@ def canonical_pentagon_instance(code: CodeDefinition,
 def pentagon_description(code: CodeDefinition) -> dict:
     """Text/JSON rendering of the pentagon figure: one side per XZX triple."""
     group = code.group()
+    zz = _element(group, from_letters("Z" * 5))
     sides = []
     for k, (a, b, c) in enumerate(XZX_TRIPLES, start=1):
-        elem = group.find(xzx_operator(a, b, c))
+        elem = _element(group, xzx_operator(a, b, c))
         sides.append({
             "side": k,
             "measurements": [f"sigma_{a}x", f"sigma_{b}z", f"sigma_{c}x"],
@@ -251,7 +259,6 @@ def pentagon_description(code: CodeDefinition) -> dict:
             "value_on_codeword0": elem.sign0,
             "value_on_codeword1": elem.sign1,
         })
-    zz = group.find(from_letters("Z" * 5))
     return {
         "vertices": [f"qubit_{k}" for k in range(1, 6)],
         "sides": sides,

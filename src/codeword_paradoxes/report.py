@@ -26,12 +26,11 @@ class Report:
     verdict: str
     code: str | None = None
     details: dict = field(default_factory=dict)
-    version: str = __version__
 
     def to_json(self) -> str:
         fields = {"command": self.command, "verdict": self.verdict,
                   "code": self.code, "details": self.details,
-                  "version": self.version}
+                  "version": __version__}
         return json.dumps(fields, sort_keys=True, indent=2) + "\n"
 
     def to_text(self) -> str:

@@ -25,7 +25,6 @@ __all__ = [
     "verify_stabilizes",
     "invariant_subgroup",
     "knill_laflamme_check",
-    "StabilizeReport",
     "KnillLaflammeReport",
 ]
 
@@ -59,11 +58,8 @@ class StabilizerElement:
     def sign(self, which_state: int) -> int:
         return self.sign1 if codeword_index(which_state) else self.sign0
 
-    def as_line(self) -> str:
-        return f"{self.sign0:+d} {self.sign1:+d} {self.op}"
-
     def __str__(self) -> str:
-        return self.as_line()
+        return f"{self.sign0:+d} {self.sign1:+d} {self.op}"
 
 
 class StabilizerGroup:
@@ -90,7 +86,7 @@ class StabilizerGroup:
         return [e for e in self.elements if not e.op.is_identity_op()]
 
     def as_lines(self) -> list[str]:
-        return [e.as_line() for e in self.elements]
+        return [str(e) for e in self.elements]
 
 
 def close(generators) -> StabilizerGroup:
@@ -144,50 +140,45 @@ def close(generators) -> StabilizerGroup:
     return StabilizerGroup(n, table.values())
 
 
-@dataclass
-class StabilizeReport:
-    """Outcome of replaying every element against the codeword pair."""
-
-    violations: list[dict] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def verify_stabilizes(group: StabilizerGroup, v0: StateVector,
-                      v1: StateVector) -> StabilizeReport:
-    """Check eigensign(op, v0) == sign0 and eigensign(op, v1) == sign1 exactly."""
-    report = StabilizeReport()
+                      v1: StateVector) -> list[dict]:
+    """Check eigensign(op, v0) == sign0 and eigensign(op, v1) == sign1 exactly.
+
+    Returns one record per element whose signs disagree; empty when every
+    element stabilizes the codewords with its declared signs.
+    """
+    violations = []
     for e in group:
         got0 = eigensign(e.op, v0)
         got1 = eigensign(e.op, v1)
         if got0 != e.sign0 or got1 != e.sign1:
-            report.violations.append({
+            violations.append({
                 "op": str(e.op),
                 "expected": (e.sign0, e.sign1),
                 "observed": (got0, got1),
             })
-    return report
+    return violations
 
 
 def invariant_subgroup(group: StabilizerGroup) -> StabilizerGroup:
     """Elements whose sign is the same on both codewords.
 
-    Verified to be closed and of index 1 or 2; in an Abelian group that is
-    all the structure there is to check.
+    Closed with close(), so it refuses what close() refuses (anticommuting
+    or sign-inconsistent elements); the closure must add nothing, and the
+    subgroup must have index 1 or 2.  In an Abelian group that is all the
+    structure there is to check.
     """
-    stable = StabilizerGroup(group.n, [e for e in group if e.sign_stable])
-    for a in stable:
-        for b in stable:
-            if stable.find(a.op * b.op) is None:
-                raise SignConflictError(
-                    f"sign-stable elements are not closed: {a.op} · {b.op}")
-    index = len(group) // len(stable)
-    if index * len(stable) != len(group) or index not in (1, 2):
+    stable = [e for e in group if e.sign_stable]
+    closed = close(stable)
+    if len(closed) > len(stable):
         raise SignConflictError(
-            f"sign-stable subset has impossible index {len(group)}/{len(stable)}")
-    return stable
+            f"sign-stable elements are not closed: {len(stable)} generate "
+            f"{len(closed)}")
+    index = len(group) // len(closed)
+    if index * len(closed) != len(group) or index not in (1, 2):
+        raise SignConflictError(
+            f"sign-stable subset has impossible index {len(group)}/{len(closed)}")
+    return closed
 
 
 @dataclass

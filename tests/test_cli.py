@@ -134,6 +134,13 @@ def test_ks_budget_exhaustion_exits_3(capsys):
     assert code == 3
 
 
+def test_steane_search_budget_exhaustion_exits_3(capsys):
+    code = main(["steane-search", "--max", "10", "--budget", "100"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "budget exhausted: parity search exhausted its budget at size 1 of 10")
+
+
 def test_ks_dump_set(ks_dump_run):
     assert ks_dump_run.code == 0
     assert json.loads(ks_dump_run.out)["details"]["dump"] == str(ks_dump_run.path)

@@ -107,17 +107,17 @@ def test_empty_determinations():
 def test_pentagon_contradiction_both_codewords(five):
     for ws in (0, 1):
         report = check_parity_contradiction(canonical_pentagon_instance(five, ws))
-        assert report.all_even
+        assert report.all_multiplicities_even
         assert report.eigenvalue_product == -1
-        assert report.matrix_product == "-IIIII"
+        assert report.operator_product == "-IIIII"
         assert report.contradiction
         # every symbol that appears does so exactly twice
-        assert set(report.multiplicities.values()) == {2}
+        assert set(report.symbol_multiplicities.values()) == {2}
 
 
 def test_pentagon_symbol_count(five):
     report = check_parity_contradiction(canonical_pentagon_instance(five, 0))
-    assert len(report.multiplicities) == 10   # five z symbols, five x symbols
+    assert len(report.symbol_multiplicities) == 10   # five z symbols, five x symbols
 
 
 def test_pentagon_description(five):
@@ -126,6 +126,15 @@ def test_pentagon_description(five):
     assert desc["sides"][0]["measurements"] == ["sigma_1x", "sigma_2z", "sigma_3x"]
     assert desc["sides"][0]["value_on_codeword0"] == -1
     assert desc["closing_relation"]["value_on_codeword0"] == +1
+
+
+@pytest.mark.parametrize("name", ["steane", "mermin"])
+def test_pentagon_needs_the_five_qubit_group(name):
+    code = code_by_name(name)
+    with pytest.raises(ValueError, match="ZZZZZ is not a group element"):
+        pentagon_description(code)
+    with pytest.raises(ValueError, match="ZZZZZ is not a group element"):
+        canonical_pentagon_instance(code, 0)
 
 
 def test_parity_instance_rejects_wrong_sign(five):
@@ -141,7 +150,7 @@ def test_mermin_ghz_instance(mermin):
     report = check_parity_contradiction(inst)
     assert report.contradiction
     assert report.eigenvalue_product == -1
-    assert set(report.multiplicities.values()) == {2}
+    assert set(report.symbol_multiplicities.values()) == {2}
 
 
 def test_canonical_array_layout():

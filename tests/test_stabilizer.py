@@ -72,7 +72,7 @@ def test_close_detects_sign_conflicts_only_a_product_reveals():
     with pytest.raises(SignConflictError):
         close(gens + [StabilizerElement(parse("ZIZ"), -1, +1)])
     redundant = close(gens + [StabilizerElement(parse("ZIZ"), +1, +1)])
-    assert {e.as_line() for e in redundant} == \
+    assert {str(e) for e in redundant} == \
         {"+1 +1 III", "+1 +1 ZZI", "+1 +1 IZZ", "+1 +1 ZIZ"}
 
 
@@ -107,23 +107,21 @@ def test_verify_stabilizes_all_pass(five, five_group, monkeypatch):
         return eigensign(op, state)
 
     monkeypatch.setattr(stabilizer, "eigensign", counting_eigensign)
-    report = verify_stabilizes(five_group, five.codeword0, five.codeword1)
-    assert report.ok
+    assert verify_stabilizes(five_group, five.codeword0, five.codeword1) == []
     assert len(calls) == 2 * 32
 
 
 def test_verify_stabilizes_reports_violations(five):
     # claiming +1 on codeword 1 for the all-Z operator is wrong
     bogus = StabilizerGroup(5, [StabilizerElement(parse("ZZZZZ"), +1, +1)])
-    report = verify_stabilizes(bogus, five.codeword0, five.codeword1)
-    assert not report.ok
-    assert report.violations[0]["op"] == "ZZZZZ"
-    assert report.violations[0]["observed"] == (+1, -1)
+    violations = verify_stabilizes(bogus, five.codeword0, five.codeword1)
+    assert violations == [{"op": "ZZZZZ", "expected": (+1, +1),
+                           "observed": (+1, -1)}]
 
 
 def test_verify_identity_only_group(five):
     trivial = StabilizerGroup(5, [StabilizerElement(parse("IIIII"), +1, +1)])
-    assert verify_stabilizes(trivial, five.codeword0, five.codeword1).ok
+    assert verify_stabilizes(trivial, five.codeword0, five.codeword1) == []
 
 
 def test_invariant_subgroup_five(five_group):
@@ -145,6 +143,39 @@ def test_invariant_subgroup_mermin(mermin):
 def test_invariant_subgroup_trivial_when_all_stable():
     g = close([StabilizerElement(parse("ZZ"), +1, +1)])
     assert len(invariant_subgroup(g)) == len(g)
+
+
+def _hand_built(n, *elements):
+    """A StabilizerGroup taken as given: no closure, no sign check."""
+    return StabilizerGroup(n, [StabilizerElement(parse(text), s0, s1)
+                               for text, s0, s1 in elements])
+
+
+def test_invariant_subgroup_refuses_signs_that_imply_minus_identity():
+    # ZIIII · IZIII = ZZIII at (+1, +1), not the listed (-1, -1)
+    group = _hand_built(5, ("IIIII", +1, +1), ("ZIIII", +1, +1),
+                        ("IZIII", +1, +1), ("ZZIII", -1, -1))
+    with pytest.raises(SignConflictError, match="ZZIII"):
+        invariant_subgroup(group)
+
+
+def test_invariant_subgroup_refuses_anticommuting_elements():
+    group = _hand_built(1, ("I", +1, +1), ("X", +1, +1), ("Y", +1, +1),
+                        ("Z", +1, +1))
+    with pytest.raises(NonCommutingGeneratorsError):
+        invariant_subgroup(group)
+
+
+@pytest.mark.parametrize("elements", [
+    # not closed: ZIIII · IZIII = ZZIII is missing
+    [("IIIII", +1, +1), ("ZIIII", +1, +1), ("IZIII", +1, +1)],
+    # only the identity is sign-stable: index 4
+    [("IIIII", +1, +1), ("ZIIII", +1, -1), ("IZIII", +1, -1),
+     ("ZZIII", -1, +1)],
+])
+def test_invariant_subgroup_refuses_open_or_small_stable_sets(elements):
+    with pytest.raises(SignConflictError):
+        invariant_subgroup(_hand_built(5, *elements))
 
 
 def test_knill_laflamme_five_qubit(five):
