@@ -150,7 +150,7 @@ def _cmd_verify_code(args) -> Report:
           and all(r["fails_as_expected"] for r in must_fail_results))
     details = {
         "checks": checks,
-        "group": group.as_lines(),
+        "group": [str(e) for e in group],
         "invariant_subgroup": [str(e.op) for e in stable],
         "violations": violations,
         "error_correction_failures": kl.failures,
@@ -312,13 +312,7 @@ def _cmd_steane_search(args) -> Report:
 def _cmd_selftest(args) -> Report:
     results = run_all(seed=args.seed)
     ok = all(r.ok for r in results)
-    details = {
-        "seed": args.seed,
-        "suites": [
-            {"name": r.name, "trials": r.trials, "ok": r.ok, "detail": r.detail}
-            for r in results
-        ],
-    }
+    details = {"seed": args.seed, "suites": [asdict(r) for r in results]}
     return Report("selftest", VERDICT_PASS if ok else VERDICT_FAIL,
                   details=details)
 

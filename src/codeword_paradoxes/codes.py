@@ -183,13 +183,14 @@ def steane_code() -> CodeDefinition:
     )
 
 
-CODE_NAMES = ("five", "mermin", "steane")
+_CODES = {"five": five_qubit_code,
+          "mermin": mermin_code,
+          "steane": steane_code}
+CODE_NAMES = tuple(_CODES)
 
 
 def code_by_name(name: str) -> CodeDefinition:
     try:
-        return {"five": five_qubit_code,
-                "mermin": mermin_code,
-                "steane": steane_code}[name]()
+        return _CODES[name]()
     except KeyError:
         raise ValueError(f"unknown code {name!r}; choose from {CODE_NAMES}") from None

@@ -191,6 +191,10 @@ class OrthogonalityGraph:
     """
 
     def __init__(self, vertices: list[KSVertex]):
+        for i, v in enumerate(vertices):
+            if any(len(u) != _DIM for u in v.ivecs):
+                raise ValueError(f"vertex {i}: spanning vectors must have "
+                                 f"{_DIM} entries")
         nv = len(vertices)
         spans = [[(sum(1 << k for k, a in enumerate(u) if a), u)
                   for u in v.ivecs] for v in vertices]
@@ -379,18 +383,24 @@ def ks_colorability(adj: list[int], contexts: list[int],
     visits neighbours in ascending id and each vertex's contexts in list
     order, and stops at the first conflict.  Returns UNSAT with
     statistics, or SAT with the mask of true vertices (checked before it
-    is returned).  Raises ValueError on an empty context or on one with a
-    vertex beyond len(adj).
+    is returned).  Raises ValueError on an empty context, and on a context
+    or an adjacency mask with a vertex beyond len(adj).
     """
     nv = len(adj)
+
+    def check_within(mask: int, what: str) -> None:
+        if mask >> nv:
+            raise ValueError(f"{what} has vertex "
+                             f"{nv + bit_indices(mask >> nv)[0]}, beyond the "
+                             f"{nv} vertices")
+
+    for i, mask in enumerate(adj):
+        check_within(mask, f"adjacency mask {i}")
     member_ctxs: list[list[int]] = [[] for _ in range(nv)]
     for k, ctx in enumerate(contexts):
         if not ctx:
             raise ValueError(f"context {k} is empty")
-        if ctx >> nv:
-            raise ValueError(f"context {k} has vertex "
-                             f"{nv + bit_indices(ctx >> nv)[0]}, beyond the "
-                             f"{nv} vertices")
+        check_within(ctx, f"context {k}")
         for vid in bit_indices(ctx):
             member_ctxs[vid].append(ctx)
 

@@ -19,7 +19,7 @@ from math import comb
 from .codes import CodeDefinition
 from .errors import BudgetExceededError, NonHermitianError
 from .pauli import PauliString, from_letters, identity, single_site
-from .stabilizer import StabilizerElement, StabilizerGroup
+from .stabilizer import StabilizerElement, StabilizerGroup, codeword_index
 from .statevector import StateVector, eigensign
 
 __all__ = [
@@ -65,20 +65,20 @@ class Determination:
 
 def find_determinations(group: StabilizerGroup, site: int, letter: str,
                         which_state: int = 0) -> list[Determination]:
-    """All group elements carrying `letter` at `site`, split into witnesses."""
+    """All group elements carrying `letter` at `site`, split into witnesses.
+
+    The group keeps its elements sorted by key, and clearing the one site
+    they all share keeps that order, so the witnesses come out sorted.
+    """
     if letter not in ("X", "Y", "Z"):
         raise ValueError(f"target letter must be X, Y or Z, not {letter!r}")
-    out = []
-    n = group.n
-    if not 1 <= site <= n:
-        raise ValueError(f"site {site} out of range 1..{n}")
-    other_sites = [k for k in range(1, n + 1) if k != site]
-    for e in group:
-        if e.op.letter(site) == letter:
-            out.append(Determination(e.op.restrict(other_sites),
-                                     e.sign(which_state)))
-    out.sort(key=lambda d: d.witness.key())
-    return out
+    codeword_index(which_state)
+    target = single_site(group.n, site, letter)
+    bit = target.x | target.z
+    return [Determination(PauliString(group.n, 0, e.op.x & ~bit, e.op.z & ~bit),
+                          e.sign(which_state))
+            for e in group
+            if (e.op.x & bit, e.op.z & bit) == (target.x, target.z)]
 
 
 def compatible_pairs(determinations) -> list[tuple[Determination, Determination]]:

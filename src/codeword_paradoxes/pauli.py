@@ -139,15 +139,6 @@ class PauliString:
         return frozenset(k for k in range(1, self.n + 1)
                          if m & (1 << (self.n - k)))
 
-    def restrict(self, sites: Iterable[int]) -> "PauliString":
-        """Keep letters on the given 1-based sites, identity elsewhere, phase 0."""
-        keep = 0
-        for k in sites:
-            if not 1 <= k <= self.n:
-                raise ValueError(f"site {k} out of range 1..{self.n}")
-            keep |= 1 << (self.n - k)
-        return PauliString(self.n, 0, self.x & keep, self.z & keep)
-
     # -- identity / ordering -------------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -85,9 +85,6 @@ class StabilizerGroup:
     def non_identity(self) -> list[StabilizerElement]:
         return [e for e in self.elements if not e.op.is_identity_op()]
 
-    def as_lines(self) -> list[str]:
-        return [str(e) for e in self.elements]
-
 
 def close(generators) -> StabilizerGroup:
     """Smallest multiplicatively closed sign-consistent set containing the input.
@@ -125,15 +122,8 @@ def close(generators) -> StabilizerGroup:
                     f"({existing.sign0},{existing.sign1}) and ({g.sign0},{g.sign1})")
             continue
         for a in list(table.values()):
-            prod = a.op * g.op
-            if prod.phase_exp == 0:
-                flip = +1
-            elif prod.phase_exp == 2:
-                flip = -1
-            else:
-                # cannot happen for commuting Hermitian operators
-                raise NonHermitianError(
-                    f"product {a.op} · {g.op} is not Hermitian")
+            prod = a.op * g.op   # the factors commute: phase_exp is 0 or 2
+            flip = 1 - prod.phase_exp
             table[(prod.x, prod.z)] = StabilizerElement(
                 prod.bare(), a.sign0 * g.sign0 * flip, a.sign1 * g.sign1 * flip)
 
@@ -189,7 +179,7 @@ class KnillLaflammeReport:
     diagonal matrix elements must agree.
     """
 
-    pairs_checked: int = 0
+    pairs_checked: int
     failures: list[dict] = field(default_factory=list)
 
     @property
@@ -209,13 +199,12 @@ def knill_laflamme_check(v0: StateVector, v1: StateVector,
     errors = list(errors)
     left = [(apply(a, v0), apply(a, v1)) for a in map(_adjoint, errors)]
     right = [(apply(e, v0), apply(e, v1)) for e in errors]
-    report = KnillLaflammeReport()
+    report = KnillLaflammeReport(pairs_checked=len(errors) ** 2)
     for ea, (l0, l1) in zip(errors, left):
         for eb, (r0, r1) in zip(errors, right):
             off = inner(l0, r1)
             d0 = inner(l0, r0)
             d1 = inner(l1, r1)
-            report.pairs_checked += 1
             if not off.is_zero() or d0 != d1:
                 report.failures.append({
                     "pair": (str(ea), str(eb)),

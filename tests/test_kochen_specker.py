@@ -403,6 +403,20 @@ def test_colorability_rejects_a_context_beyond_the_vertices(ks_vertices):
         ks_colorability(adj, [(1 << 32) - 1, 1 << 40])
 
 
+def test_colorability_rejects_an_adjacency_mask_beyond_the_vertices():
+    with pytest.raises(ValueError, match="adjacency mask 0 has vertex 1, "
+                                         "beyond the 1 vertices"):
+        ks_colorability([0b10], [0b1])
+
+
+def test_graph_rejects_spanning_vectors_of_the_wrong_length(ks_vertices):
+    for entries in (16, 33):
+        bad = KSVertex(("classical", "odd"), ((1,) + (0,) * (entries - 1),))
+        with pytest.raises(ValueError, match="vertex 1: spanning vectors "
+                                             "must have 32 entries"):
+            build_orthogonality_graph([ks_vertices[0], bad])
+
+
 def _counts(verdict):
     return verdict.decisions, verdict.propagations, verdict.conflicts
 

@@ -104,6 +104,24 @@ def test_empty_determinations():
     assert find_determinations(trivial, 1, "X") == []
 
 
+def test_determinations_check_the_codeword_before_any_match():
+    from codeword_paradoxes.stabilizer import StabilizerElement, close
+    group = close([StabilizerElement(parse("ZZ"), 1, 1)])
+    for letter in ("X", "Z"):   # X matches no element, Z matches ZZ
+        with pytest.raises(ValueError, match="which_state must be 0 or 1, not 7"):
+            find_determinations(group, 1, letter, which_state=7)
+
+
+@pytest.mark.parametrize("name", ["five", "mermin", "steane"])
+def test_determinations_come_sorted_by_witness_key(name):
+    code = code_by_name(name)
+    for site in range(1, code.n + 1):
+        for letter in "XYZ":
+            witnesses = [d.witness for d in
+                         find_determinations(code.group(), site, letter)]
+            assert witnesses == sorted(witnesses, key=lambda w: w.key())
+
+
 def test_pentagon_contradiction_both_codewords(five):
     for ws in (0, 1):
         report = check_parity_contradiction(canonical_pentagon_instance(five, ws))

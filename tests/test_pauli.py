@@ -148,15 +148,6 @@ def test_parse_errors():
 def test_support_and_restrict():
     p = parse("IXZXI")
     assert p.support() == frozenset({2, 3, 4})
-    assert parse("XZIZX").restrict([2, 3, 4, 5]) == parse("IZIZX")
-    assert identity(5).restrict([1, 2]) == identity(5)
-    # restriction zeroes the phase
-    assert parse("-ZZZZZ").restrict([1]).phase_exp == 0
-
-
-def test_restrict_rejects_bad_site():
-    with pytest.raises(ValueError):
-        parse("XX").restrict([3])
 
 
 def test_letter_rejects_out_of_range_sites():

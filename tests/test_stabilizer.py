@@ -261,7 +261,7 @@ def test_knill_laflamme_applies_each_error_once_per_side(monkeypatch, name,
 
 
 def test_group_serialization_lines(five_group):
-    lines = five_group.as_lines()
+    lines = [str(e) for e in five_group]
     assert "+1 +1 IIIII" in lines
     assert "+1 -1 ZZZZZ" in lines
     assert "-1 +1 IXZXI" in lines
