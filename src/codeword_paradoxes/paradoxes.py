@@ -326,8 +326,8 @@ class ArrayReport:
 
 
 def _product(ops) -> PauliString:
-    prod = identity(ops[0].n)
-    for op in ops:
+    prod = ops[0]
+    for op in ops[1:]:
         prod = prod * op
     return prod
 
@@ -427,7 +427,7 @@ def search_parity_contradictions(code: CodeDefinition, which_state: int,
     Each element maps to its _parity_vector: its (site, letter) symbols
     over GF(2) plus its sign bit.  The contradictions are exactly the
     subsets whose vectors XOR to _ODD_SIGNS.  Tier t (subsets of size t)
-    visits each (t-1)-subset once and costs comb(n, t-1) nodes.  The tiers
+    costs comb(n, t-1) nodes, one per (t-1)-subset it settles.  The tiers
     that fit node_budget are fixed before anything is enumerated, so each
     is completed atomically and the result is deterministic.
 
@@ -470,10 +470,12 @@ def search_parity_contradictions(code: CodeDefinition, which_state: int,
 def _completed_tiers(n: int, max_subset: int, node_budget: int) -> tuple[int, int]:
     """(largest size t whose tiers 2..t fit node_budget, their node cost).
 
-    Tier t costs comb(n, t-1), one node per (t-1)-subset.  Sizes 0 and 1
-    are vacuously complete: a non-identity element has at least one odd
-    letter multiplicity.  No subset is larger than n, so once tier n+1
-    (the single n-subset) fits, every larger tier is complete at no cost.
+    Tier t costs comb(n, t-1): one node per (t-1)-subset, whose extensions
+    by a later element size t settles.  The cost counts those subsets, not
+    the steps _contradiction_subsets takes.  Sizes 0 and 1 are vacuously
+    complete: a non-identity element has at least one odd letter
+    multiplicity.  No subset is larger than n, so once tier n+1 (the single
+    n-subset) fits, every larger tier is complete at no cost.
     """
     complete_to = min(1, max_subset)
     used = 0
@@ -492,28 +494,35 @@ def _contradiction_subsets(vecs, max_size: int) -> list[tuple[int, ...]]:
     """Every subset of size 2..max_size whose vectors XOR to _ODD_SIGNS, as
     increasing index tuples, each found exactly once.
 
-    The vectors are distinct, so a subset XORs to _ODD_SIGNS exactly when
-    its smaller members XOR to v ^ _ODD_SIGNS for the vector v of an
-    element whose index comes after all of them.  A depth-first walk over
-    the subsets of size 1..max_size-1 carries their running XOR and finds
-    each such subset by one lookup; it visits each of those subsets once,
-    which is the node count of _completed_tiers.
+    A subset XORs to _ODD_SIGNS exactly when its members before the last two,
+    i < j, XOR to vecs[i] ^ vecs[j] ^ _ODD_SIGNS.  tails maps that value to
+    the j of every pair, by decreasing i; the vectors are distinct, so each
+    j gives back its i through index.  A depth-first walk over the subsets
+    of size 0..max_size-2 carries their running XOR and last index, and
+    reads each subset off tails until i falls to or below that index.
     """
-    last = {v ^ _ODD_SIGNS: i for i, v in enumerate(vecs)}
-    if len(last) != len(vecs):
+    index = {v: i for i, v in enumerate(vecs)}
+    if len(index) != len(vecs):
         raise ValueError("parity vectors are not distinct")
+    if max_size < 2:
+        return []
     n = len(vecs)
+    tails: dict[int, list[int]] = {}
+    for i in range(n - 2, -1, -1):
+        vi = vecs[i] ^ _ODD_SIGNS
+        for j in range(i + 1, n):
+            tails.setdefault(vi ^ vecs[j], []).append(j)
     found: list[tuple[int, ...]] = []
 
-    def extend(prefix: tuple[int, ...], r: int) -> None:
-        deeper = len(prefix) + 2 < max_size
-        for i in range(prefix[-1] + 1 if prefix else 0, n):
-            ri = r ^ vecs[i]
-            if last.get(ri, -1) > i:
-                found.append(prefix + (i, last[ri]))
-            if deeper:
-                extend(prefix + (i,), ri)
+    def extend(prefix: tuple[int, ...], r: int, after: int) -> None:
+        for j in tails.get(r, ()):
+            i = index[r ^ _ODD_SIGNS ^ vecs[j]]
+            if i <= after:
+                break
+            found.append(prefix + (i, j))
+        if len(prefix) + 2 < max_size:
+            for k in range(after + 1, n):
+                extend(prefix + (k,), r ^ vecs[k], k)
 
-    if max_size >= 2:
-        extend((), 0)
+    extend((), 0, -1)
     return found

@@ -20,7 +20,6 @@ from .errors import DimensionMismatchError, PauliFormatError
 __all__ = [
     "PauliString",
     "LETTERS",
-    "letter_mul",
     "identity",
     "from_letters",
     "single_site",
@@ -33,22 +32,7 @@ LETTERS = ("I", "X", "Y", "Z")
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
 
-# letter_mul table: (a, b) -> (product letter, t) with a·b = i**t · product.
-_MUL: dict[tuple[str, str], tuple[str, int]] = {}
-for _a in LETTERS:
-    _MUL[("I", _a)] = (_a, 0)
-    _MUL[(_a, "I")] = (_a, 0)
-    _MUL[(_a, _a)] = ("I", 0)
-for _a, _b, _c in (("X", "Y", "Z"), ("Y", "Z", "X"), ("Z", "X", "Y")):
-    _MUL[(_a, _b)] = (_c, 1)   # e.g. X·Y = iZ
-    _MUL[(_b, _a)] = (_c, 3)   # e.g. Y·X = -iZ
-
 _TEXT_RE = re.compile(r"^([+-])?(i)?([IXYZ]+)$")
-
-
-def letter_mul(a: str, b: str) -> tuple[str, int]:
-    """Single-site product a·b = i**t · c, returned as (c, t)."""
-    return _MUL[(a, b)]
 
 
 class PauliString:
@@ -60,12 +44,12 @@ class PauliString:
         if n <= 0:
             raise ValueError("qubit count must be positive")
         mask = (1 << n) - 1
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "phase_exp", phase_exp & 3)
-        object.__setattr__(self, "x", x & mask)
-        object.__setattr__(self, "z", z & mask)
+        _set_n(self, n)
+        _set_phase_exp(self, phase_exp & 3)
+        _set_x(self, x & mask)
+        _set_z(self, z & mask)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
+    def __setattr__(self, name, value):
         raise AttributeError("PauliString is immutable")
 
     # -- views -------------------------------------------------------------
@@ -104,7 +88,8 @@ class PauliString:
         """The product, its phase in closed form from the bit masks.
 
         Each letter is i**(x·z) X**x Z**z and Z**z X**x = (-1)**(x·z) X**x Z**z,
-        so the site-by-site phases of letter_mul sum to these popcounts.
+        so the single-site phases (X·Y = iZ and its cyclic shifts) sum to
+        these popcounts.
         """
         if self.n != other.n:
             raise DimensionMismatchError(
@@ -162,6 +147,12 @@ class PauliString:
 
     def __repr__(self) -> str:
         return f"PauliString({str(self)!r})"
+
+
+_set_n = PauliString.n.__set__
+_set_phase_exp = PauliString.phase_exp.__set__
+_set_x = PauliString.x.__set__
+_set_z = PauliString.z.__set__
 
 
 def identity(n: int) -> PauliString:

@@ -438,17 +438,48 @@ def test_contradiction_subsets_requires_distinct_vectors():
 
 
 def test_contradiction_subsets_match_every_subset():
-    """Seeded random lists of distinct small vectors: the walk finds each
-    subset of size 2..max_size that XORs to the sign bit, once."""
+    """Seeded random lists of up to 12 distinct vectors below 256, so that
+    pair XORs collide in the last-pair table and its early break runs on
+    mixed lists: the walk finds each subset of size 2..max_size that XORs
+    to the sign bit, once."""
     rng = random.Random(11)
     for _trial in range(300):
-        vecs = rng.sample(range(64), rng.randint(0, 9))
+        vecs = rng.sample(range(256), rng.randint(0, 12))
         max_size = rng.randint(0, len(vecs) + 1)
         expected = [idxs for size in range(2, max_size + 1)
                     for idxs in combinations(range(len(vecs)), size)
                     if reduce(xor, (vecs[i] for i in idxs)) == paradoxes._ODD_SIGNS]
         got = paradoxes._contradiction_subsets(vecs, max_size)
         assert sorted(got) == sorted(expected)
+
+
+def _last_element_subsets(vecs, max_size):
+    """Reference walk: each subset found by one lookup of its last member,
+    at the end of a depth-first walk over its smaller members."""
+    last = {v ^ paradoxes._ODD_SIGNS: i for i, v in enumerate(vecs)}
+    found = []
+
+    def extend(prefix, r):
+        for i in range(prefix[-1] + 1 if prefix else 0, len(vecs)):
+            ri = r ^ vecs[i]
+            if last.get(ri, -1) > i:
+                found.append(prefix + (i, last[ri]))
+            if len(prefix) + 2 < max_size:
+                extend(prefix + (i,), ri)
+
+    if max_size >= 2:
+        extend((), 0)
+    return found
+
+
+@pytest.mark.parametrize("name, max_size", [("steane", 4), ("five", 6)])
+def test_contradiction_subsets_match_the_last_element_walk(name, max_size):
+    code = code_by_name(name)
+    for ws in (0, 1):
+        vecs = [paradoxes._parity_vector(e.op, e.sign(ws))
+                for e in code.group().non_identity()]
+        got = paradoxes._contradiction_subsets(vecs, max_size)
+        assert sorted(got) == sorted(_last_element_subsets(vecs, max_size))
 
 
 def _even_completion(n, ops):

@@ -6,14 +6,24 @@ import pytest
 from codeword_paradoxes import dense
 from codeword_paradoxes.errors import DimensionMismatchError, PauliFormatError
 from codeword_paradoxes.pauli import (LETTERS, PauliString, from_letters,
-                                      identity, letter_mul, parse, single_site)
+                                      identity, parse, single_site)
 from codeword_paradoxes.selftest import random_pauli
+
+# Reference single-site products: (a, b) -> (c, t) with a·b = i**t · c.
+_MUL: dict[tuple[str, str], tuple[str, int]] = {}
+for _a in LETTERS:
+    _MUL[("I", _a)] = (_a, 0)
+    _MUL[(_a, "I")] = (_a, 0)
+    _MUL[(_a, _a)] = ("I", 0)
+for _a, _b, _c in (("X", "Y", "Z"), ("Y", "Z", "X"), ("Z", "X", "Y")):
+    _MUL[(_a, _b)] = (_c, 1)   # e.g. X·Y = iZ
+    _MUL[(_b, _a)] = (_c, 3)   # e.g. Y·X = -iZ
 
 
 def test_letter_table_matches_dense_matrices():
     for a in LETTERS:
         for b in LETTERS:
-            c, t = letter_mul(a, b)
+            c, t = _MUL[(a, b)]
             fast = dense.pauli_matrix(from_letters(c, t))
             slow = dense.mat_mul(dense.pauli_matrix(from_letters(a)),
                                  dense.pauli_matrix(from_letters(b)))
@@ -44,11 +54,11 @@ def test_five_qubit_product_phase_against_dense_oracle():
 
 
 def _site_by_site_product(a, b):
-    """Reference product: fold letter_mul over the sites, adding phases."""
+    """Reference product: fold _MUL over the sites, adding phases."""
     phase = a.phase_exp + b.phase_exp
     letters = []
     for la, lb in zip(a.letters, b.letters):
-        c, t = letter_mul(la, lb)
+        c, t = _MUL[(la, lb)]
         letters.append(c)
         phase += t
     return from_letters(letters, phase)
@@ -65,6 +75,16 @@ def test_product_matches_site_by_site_letter_table():
         a, b = (PauliString(7, rng.randrange(4), rng.getrandbits(7),
                             rng.getrandbits(7)) for _ in range(2))
         assert a * b == _site_by_site_product(a, b), (a, b)
+
+
+def test_constructor_masks_its_fields_and_the_string_is_immutable():
+    p = PauliString(3, 7, 0b11010, -1)
+    assert (p.n, p.phase_exp, p.x, p.z) == (3, 3, 0b010, 0b111)
+    assert PauliString(3, -1, 0, 0).phase_exp == 3
+    for name in ("n", "phase_exp", "x", "z", "other"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(p, name, 0)
+    assert str(p) == "-iZYZ"
 
 
 def test_dimension_mismatch():
