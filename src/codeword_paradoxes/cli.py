@@ -123,18 +123,18 @@ def _int_at_least(low: int):
 def _cmd_verify_code(args) -> Report:
     code = code_by_name(args.code)
     group = code.group()
-    violations = verify_stabilizes(group, code.codeword0, code.codeword1)
+    v0, v1 = code.codeword(0), code.codeword(1)
+    violations = verify_stabilizes(group, v0, v1)
     stable = invariant_subgroup(group)
-    kl = knill_laflamme_check(code.codeword0, code.codeword1, code.correctable)
+    kl = knill_laflamme_check(v0, v1, code.correctable)
     must_fail_results = []
     for err in code.must_fail:
-        probe = knill_laflamme_check(code.codeword0, code.codeword1,
-                                     list(code.correctable) + [err])
+        probe = knill_laflamme_check(v0, v1, list(code.correctable) + [err])
         must_fail_results.append({"error": str(err), "fails_as_expected": not probe.ok})
 
     checks = {
         "group_order": {"expected": code.expected_group_order, "got": len(group)},
-        "codewords_orthogonal": inner(code.codeword0, code.codeword1).is_zero(),
+        "codewords_orthogonal": inner(v0, v1).is_zero(),
         "all_elements_stabilize": not violations,
         "invariant_subgroup_order": {"expected": code.expected_stable_order,
                                      "got": len(stable)},

@@ -1,11 +1,14 @@
 """Concrete code definitions: five-qubit, three-qubit GHZ-type, seven-qubit.
 
-Each definition carries exact codewords, sign-decorated generators, and the
-structural expectations the rest of the package asserts against (group
-order, invariant-subgroup order, correctable error sets).  Codewords are
-stored unnormalized where the physical normalization is irrational; the
-norm2 field records the exact squared norm of what is stored, and every
-consumer is normalization-independent.
+Each definition is its sign-decorated generators plus the structural
+expectations the rest of the package asserts against (group order,
+invariant-subgroup order, correctable error sets).  The codewords are not
+stored: codeword j is the vector the closed group fixes with its signs on
+codeword j, derived once per definition.  It is left unnormalized, with
+amplitude 1 on the first ket of its support and 0 or a power of i
+everywhere else, so it stays exact; every consumer is
+normalization-independent.  The paper's ket listings are kept in the tests,
+which check each derived codeword against them.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .dyadic import Dyadic, ZERO
+from .dyadic import Dyadic
 from .pauli import PauliString, identity, parse, single_site
 from .stabilizer import StabilizerElement, StabilizerGroup, close, codeword_index
-from .statevector import StateVector
+from .statevector import StateVector, inner
 
 __all__ = ["CodeDefinition", "five_qubit_code", "mermin_code", "steane_code",
            "code_by_name", "CODE_NAMES", "single_qubit_errors"]
@@ -26,9 +29,6 @@ __all__ = ["CodeDefinition", "five_qubit_code", "mermin_code", "steane_code",
 class CodeDefinition:
     name: str
     n: int
-    codeword0: StateVector
-    codeword1: StateVector
-    norm2: int                      # exact squared norm of the stored codewords
     generators: tuple[StabilizerElement, ...]
     expected_group_order: int
     expected_stable_order: int      # size of the sign-stable subgroup
@@ -44,7 +44,55 @@ class CodeDefinition:
         return close(self.generators)
 
     def codeword(self, which_state: int) -> StateVector:
-        return self.codeword1 if codeword_index(which_state) else self.codeword0
+        """The vector the group fixes with its which_state signs, built once."""
+        index = codeword_index(which_state)   # before any derivation
+        return self._codewords[index]
+
+    @cached_property
+    def _codewords(self) -> tuple[StateVector, StateVector]:
+        group = self.group()
+        if len(group) != 1 << self.n:
+            raise ValueError(
+                f"{self.name}: {len(group)} group elements on {self.n} qubits "
+                f"fix a space of dimension {(1 << self.n) // len(group)} per "
+                f"codeword, not one vector")
+        return _fixed_vector(group, 0), _fixed_vector(group, 1)
+
+    @property
+    def norm2(self) -> int:
+        """<v|v> for either codeword: the size of its support, since each
+        amplitude is 0 or a power of i."""
+        return inner(self.codeword(0), self.codeword(0)).re
+
+
+# g|k> is i**t |k ^ x> for a bare g, t = (number of Ys) + 2·parity(k & z),
+# as in statevector.apply; these are i**t as (re, im).
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def _fixed_vector(group: StabilizerGroup, which_state: int) -> StateVector:
+    """Sum of s_g·g|k> over the group, for the first basis ket |k> that the
+    sum does not annihilate, divided by its amplitude at k.
+
+    With |G| = 2**n the sum is |G|·|c><c|k> for the one vector c that every
+    g fixes with sign s_g.  It is nonzero exactly when k is in c's support,
+    that is when every X-free element fixes |k> with its sign, and its
+    amplitude at k is |G|·|<c|k>|**2, a power of two.  So the result has
+    amplitude 1 at k and 0 or a power of i elsewhere.
+    """
+    dim = 1 << group.n
+    signed = [(e.op, e.sign(which_state)) for e in group]
+    diagonal = [(op.z, s) for op, s in signed if not op.x]
+    k = next(k for k in range(dim)
+             if all((-1) ** (k & z).bit_count() == s for z, s in diagonal))
+    re, im = [0] * dim, [0] * dim
+    for op, s in signed:
+        t = (op.x & op.z).bit_count() + 2 * (k & op.z).bit_count()
+        dr, di = _I_POWERS[t & 3]
+        re[k ^ op.x] += s * dr
+        im[k ^ op.x] += s * di
+    exp = re[k].bit_length() - 1
+    return StateVector(group.n, (Dyadic(r, i, exp) for r, i in zip(re, im)))
 
 
 def single_qubit_errors(n: int) -> tuple[PauliString, ...]:
@@ -60,26 +108,6 @@ def single_qubit_errors(n: int) -> tuple[PauliString, ...]:
 # five-qubit code
 # ---------------------------------------------------------------------------
 
-# The sixteen signed kets of the logical zero; amplitude magnitude 1/4.
-_FIVE_MINUS = ("00000", "11000", "01100", "00110", "00011", "10001")
-_FIVE_PLUS = ("10010", "10100", "01001", "01010", "00101",
-              "11110", "11101", "11011", "10111", "01111")
-
-
-def _five_codeword(complemented: bool) -> StateVector:
-    amps = [ZERO] * 32
-    for label in _FIVE_MINUS:
-        amps[_ket_index(label, complemented)] = Dyadic(-1, 0, 2)
-    for label in _FIVE_PLUS:
-        amps[_ket_index(label, complemented)] = Dyadic(1, 0, 2)
-    return StateVector(5, amps)
-
-
-def _ket_index(label: str, complemented: bool) -> int:
-    j = int(label, 2)
-    return j ^ 0b11111 if complemented else j
-
-
 @lru_cache(maxsize=None)
 def five_qubit_code() -> CodeDefinition:
     base = parse("XZIZX")
@@ -88,9 +116,6 @@ def five_qubit_code() -> CodeDefinition:
     return CodeDefinition(
         name="five",
         n=5,
-        codeword0=_five_codeword(False),
-        codeword1=_five_codeword(True),
-        norm2=1,
         generators=tuple(gens),
         expected_group_order=32,
         expected_stable_order=16,
@@ -102,14 +127,6 @@ def five_qubit_code() -> CodeDefinition:
 # ---------------------------------------------------------------------------
 # three-qubit GHZ-type code (corrects one bit flip, nothing else)
 # ---------------------------------------------------------------------------
-
-
-def _ghz_state(sign: int) -> StateVector:
-    amps = [ZERO] * 8
-    amps[0b000] = Dyadic(1)
-    amps[0b111] = Dyadic(sign)
-    return StateVector(3, amps)
-
 
 @lru_cache(maxsize=None)
 def mermin_code() -> CodeDefinition:
@@ -124,9 +141,6 @@ def mermin_code() -> CodeDefinition:
     return CodeDefinition(
         name="mermin",
         n=3,
-        codeword0=_ghz_state(+1),
-        codeword1=_ghz_state(-1),
-        norm2=2,
         generators=gens,
         expected_group_order=8,
         expected_stable_order=4,
@@ -143,23 +157,6 @@ def mermin_code() -> CodeDefinition:
 _HAMMING_ROWS = ("1010101", "0110011", "0001111")
 
 
-def _hamming_dual_words() -> list[int]:
-    """The eight bitmasks spanned by the parity-check rows."""
-    masks = [int(r, 2) for r in _HAMMING_ROWS]
-    span = {0}
-    for m in masks:
-        span |= {s ^ m for s in span}
-    return sorted(span)
-
-
-def _steane_codeword(complemented: bool) -> StateVector:
-    amps = [ZERO] * 128
-    flip = 0b1111111 if complemented else 0
-    for w in _hamming_dual_words():
-        amps[w ^ flip] = Dyadic(1)
-    return StateVector(7, amps)
-
-
 def _row_operator(row: str, letter: str) -> PauliString:
     return parse("".join(letter if c == "1" else "I" for c in row))
 
@@ -172,9 +169,6 @@ def steane_code() -> CodeDefinition:
     return CodeDefinition(
         name="steane",
         n=7,
-        codeword0=_steane_codeword(False),
-        codeword1=_steane_codeword(True),
-        norm2=8,
         generators=tuple(gens),
         expected_group_order=128,
         expected_stable_order=64,

@@ -1,9 +1,9 @@
 """Exact complex numbers with power-of-two denominators.
 
 Every amplitude this package ever constructs is of the form
-(a + b*i) / 2**k with integers a, b, k >= 0: codeword amplitudes are
-quarters, projector spanning vectors have integer or quarter entries, and
-Pauli action only multiplies by powers of i and permutes entries.  Staying
+(a + b*i) / 2**k with integers a, b, k >= 0: codeword amplitudes are 0 or
+powers of i, projector spanning vectors have integer or quarter entries,
+and Pauli action only multiplies by powers of i and permutes entries.  Staying
 inside this ring makes every comparison exact; there is no epsilon anywhere.
 
 Every value is kept in lowest terms: exp == 0, or at least one of re, im

@@ -57,9 +57,9 @@ class KSVertex:
       ("row", row_index, m, n, z_sign)
     and determines the projector uniquely.  ivecs is the only stored form:
     mutually orthogonal integer spanning vectors equal to the amplitudes
-    times 2**scale_exp (scale_exp is 2 for mutation vectors, whose
-    amplitudes are quarters, and 0 otherwise).  The exact vectors are built
-    from them on demand.
+    times 2**scale_exp (scale_exp is 2 for mutation vectors, whose sixteen
+    nonzero amplitudes are ±1/4 at unit norm, and 0 otherwise).  The exact
+    vectors are built from them on demand.
     """
 
     provenance: tuple
@@ -90,16 +90,10 @@ class KSVertex:
         return f"row{r}[m={m:+d},n={n:+d},z={s:+d}]"
 
 
-def _int_vector(v: StateVector, scale_exp: int) -> tuple[int, ...]:
-    out = []
-    for a in v.amps:
-        if not a.is_real():
-            raise ValueError("spanning vectors must be phase-canonical (real)")
-        scaled = a.half_power(-scale_exp)
-        if scaled.exp != 0:
-            raise ValueError("amplitude does not scale to an integer")
-        out.append(scaled.re)
-    return tuple(out)
+def _int_vector(v: StateVector) -> tuple[int, ...]:
+    if any(a.im or a.exp for a in v.amps):
+        raise ValueError("spanning vectors must have real integer amplitudes")
+    return tuple(a.re for a in v.amps)
 
 
 def build_ks_set() -> list[KSVertex]:
@@ -115,7 +109,7 @@ def build_ks_set() -> list[KSVertex]:
         base = code.codeword(cw)
         texts: dict[tuple[int, ...], str] = {}
         for op in single_qubit_errors(5):
-            vec = _int_vector(apply(op, base).phase_canonical(), 2)
+            vec = _int_vector(apply(op, base).phase_canonical())
             texts.setdefault(vec, _error_label(op))
         if len(texts) != 16:
             raise AssertionError(

@@ -6,8 +6,11 @@ produces (for instance X·Z = -iY per site) is folded into those eigenvalues
 during closure, so the operator table stays canonical and deduplication is a
 plain dictionary lookup on the letter masks.
 
-Signs are never trusted from transcription alone: verify_stabilizes replays
-every element against the actual codewords, which are the ground truth.
+The signs are the ground truth: each code's codewords are derived from them
+(codes.CodeDefinition.codeword), and verify_stabilizes replays every element
+against those vectors by an independent route, Pauli action and eigensign.
+The paper's ket listings are checked against the derived codewords in the
+tests.
 """
 
 from __future__ import annotations

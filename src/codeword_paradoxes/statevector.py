@@ -8,13 +8,12 @@ statement below is decided by exact comparison.
 
 from __future__ import annotations
 
-from .dyadic import Dyadic, ZERO, ONE
+from .dyadic import Dyadic, ZERO
 from .errors import DimensionMismatchError, NonHermitianError
 from .pauli import PauliString
 
 __all__ = [
     "StateVector",
-    "basis_ket",
     "apply",
     "eigensign",
     "inner",
@@ -72,14 +71,6 @@ class StateVector:
     def __repr__(self) -> str:
         body = ", ".join(f"|{label}> {amp}" for label, amp in self.to_pairs())
         return f"StateVector({body or '0'})"
-
-
-def basis_ket(n: int, label) -> StateVector:
-    """Basis vector from an integer index or a '01001'-style label."""
-    index = int(label, 2) if isinstance(label, str) else label
-    amps = [ZERO] * (1 << n)
-    amps[index] = ONE
-    return StateVector(n, amps)
 
 
 def _same_n(u, v) -> None:

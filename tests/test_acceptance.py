@@ -76,7 +76,7 @@ def test_criterion_1_stabilizer_verification(monkeypatch):
         code = five_qubit_code()
         group = code.group()
         assert len(group) == 32
-        assert verify_stabilizes(group, code.codeword0, code.codeword1) == []
+        assert verify_stabilizes(group, code.codeword(0), code.codeword(1)) == []
         assert len(calls) == 2 * 32
         # reference sign table: (sign on |0_L>, sign on |1_L>)
         reference = {"XZIZX": (+1, +1), "YXIXY": (+1, +1), "ZYIYZ": (+1, +1),
@@ -103,10 +103,10 @@ def test_criterion_2_mermin_code():
             "YYX": (-1, +1), "XXX": (+1, -1), "ZZI": (+1, +1),
             "ZIZ": (+1, +1), "IZZ": (+1, +1),
         }
-        bitflips = knill_laflamme_check(code.codeword0, code.codeword1,
+        bitflips = knill_laflamme_check(code.codeword(0), code.codeword(1),
                                         code.correctable)
         assert bitflips.ok
-        phase = knill_laflamme_check(code.codeword0, code.codeword1,
+        phase = knill_laflamme_check(code.codeword(0), code.codeword(1),
                                      list(code.correctable)
                                      + [single_site(3, 1, "Z")])
         assert not phase.ok
@@ -198,7 +198,7 @@ def test_criterion_6_ks_set_construction():
                     op = op * single_site(5, 4, d)
                 if e != "I":
                     op = op * single_site(5, 5, e)
-                w = apply(op, code.codeword1)
+                w = apply(op, code.codeword(1))
                 for v in m_eq_n:
                     assert all(inner(s, w).is_zero()
                                for s in v.vectors)

@@ -10,9 +10,9 @@ from codeword_paradoxes.pauli import parse
 from codeword_paradoxes.statevector import StateVector, eigensign, inner
 
 
-def test_five_qubit_amplitudes(five):
+def test_five_qubit_amplitudes(five_listing):
     quarter = Dyadic(1, 0, 2)
-    amps = five.codeword0.amps
+    amps = five_listing[0].amps
     assert amps[0b10010] == quarter
     assert amps[0b11000] == -quarter
     assert amps[0b00000] == -quarter
@@ -21,30 +21,33 @@ def test_five_qubit_amplitudes(five):
 
 
 def test_five_qubit_codeword1_is_bit_complement(five):
+    # the derived words are -4 and 4 times the paper's, hence the minus sign
     for j in range(32):
-        assert five.codeword1.amps[j] == five.codeword0.amps[j ^ 0b11111]
+        assert five.codeword(1).amps[j] == -five.codeword(0).amps[j ^ 0b11111]
 
 
 def test_five_qubit_codewords_cyclically_invariant(five):
-    for word in (five.codeword0, five.codeword1):
+    for word in (five.codeword(0), five.codeword(1)):
         shifted = [word.amps[((j >> 1) | ((j & 1) << 4))] for j in range(32)]
         assert StateVector(5, shifted) == word
 
 
-def test_codeword_norms(five, mermin, steane):
-    assert inner(five.codeword0, five.codeword0) == ONE
-    assert inner(mermin.codeword0, mermin.codeword0) == Dyadic(mermin.norm2)
-    assert inner(steane.codeword0, steane.codeword0) == Dyadic(steane.norm2)
+def test_codeword_norms(five_listing, five, mermin, steane):
+    assert inner(five_listing[0], five_listing[0]) == ONE
+    assert inner(mermin.codeword(0), mermin.codeword(0)) == Dyadic(mermin.norm2)
+    assert inner(steane.codeword(0), steane.codeword(0)) == Dyadic(steane.norm2)
+    assert (five.norm2, mermin.norm2, steane.norm2) == (16, 2, 8)
     for code in (five, mermin, steane):
-        assert inner(code.codeword0, code.codeword1).is_zero()
+        assert inner(code.codeword(1), code.codeword(1)) == Dyadic(code.norm2)
+        assert inner(code.codeword(0), code.codeword(1)).is_zero()
 
 
 def test_mermin_signs(mermin):
-    for state in (mermin.codeword0, mermin.codeword1):
+    for state in (mermin.codeword(0), mermin.codeword(1)):
         assert eigensign(parse("ZZI"), state) == +1
-    assert eigensign(parse("XXX"), mermin.codeword0) == +1
-    assert eigensign(parse("XXX"), mermin.codeword1) == -1
-    assert eigensign(parse("XYY"), mermin.codeword0) == -1
+    assert eigensign(parse("XXX"), mermin.codeword(0)) == +1
+    assert eigensign(parse("XXX"), mermin.codeword(1)) == -1
+    assert eigensign(parse("XYY"), mermin.codeword(0)) == -1
 
 
 def test_mermin_group_order(mermin):
@@ -75,8 +78,8 @@ def test_steane_sign_pattern_histogram(steane):
 
 
 def test_steane_codeword_support(steane):
-    support0 = {j for j, a in enumerate(steane.codeword0.amps) if not a.is_zero()}
-    support1 = {j for j, a in enumerate(steane.codeword1.amps) if not a.is_zero()}
+    support0 = {j for j, a in enumerate(steane.codeword(0).amps) if not a.is_zero()}
+    support1 = {j for j, a in enumerate(steane.codeword(1).amps) if not a.is_zero()}
     assert len(support0) == 8 and len(support1) == 8
     assert not support0 & support1
     assert 0 in support0 and 0b1111111 in support1
@@ -110,7 +113,8 @@ def test_code_by_name():
 
 @pytest.mark.parametrize("which_state", [-1, 2, 5])
 def test_codeword_takes_only_0_or_1(five, which_state):
-    assert (five.codeword(0), five.codeword(1)) == (five.codeword0, five.codeword1)
+    assert [eigensign(parse("ZZZZZ"), five.codeword(w)) for w in (0, 1)] == [+1, -1]
+    assert five.codeword(0) is five.codeword(0)
     with pytest.raises(ValueError, match="which_state must be 0 or 1"):
         five.codeword(which_state)
 
@@ -123,3 +127,25 @@ def test_group_closes_its_own_generators(five):
     custom = replace(five, name="custom")
     assert [str(e) for e in custom.group()] == [str(e) for e in five.group()]
     assert five.group() is five.group()
+
+
+def test_codeword_needs_a_full_group(five):
+    # four elements on five qubits fix an 8-dimensional space, not one vector
+    two = replace(five, generators=five.generators[:2])
+    for which_state in (0, 1):
+        with pytest.raises(ValueError, match="fix a space of dimension 8 "):
+            two.codeword(which_state)
+    with pytest.raises(ValueError, match="which_state must be 0 or 1"):
+        two.codeword(2)
+
+
+@pytest.mark.parametrize("name, factors", [("five", (-4, 4)),
+                                           ("mermin", (1, 1)),
+                                           ("steane", (1, 1))])
+def test_derived_codewords_are_the_paper_listings(paper_codewords, name,
+                                                 factors):
+    code = code_by_name(name)
+    for which_state, factor in enumerate(factors):
+        listing = paper_codewords[name][which_state]
+        scaled = StateVector(code.n, (a * Dyadic(factor) for a in listing.amps))
+        assert code.codeword(which_state) == scaled

@@ -175,7 +175,7 @@ def test_row3_m_equals_n_family_orthogonal_to_codeword1_mutations(ks_vertices):
                 op = op * single_site(5, 4, d)
             if e != "I":
                 op = op * single_site(5, 5, e)
-            w = apply(op, code.codeword1)
+            w = apply(op, code.codeword(1))
             for v in family:
                 assert all(inner(s, w).is_zero() for s in v.vectors)
 
@@ -186,7 +186,7 @@ def test_row3_m_equals_n_family_orthogonal_to_odd_codeword0_mutations(ks_vertice
               if v.provenance[2] == v.provenance[3]]
     for site, letter in ((1, "Y"), (1, "Z"), (2, "X"), (2, "Y"),
                          (3, "Y"), (3, "Z")):
-        w = apply(single_site(5, site, letter), code.codeword0)
+        w = apply(single_site(5, site, letter), code.codeword(0))
         for v in family:
             assert all(inner(s, w).is_zero() for s in v.vectors)
 

@@ -68,7 +68,7 @@ def test_determination_soundness(five, five_group):
     from codeword_paradoxes.statevector import eigensign
     for d in find_determinations(five_group, 1, "X"):
         element = single_site(5, 1, "X") * d.witness
-        assert eigensign(element, five.codeword0) == d.predicted_product
+        assert eigensign(element, five.codeword(0)) == d.predicted_product
 
 
 def test_compatible_pairs_match_known_count(five_group):
@@ -156,7 +156,7 @@ def test_pentagon_needs_the_five_qubit_group(name):
 
 
 def test_parity_instance_rejects_wrong_sign(five):
-    inst = ParityInstance(five.codeword0,
+    inst = ParityInstance(five.codeword(0),
                           ((parse("ZZZZZ"), -1),))   # actual eigensign is +1
     with pytest.raises(ValueError):
         check_parity_contradiction(inst)
@@ -282,7 +282,7 @@ def test_search_tiny_bounds(five, steane):
 
 def test_check_rejects_empty_instance(five):
     with pytest.raises(ValueError):
-        check_parity_contradiction(ParityInstance(five.codeword0, ()))
+        check_parity_contradiction(ParityInstance(five.codeword(0), ()))
 
 
 def test_search_steane_finds_small_subsets(steane):
@@ -341,12 +341,14 @@ def test_five_qubit_size4_matches_pair_bucket_oracle(five, five_group):
         assert _size4_instances(res) == expected
 
 
-def test_search_rejects_codewords_that_contradict_the_group(steane, five):
+def test_search_rejects_codewords_that_contradict_the_group(steane, five,
+                                                            monkeypatch):
     # with the codewords swapped, the first element whose sign differs
     # between them is declared with the wrong eigenvalue
     for code, max_subset in ((steane, 4), (five, 6)):
-        swapped = replace(code, codeword0=code.codeword1,
-                          codeword1=code.codeword0)
+        swapped = replace(code)
+        monkeypatch.setitem(vars(swapped), "codeword",
+                            lambda w, code=code: code.codeword(1 - w))
         first = next(e.op for e in code.group().non_identity()
                      if e.sign0 != e.sign1)
         with pytest.raises(ValueError, match=f"^{first} is not a"):

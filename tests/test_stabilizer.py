@@ -107,21 +107,21 @@ def test_verify_stabilizes_all_pass(five, five_group, monkeypatch):
         return eigensign(op, state)
 
     monkeypatch.setattr(stabilizer, "eigensign", counting_eigensign)
-    assert verify_stabilizes(five_group, five.codeword0, five.codeword1) == []
+    assert verify_stabilizes(five_group, five.codeword(0), five.codeword(1)) == []
     assert len(calls) == 2 * 32
 
 
 def test_verify_stabilizes_reports_violations(five):
     # claiming +1 on codeword 1 for the all-Z operator is wrong
     bogus = StabilizerGroup(5, [StabilizerElement(parse("ZZZZZ"), +1, +1)])
-    violations = verify_stabilizes(bogus, five.codeword0, five.codeword1)
+    violations = verify_stabilizes(bogus, five.codeword(0), five.codeword(1))
     assert violations == [{"op": "ZZZZZ", "expected": (+1, +1),
                            "observed": (+1, -1)}]
 
 
 def test_verify_identity_only_group(five):
     trivial = StabilizerGroup(5, [StabilizerElement(parse("IIIII"), +1, +1)])
-    assert verify_stabilizes(trivial, five.codeword0, five.codeword1) == []
+    assert verify_stabilizes(trivial, five.codeword(0), five.codeword(1)) == []
 
 
 def test_invariant_subgroup_five(five_group):
@@ -179,17 +179,17 @@ def test_invariant_subgroup_refuses_open_or_small_stable_sets(elements):
 
 
 def test_knill_laflamme_five_qubit(five):
-    report = knill_laflamme_check(five.codeword0, five.codeword1,
+    report = knill_laflamme_check(five.codeword(0), five.codeword(1),
                                   single_qubit_errors(5))
     assert report.ok
     assert report.pairs_checked == 256
 
 
 def test_knill_laflamme_mermin_bit_flips_only(mermin):
-    ok = knill_laflamme_check(mermin.codeword0, mermin.codeword1,
+    ok = knill_laflamme_check(mermin.codeword(0), mermin.codeword(1),
                               mermin.correctable)
     assert ok.ok and ok.pairs_checked == 16
-    with_phase = knill_laflamme_check(mermin.codeword0, mermin.codeword1,
+    with_phase = knill_laflamme_check(mermin.codeword(0), mermin.codeword(1),
                                       list(mermin.correctable)
                                       + [single_site(3, 1, "Z")])
     assert not with_phase.ok
@@ -198,7 +198,7 @@ def test_knill_laflamme_mermin_bit_flips_only(mermin):
 
 
 def test_knill_laflamme_steane(steane):
-    report = knill_laflamme_check(steane.codeword0, steane.codeword1,
+    report = knill_laflamme_check(steane.codeword(0), steane.codeword(1),
                                   single_qubit_errors(7))
     assert report.ok
     assert report.pairs_checked == 484
@@ -237,9 +237,9 @@ def _kl_error_lists():
 def test_knill_laflamme_matches_per_pair_products():
     failing = 0
     for code, errors in _kl_error_lists():
-        report = knill_laflamme_check(code.codeword0, code.codeword1, errors)
+        report = knill_laflamme_check(code.codeword(0), code.codeword(1), errors)
         assert (report.pairs_checked, report.failures) == \
-            _knill_laflamme_per_pair(code.codeword0, code.codeword1, errors)
+            _knill_laflamme_per_pair(code.codeword(0), code.codeword(1), errors)
         failing += not report.ok
     assert failing == 2   # the mermin Z probe and the phased list
 
@@ -256,7 +256,7 @@ def test_knill_laflamme_applies_each_error_once_per_side(monkeypatch, name,
 
     monkeypatch.setattr(stabilizer, "apply", counting_apply)
     code = code_by_name(name)
-    knill_laflamme_check(code.codeword0, code.codeword1, code.correctable)
+    knill_laflamme_check(code.codeword(0), code.codeword(1), code.correctable)
     assert len(calls) == applies == 4 * len(code.correctable)
 
 

@@ -7,8 +7,15 @@ from codeword_paradoxes.dyadic import Dyadic, I_UNIT, ONE, ZERO
 from codeword_paradoxes.errors import DimensionMismatchError, NonHermitianError
 from codeword_paradoxes.pauli import from_letters, identity, parse, single_site
 from codeword_paradoxes.selftest import random_pauli, random_state
-from codeword_paradoxes.statevector import (StateVector, apply, basis_ket,
-                                            eigensign, inner)
+from codeword_paradoxes.statevector import StateVector, apply, eigensign, inner
+
+
+def basis_ket(n: int, label) -> StateVector:
+    """Basis vector from an integer index or a '01001'-style label."""
+    index = int(label, 2) if isinstance(label, str) else label
+    amps = [ZERO] * (1 << n)
+    amps[index] = ONE
+    return StateVector(n, amps)
 
 
 def test_basis_ket_labels():
@@ -19,13 +26,13 @@ def test_basis_ket_labels():
 
 
 def test_apply_identity(five):
-    assert apply(parse("IIIII"), five.codeword0) == five.codeword0
+    assert apply(parse("IIIII"), five.codeword(0)) == five.codeword(0)
 
 
 def test_apply_stabilizer_and_antistabilizer(five):
-    assert apply(parse("XZIZX"), five.codeword0) == five.codeword0
+    assert apply(parse("XZIZX"), five.codeword(0)) == five.codeword(0)
     # sigma_1x sigma_2z sigma_3x flips the sign of the logical zero
-    assert apply(parse("XZXII"), five.codeword0) == -five.codeword0
+    assert apply(parse("XZXII"), five.codeword(0)) == -five.codeword(0)
 
 
 def test_apply_single_qubit_conventions():
@@ -39,7 +46,7 @@ def test_apply_single_qubit_conventions():
 
 def test_apply_dimension_mismatch(five):
     with pytest.raises(DimensionMismatchError):
-        apply(parse("XX"), five.codeword0)
+        apply(parse("XX"), five.codeword(0))
 
 
 def test_apply_matches_dense_oracle():
@@ -62,19 +69,19 @@ def test_apply_composition_small_n():
 
 
 def test_eigensign_table_entries(five):
-    assert eigensign(parse("IXZXI"), five.codeword0) == -1
-    assert eigensign(parse("IXZXI"), five.codeword1) == +1
-    assert eigensign(parse("XYZYX"), five.codeword0) == +1
-    assert eigensign(parse("ZZZZZ"), five.codeword1) == -1
+    assert eigensign(parse("IXZXI"), five.codeword(0)) == -1
+    assert eigensign(parse("IXZXI"), five.codeword(1)) == +1
+    assert eigensign(parse("XYZYX"), five.codeword(0)) == +1
+    assert eigensign(parse("ZZZZZ"), five.codeword(1)) == -1
 
 
 def test_eigensign_none_for_non_eigenvector(five):
-    assert eigensign(single_site(5, 1, "Z"), five.codeword0) is None
+    assert eigensign(single_site(5, 1, "Z"), five.codeword(0)) is None
 
 
 def test_eigensign_requires_hermitian(five):
     with pytest.raises(NonHermitianError):
-        eigensign(parse("iZZZZZ"), five.codeword0)
+        eigensign(parse("iZZZZZ"), five.codeword(0))
 
 
 def _times_i(v):
@@ -82,18 +89,19 @@ def _times_i(v):
 
 
 def test_eigensign_global_phase_invariant(five):
-    rotated = _times_i(five.codeword0)
-    assert rotated.amps[0] == five.codeword0.amps[0] * I_UNIT
+    rotated = _times_i(five.codeword(0))
+    assert rotated.amps[0] == five.codeword(0).amps[0] * I_UNIT
     assert eigensign(parse("XZIZX"), rotated) == +1
     assert eigensign(parse("IXZXI"), rotated) == -1
 
 
-def test_inner_products(five):
-    assert inner(five.codeword0, five.codeword0) == ONE
-    assert inner(five.codeword0, five.codeword1) == ZERO
-    assert inner(basis_ket(5, "00000"), five.codeword0) == Dyadic(-1, 0, 2)
+def test_inner_products(five_listing):
+    zero, one = five_listing
+    assert inner(zero, zero) == ONE
+    assert inner(zero, one) == ZERO
+    assert inner(basis_ket(5, "00000"), zero) == Dyadic(-1, 0, 2)
     with pytest.raises(DimensionMismatchError):
-        inner(basis_ket(2, 0), five.codeword0)
+        inner(basis_ket(2, 0), zero)
 
 
 def test_inner_conjugate_linearity():
@@ -123,15 +131,15 @@ def test_classical_basis_resolves_identity():
 
 
 def test_projector_matrix_idempotent(five):
-    m = dense.projector_matrix([five.codeword0.amps, five.codeword1.amps])
+    m = dense.projector_matrix([five.codeword(0).amps, five.codeword(1).amps])
     assert dense.mat_eq(dense.mat_mul(m, m), m)
     # Hermitian: entry (i,j) is the conjugate of (j,i)
     dim = len(m)
     assert all(m[i][j] == m[j][i].conj() for i in range(dim) for j in range(dim))
 
 
-def test_serialization_round_trip(five):
-    pairs = five.codeword0.to_pairs()
+def test_serialization_round_trip(five_listing):
+    pairs = five_listing[0].to_pairs()
     assert ("00000", "-1/2^2") in pairs
     assert ("10010", "1/2^2") in pairs
     assert len(pairs) == 16
