@@ -13,7 +13,11 @@ turns an unfinished search into a hard error rather than a silent partial
 answer.  It tracks only the diagonal of the partial projector sum: the
 chosen projectors are pairwise orthogonal, so their sum is a projector, and
 a projector fixes basis ket j exactly when its (j, j) entry is 1 (the
-premises are checked when the tables are built; see _cover_tables).
+premises are checked when the tables are built; see _cover_tables).  A
+branch is cut at its branching ket j: whatever a completion adds at j
+comes from the vertices still open there and must fill j's missing diagonal
+entry exactly, so a branch whose open entries at j sum to less than that
+entry holds no context and stops.
 
 The coloring search works on the same vertex bitmasks.  Its clauses are one
 (not u or not v) per edge (KS1: orthogonal vertices are never both true)
@@ -228,16 +232,21 @@ def build_orthogonality_graph(vertices: list[KSVertex]) -> OrthogonalityGraph:
 
 
 _FIELD_BITS = 8  # 16 times a projector's diagonal entry lies in [0, 16]
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
 _TARGET = sum(16 << (_FIELD_BITS * j) for j in range(_DIM))  # 16·diag(I)
 
 
-def _cover_tables(vertices: list[KSVertex]) -> tuple[list[int], list[int]]:
+def _cover_tables(vertices: list[KSVertex]
+                  ) -> tuple[list[int], list[list[tuple[int, int]]], list[int]]:
     """Packed-integer tables for exact-cover reasoning, scale 16: returns
-    (covers, deltas), indexed by basis ket and by vertex id.
+    (covers, entries, deltas), the first two indexed by basis ket, the last
+    by vertex id.
 
     deltas[i] is 16 times the diagonal of vertex i's projector, one 8-bit
     field per basis ket inside one integer.  covers[j] is the bitmask of
-    vertices whose projector does not annihilate basis ket j.
+    vertices whose projector does not annihilate basis ket j, and
+    entries[j] splits it by diagonal entry: one (16 times the entry, mask
+    of the vertices with that entry) pair per distinct nonzero entry.
 
     The diagonal is all the search needs.  It only ever adds pairwise
     orthogonal vertices (orthogonality is exact, from the graph), so the
@@ -250,7 +259,6 @@ def _cover_tables(vertices: list[KSVertex]) -> tuple[list[int], list[int]]:
     mutually orthogonal with one nonzero norm that divides 16, so that 16
     times the projector is the scaled sum of their outer products.
     """
-    covers = [0] * _DIM
     deltas: list[int] = []
     for i, v in enumerate(vertices):
         norms = {_ivec_dot(s, s) for s in v.ivecs}
@@ -263,14 +271,18 @@ def _cover_tables(vertices: list[KSVertex]) -> tuple[list[int], list[int]]:
             raise ValueError(f"vertex {i}: spanning vectors must be "
                              "mutually orthogonal")
         scale = 16 // norm
-        delta = 0
-        for s in v.ivecs:
-            for j, sj in enumerate(s):
-                if sj:
-                    covers[j] |= 1 << i
-                    delta += sj * sj * scale << (_FIELD_BITS * j)
-        deltas.append(delta)
-    return covers, deltas
+        deltas.append(sum(sj * sj * scale << (_FIELD_BITS * j)
+                          for s in v.ivecs for j, sj in enumerate(s) if sj))
+    covers: list[int] = []
+    entries: list[list[tuple[int, int]]] = []
+    for j in range(_DIM):
+        by_entry: dict[int, int] = {}
+        for i, delta in enumerate(deltas):
+            if entry := delta >> (_FIELD_BITS * j) & _FIELD_MASK:
+                by_entry[entry] = by_entry.get(entry, 0) | 1 << i
+        covers.append(sum(by_entry.values()))
+        entries.append(list(by_entry.items()))
+    return covers, entries, deltas
 
 
 def enumerate_contexts(graph: OrthogonalityGraph,
@@ -280,30 +292,24 @@ def enumerate_contexts(graph: OrthogonalityGraph,
 
     A context is the mask of its vertex ids; the list is ordered by the
     members' ids (bit_indices), not by the masks' integer values.  The
-    search always branches on the first basis ket the partial sum does
+    search always branches on the first basis ket j the partial sum does
     not yet reproduce, trying each compatible vertex that hits it and then
     excluding that vertex, so every context is produced exactly once.
-    Raises BudgetExceededError before returning any partial enumeration,
-    and ValueError when the vertices have more than two distinct ranks.
+
+    A branch stops as soon as the candidates still open at j cannot fill
+    j's missing diagonal entry.  Every vertex a completion could still add
+    at j is one of those candidates, and the completion's entries at j
+    must sum to exactly the missing entry, so when all the open entries
+    together fall short no completion exists.  Each tried candidate is
+    then excluded, so the open sum only falls and the loop ends at the
+    first shortfall.  Raises BudgetExceededError before returning any
+    partial enumeration.
     """
-    covers, deltas = _cover_tables(graph.vertices)
+    covers, entries, deltas = _cover_tables(graph.vertices)
     ranks = [v.rank for v in graph.vertices]
     adj = graph.adj
-    # The pruning weighs each vertex by its rank, summed inline over one
-    # mask per rank; a second rank that is absent weighs 0.
-    distinct = sorted(set(ranks))
-    if len(distinct) > 2:
-        raise ValueError(f"context enumeration takes at most two distinct "
-                         f"vertex ranks, not {distinct}")
-    ra, rb = (distinct + [0, 0])[:2]
-    mask_a = sum(1 << vid for vid, r in enumerate(ranks) if r == ra)
-    mask_b = sum(1 << vid for vid, r in enumerate(ranks) if r == rb)
-
     results: list[int] = []
     nodes = 0
-
-    def available_rank(mask: int) -> int:
-        return ra * (mask & mask_a).bit_count() + rb * (mask & mask_b).bit_count()
 
     def search(chosen: int, cov: int, allowed: int, rank_sum: int) -> None:
         nonlocal nodes
@@ -318,17 +324,19 @@ def enumerate_contexts(graph: OrthogonalityGraph,
             results.append(chosen)
             return
         j = ((diff & -diff).bit_length() - 1) // _FIELD_BITS
+        shift = _FIELD_BITS * j
+        missing = 16 - (cov >> shift & _FIELD_MASK)
         cands = allowed & covers[j]
-        while cands:
+        open_sum = sum(e * (cands & m).bit_count() for e, m in entries[j])
+        while open_sum >= missing:  # missing > 0, so cands is not empty
             low = cands & -cands
             vid = low.bit_length() - 1
             cands ^= low
             r = rank_sum + ranks[vid]
             if r <= _DIM:
-                nxt = allowed & adj[vid]
-                if r == _DIM or available_rank(nxt) >= _DIM - r:
-                    search(chosen | low, cov + deltas[vid], nxt, r)
+                search(chosen | low, cov + deltas[vid], allowed & adj[vid], r)
             allowed &= ~low
+            open_sum -= deltas[vid] >> shift & _FIELD_MASK
 
     search(0, 0, (1 << len(graph.vertices)) - 1, 0)
     results.sort(key=bit_indices)

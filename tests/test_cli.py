@@ -134,6 +134,12 @@ def test_ks_budget_exhaustion_exits_3(capsys):
     assert code == 3
 
 
+def test_ks_budget_is_exact_at_the_enumeration_node_count(capsys):
+    # the full enumeration takes exactly 4581 search nodes
+    assert main(["ks", "--budget", "4580"]) == 3
+    assert main(["ks", "--budget", "4581"]) == 0
+
+
 def test_steane_search_budget_exhaustion_exits_3(capsys):
     code = main(["steane-search", "--max", "10", "--budget", "100"])
     assert code == 3

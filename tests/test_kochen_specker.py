@@ -17,6 +17,7 @@ from codeword_paradoxes.statevector import apply, eigensign, inner
 
 EDGE_COUNT = 3084        # frozen from the first exhaustive pairwise run
 CONTEXT_COUNT = 39       # frozen from the first exhaustive enumeration
+CONTEXT_NODES = 4581     # search nodes of that enumeration, pinned exactly
 IDENTITY_MATRIX = dense.pauli_matrix(identity(5))
 
 
@@ -271,30 +272,49 @@ def test_contexts_are_exact_resolutions(ks_graph, ks_contexts):
         _assert_resolves_identity(_spanning(members))
 
 
-def test_rank4_contexts_against_independent_clique_search(ks_graph, ks_contexts):
-    """Dual route: all rank-4-only contexts are exactly the 8-cliques of the
-    induced 40-vertex subgraph, found here by plain Bron-Kerbosch."""
-    row_ids = _family_ids(ks_graph.vertices, "row")
-    sub = build_orthogonality_graph([ks_graph.vertices[i] for i in row_ids])
-    remap = {old: new for new, old in enumerate(row_ids)}
-    neighbors = {v: set(bit_indices(sub.adj[v])) for v in range(len(sub))}
-
+def _maximal_cliques(adj):
+    """Every maximal clique of the graph with adjacency masks adj, as a
+    frozenset of vertex ids, found by plain Bron-Kerbosch with pivoting."""
+    neighbors = [set(bit_indices(mask)) for mask in adj]
     cliques = []
 
-    def bron_kerbosch(clique, candidates, excluded):
+    def extend(clique, candidates, excluded):
         if not candidates and not excluded:
             cliques.append(frozenset(clique))
             return
         pivot = max(candidates | excluded,
                     key=lambda u: len(candidates & neighbors[u]))
         for v in sorted(candidates - neighbors[pivot]):
-            bron_kerbosch(clique | {v}, candidates & neighbors[v],
-                          excluded & neighbors[v])
+            extend(clique | {v}, candidates & neighbors[v],
+                   excluded & neighbors[v])
             candidates = candidates - {v}
             excluded = excluded | {v}
 
-    bron_kerbosch(set(), set(range(len(sub))), set())
-    eight_cliques = {c for c in cliques if len(c) == 8}
+    extend(set(), set(range(len(adj))), set())
+    return cliques
+
+
+def _contexts_by_clique_search(graph):
+    """The contexts of a graph found without the cover search: its maximal
+    cliques whose ranks sum to 32, as masks ordered like enumerate_contexts.
+
+    Pairwise-orthogonal projectors of total rank 32 sum to a rank-32
+    projector, which is I; and a clique with that sum is maximal, since
+    only the zero vector is orthogonal to every vector."""
+    verts = graph.vertices
+    return sorted((sum(1 << v for v in clique)
+                   for clique in _maximal_cliques(graph.adj)
+                   if sum(verts[v].rank for v in clique) == 32),
+                  key=bit_indices)
+
+
+def test_rank4_contexts_against_independent_clique_search(ks_graph, ks_contexts):
+    """Dual route: all rank-4-only contexts are exactly the 8-cliques of the
+    induced 40-vertex subgraph, found here by plain Bron-Kerbosch."""
+    row_ids = _family_ids(ks_graph.vertices, "row")
+    sub = build_orthogonality_graph([ks_graph.vertices[i] for i in row_ids])
+    remap = {old: new for new, old in enumerate(row_ids)}
+    eight_cliques = {c for c in _maximal_cliques(sub.adj) if len(c) == 8}
 
     back = {new: old for old, new in remap.items()}
     from_enumeration = {
@@ -307,15 +327,38 @@ def test_rank4_contexts_against_independent_clique_search(ks_graph, ks_contexts)
     assert all(back[v] in row_ids for c in eight_cliques for v in c)
 
 
+def test_contexts_against_maximal_clique_search(ks_graph, ks_contexts):
+    assert len(_maximal_cliques(ks_graph.adj)) == 479
+    assert _contexts_by_clique_search(ks_graph) == ks_contexts
+
+
+def _family_key(v):
+    return v.provenance[:1] if v.kind == "classical" else v.provenance[:2]
+
+
+@pytest.mark.parametrize("dropped", [
+    ("classical",), ("mutation", 0), ("mutation", 1),
+    *(("row", r) for r in range(2, 7))],
+    ids=["classical", "mutations0", "mutations1",
+         *(f"row{r}" for r in range(2, 7))])
+def test_sublist_contexts_against_maximal_clique_search(ks_vertices, dropped):
+    # dropping one family leaves contexts that must be completed across
+    # families, through entries of 1/16 (mutations) and 1/4 (rows)
+    keep = [v for v in ks_vertices if _family_key(v) != dropped]
+    graph = build_orthogonality_graph(keep)
+    contexts = enumerate_contexts(graph)
+    assert contexts and contexts == _contexts_by_clique_search(graph)
+
+
 def test_context_enumeration_budget_error(ks_graph):
     with pytest.raises(BudgetExceededError):
         enumerate_contexts(ks_graph, node_budget=10)
 
 
-def test_context_enumeration_takes_exactly_74093_nodes(ks_graph, ks_contexts):
+def test_context_enumeration_takes_exactly_4581_nodes(ks_graph, ks_contexts):
     with pytest.raises(BudgetExceededError):
-        enumerate_contexts(ks_graph, node_budget=74_092)
-    assert enumerate_contexts(ks_graph, node_budget=74_093) == ks_contexts
+        enumerate_contexts(ks_graph, node_budget=CONTEXT_NODES - 1)
+    assert enumerate_contexts(ks_graph, node_budget=CONTEXT_NODES) == ks_contexts
 
 
 def _block_vertices(*blocks):
@@ -327,6 +370,15 @@ def _block_vertices(*blocks):
             for i, (lo, hi) in enumerate(blocks)]
 
 
+def _tilings(blocks):
+    """The subsets of blocks that tile the 32 kets, by brute force over
+    all subsets, as masks ordered like enumerate_contexts."""
+    return sorted((mask for mask in range(1, 1 << len(blocks))
+                   if sorted(j for v in bit_indices(mask)
+                             for j in range(*blocks[v])) == list(range(32))),
+                  key=bit_indices)
+
+
 @pytest.mark.parametrize("blocks", [
     [(0, 8), (8, 16), (16, 32)],
     [(0, 8), (8, 16), (16, 24), (24, 32)],
@@ -336,17 +388,31 @@ def _block_vertices(*blocks):
 def test_contexts_weigh_each_vertex_by_its_own_rank(blocks):
     # blocks that tile the 32 kets resolve the identity whatever their ranks
     graph = build_orthogonality_graph(_block_vertices(*blocks))
-    tiles = [mask for mask in range(1, 1 << len(blocks))
-             if sorted(j for v in bit_indices(mask)
-                       for j in range(*blocks[v])) == list(range(32))]
-    assert tiles and enumerate_contexts(graph) == sorted(tiles, key=bit_indices)
+    tiles = _tilings(blocks)
+    assert tiles and enumerate_contexts(graph) == tiles
 
 
-def test_contexts_reject_three_distinct_ranks():
+def test_contexts_tile_blocks_of_three_ranks():
     graph = build_orthogonality_graph(
         _block_vertices((0, 1), (1, 4), (4, 32)))
-    with pytest.raises(ValueError, match="at most two distinct vertex ranks"):
-        enumerate_contexts(graph)
+    assert enumerate_contexts(graph) == [0b111]
+
+
+def test_contexts_match_brute_force_tilings_of_random_blocks():
+    rng = random.Random(18)
+    many_ranks = 0
+    for _ in range(400):
+        cuts = sorted(rng.sample(range(1, 32), rng.randint(1, 5)))
+        bounds = [0, *cuts, 32]
+        blocks = list(zip(bounds, bounds[1:]))
+        for _ in range(rng.randint(0, 3)):
+            lo, hi = sorted(rng.sample(range(33), 2))
+            blocks.append((lo, hi))
+        rng.shuffle(blocks)
+        graph = build_orthogonality_graph(_block_vertices(*blocks))
+        assert enumerate_contexts(graph) == _tilings(blocks), blocks
+        many_ranks += len({hi - lo for lo, hi in blocks}) >= 3
+    assert many_ranks >= 300
 
 
 def test_cover_tables_reject_non_orthogonal_spanning_vectors():
@@ -534,4 +600,5 @@ def test_verdict_stable_under_vertex_reordering(ks_vertices):
         graph = build_orthogonality_graph(shuffled)
         contexts = enumerate_contexts(graph)
         assert len(contexts) == CONTEXT_COUNT
+        assert contexts == _contexts_by_clique_search(graph)
         assert not ks_colorability(graph.adj, contexts).satisfiable
