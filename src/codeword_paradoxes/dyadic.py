@@ -98,9 +98,6 @@ class Dyadic:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def as_pow2(self) -> int | None:
         """If the value is a positive real power of two, return its exponent.
 

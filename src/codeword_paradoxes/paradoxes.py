@@ -285,8 +285,9 @@ class OperatorArray:
     declared_col_signs: tuple[int, ...]
 
     def __post_init__(self):
-        widths = {len(r) for r in self.rows}
-        if len(widths) != 1:
+        if not self.rows:
+            raise ValueError("operator array has no rows")
+        if len({len(r) for r in self.rows}) != 1:
             raise ValueError("ragged operator array")
         if not self.rows[0]:
             raise ValueError("operator array has no columns")
@@ -441,8 +442,10 @@ def search_parity_contradictions(code: CodeDefinition, which_state: int,
     pad otherwise-minimal subsets.  Subsets come smallest first, then in
     element index order.  The group keeps its elements sorted by op.key(),
     and they all have phase 0 and one length, so index order is the order
-    of their texts.
+    of their texts.  max_subset must be at least 1 (ValueError otherwise).
     """
+    if max_subset < 1:
+        raise ValueError(f"max_subset must be at least 1, got {max_subset}")
     state = code.codeword(which_state)
     elements = code.group().non_identity()
     signs = [e.sign(which_state) for e in elements]
@@ -477,7 +480,7 @@ def _completed_tiers(n: int, max_subset: int, node_budget: int) -> tuple[int, in
     multiplicity.  No subset is larger than n, so once tier n+1 (the single
     n-subset) fits, every larger tier is complete at no cost.
     """
-    complete_to = min(1, max_subset)
+    complete_to = 1
     used = 0
     for t in range(2, max_subset + 1):
         cost = comb(n, t - 1)

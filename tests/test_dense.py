@@ -1,5 +1,5 @@
-"""The dense oracle's zero-skipping kron and mat_mul against the index
-formulas they replaced."""
+"""The dense oracle's sparse-row kron and mat_mul against the index
+formulas on full matrices, and the canonical form mat_eq relies on."""
 
 import ast
 import random
@@ -9,8 +9,36 @@ from pathlib import Path
 import pytest
 
 from codeword_paradoxes import dense
-from codeword_paradoxes.dyadic import ONE, ZERO, Dyadic
+from codeword_paradoxes.dyadic import I_UNIT, ONE, ZERO, Dyadic
 from codeword_paradoxes.pauli import from_letters
+
+
+def sparse(m):
+    """A full tuple-of-tuples matrix in the oracle's sparse-row form."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if not x.is_zero())
+                 for row in m)
+
+
+def full(m):
+    """A sparse-row matrix written out in full, zeros included, once its
+    form is checked to be the canonical one that mat_eq relies on."""
+    assert_canonical(m)
+    rows = []
+    for row in m:
+        out = [ZERO] * len(m)
+        for j, x in row:
+            out[j] = x
+        rows.append(tuple(out))
+    return tuple(rows)
+
+
+def assert_canonical(m):
+    """Strictly increasing columns below the size, and no stored zero."""
+    for row in m:
+        cols = [j for j, _ in row]
+        assert all(0 <= j < len(m) for j in cols)
+        assert all(j < k for j, k in zip(cols, cols[1:]))
+        assert not any(x.is_zero() for _, x in row)
 
 
 def kron_by_index(a, b):
@@ -47,15 +75,17 @@ def test_kron_and_mat_mul_match_index_formulas(zero_share):
     for _ in range(150):
         a = random_matrix(rng, rng.randint(1, 4), zero_share)
         b = random_matrix(rng, rng.randint(1, 4), zero_share)
-        assert dense.kron(a, b) == kron_by_index(a, b)
+        assert full(dense.kron(sparse(a), sparse(b))) == kron_by_index(a, b)
         c = random_matrix(rng, len(a), zero_share)
-        assert dense.mat_mul(a, c) == mat_mul_by_index(a, c)
+        # the sums of mat_mul may cancel to zero
+        assert full(dense.mat_mul(sparse(a), sparse(c))) == \
+            mat_mul_by_index(a, c)
 
 
 def _by_index_pauli_matrix(p):
     m = ((ONE.times_i_power(p.phase_exp),),)
     for letter in p.letters:
-        m = kron_by_index(m, dense._LETTER_MATRIX[letter])
+        m = kron_by_index(m, full(dense._LETTER_MATRIX[letter]))
     return m
 
 
@@ -65,12 +95,12 @@ def test_every_pauli_matrix_matches_index_formulas(n):
                for ls in product("IXYZ", repeat=n) for t in range(4)]
     mats = {p: dense.pauli_matrix(p) for p in strings}
     for p in strings:
-        assert mats[p] == _by_index_pauli_matrix(p)
+        assert full(mats[p]) == _by_index_pauli_matrix(p)
     for p in strings:
         for q in strings:
             if q.phase_exp == 0:   # a phase on q only scales the product
-                assert dense.mat_mul(mats[p], mats[q]) == \
-                    mat_mul_by_index(mats[p], mats[q])
+                assert full(dense.mat_mul(mats[p], mats[q])) == \
+                    mat_mul_by_index(full(mats[p]), full(mats[q]))
 
 
 def test_dense_imports_nothing_from_statevector():
@@ -88,9 +118,14 @@ def test_dense_imports_nothing_from_statevector():
 
 def test_projector_matrix_divides_by_each_norm():
     half = Dyadic(1, 0, 1)
+    # the off-diagonal entries of the two outer products cancel
     m = dense.projector_matrix([(ONE, ONE), (ONE, Dyadic(-1))])
-    assert m == ((ONE, ZERO), (ZERO, ONE))
-    assert dense.projector_matrix([(ONE, ONE)]) == ((half, half), (half, half))
+    assert full(m) == ((ONE, ZERO), (ZERO, ONE))
+    assert full(dense.projector_matrix([(ONE, ONE)])) == \
+        ((half, half), (half, half))
+    # |s><s| puts s_i times the conjugate of s_j at (i, j)
+    assert full(dense.projector_matrix([(ONE, I_UNIT)])) == \
+        ((half, -half * I_UNIT), (half * I_UNIT, half))
     with pytest.raises(ValueError, match="not a power of two"):
         dense.projector_matrix([(ONE, ONE, ONE, ZERO)])
 
@@ -100,8 +135,8 @@ def test_mat_eq_compares_shapes():
     two_qubit = dense.pauli_matrix(from_letters("II"))
     assert not dense.mat_eq(one_qubit, two_qubit)
     assert not dense.mat_eq(two_qubit, one_qubit)
-    assert not dense.mat_eq(((ONE, ZERO),), ((ONE,),))
-    assert dense.mat_eq(one_qubit, ((ONE, ZERO), (ZERO, ONE)))
+    assert not dense.mat_eq(((),), ((), ()))
+    assert dense.mat_eq(one_qubit, (((0, ONE),), ((1, ONE),)))
 
 
 def test_mat_vec_rejects_wrong_length():

@@ -141,8 +141,9 @@ def test_rank4_projector_matrix_properties(ks_vertices):
     v = _row_family(ks_vertices, 3, m=+1, n=+1, s=+1)[0]
     m = dense.projector_matrix([s.amps for s in v.vectors])
     assert dense.mat_eq(dense.mat_mul(m, m), m)
-    assert all(m[i][j] == m[j][i].conj()
-               for i in range(32) for j in range(32))
+    # Hermitian: each stored (i, j) has its conjugate stored at (j, i)
+    entries = {(i, j): x for i, row in enumerate(m) for j, x in row}
+    assert all(entries.get((j, i)) == x.conj() for (i, j), x in entries.items())
 
 
 def test_rank4_acts_as_identity_on_untouched_qubits(ks_vertices):

@@ -243,6 +243,8 @@ def test_array_rejects_declared_signs_off_its_shape():
     with pytest.raises(ValueError, match="no columns"):
         OperatorArray(rows=((), ()), declared_row_signs=(+1, +1),
                       declared_col_signs=())
+    with pytest.raises(ValueError, match="no rows"):
+        OperatorArray(rows=(), declared_row_signs=(), declared_col_signs=())
 
 
 def test_search_five_qubit(five):
@@ -278,6 +280,9 @@ def test_search_tiny_bounds(five, steane):
     assert empty.instances == [] and empty.complete_to_size == 2
     tiny = search_parity_contradictions(steane, 0, 1)
     assert tiny.instances == [] and tiny.complete_to_size == 1
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            search_parity_contradictions(steane, 0, bad)
 
 
 def test_check_rejects_empty_instance(five):
@@ -408,6 +413,27 @@ def test_search_orders_by_size_then_element_index(name, max_subset):
         by_text = [(len(inst.members), [str(op) for op, _ in inst.members])
                    for inst in res.instances]
         assert by_text == sorted(by_text)
+
+
+@pytest.mark.parametrize("name, max_subset, count",
+                         [("steane", 4, 2016), ("five", 6, 812),
+                          ("mermin", 7, 2)])
+def test_both_codewords_give_the_same_contradiction_subsets(name, max_subset,
+                                                             count):
+    """When every symbol occurs an even number of times, the members'
+    operator product is +-I, and the product of their eigenvalues on a
+    codeword is that scalar on every codeword.  So whether a subset is a
+    contradiction does not depend on the codeword: the two searches return
+    the same operator lists in the same order, and only the members' signs
+    may differ."""
+    code = code_by_name(name)
+    ops = []
+    for ws in (0, 1):
+        res = search_parity_contradictions(code, ws, max_subset)
+        assert res.complete_to_size == max_subset
+        ops.append([[op for op, _ in inst.members] for inst in res.instances])
+    assert len(ops[0]) == count
+    assert ops[0] == ops[1]
 
 
 def test_three_qubit_search_matches_every_subset(mermin):

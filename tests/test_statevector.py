@@ -133,9 +133,9 @@ def test_classical_basis_resolves_identity():
 def test_projector_matrix_idempotent(five):
     m = dense.projector_matrix([five.codeword(0).amps, five.codeword(1).amps])
     assert dense.mat_eq(dense.mat_mul(m, m), m)
-    # Hermitian: entry (i,j) is the conjugate of (j,i)
-    dim = len(m)
-    assert all(m[i][j] == m[j][i].conj() for i in range(dim) for j in range(dim))
+    # Hermitian: each stored (i, j) has its conjugate stored at (j, i)
+    entries = {(i, j): x for i, row in enumerate(m) for j, x in row}
+    assert all(entries.get((j, i)) == x.conj() for (i, j), x in entries.items())
 
 
 def test_serialization_round_trip(five_listing):
