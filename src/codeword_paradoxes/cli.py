@@ -187,12 +187,10 @@ def _cmd_reality(args) -> Report:
 
 def _cmd_pentagon(args) -> Report:
     code = five_qubit_code()
-    per_state = {}
-    confirmed = True
-    for ws in (0, 1):
-        rep = check_parity_contradiction(canonical_pentagon_instance(code, ws))
-        confirmed &= rep.contradiction
-        per_state[f"codeword{ws}"] = asdict(rep)
+    inst = canonical_pentagon_instance(code)
+    per_state = {f"codeword{ws}": asdict(check_parity_contradiction(inst, ws))
+                 for ws in (0, 1)}
+    confirmed = all(rep["contradiction"] for rep in per_state.values())
     details = {"pentagon": pentagon_description(code), "instances": per_state}
     verdict = VERDICT_CONTRADICTION if confirmed else VERDICT_FAIL
     return Report("pentagon", verdict, code="five", details=details)
@@ -284,28 +282,27 @@ def _dump_ks_set(path: str, graph, contexts) -> None:
 def _cmd_steane_search(args) -> Report:
     code = steane_code()
     states = (0, 1) if args.state == "both" else (int(args.state),)
-    per_state = {}
-    any_found = False
-    for ws in states:
-        res = search_parity_contradictions(code, ws, args.max_subset,
-                                           node_budget=args.budget)
-        any_found |= bool(res.instances)
-        sizes = sorted({len(inst.members) for inst in res.instances})
-        per_state[f"codeword{ws}"] = {
+    res = search_parity_contradictions(code, args.max_subset,
+                                       node_budget=args.budget)
+    sizes = sorted({len(inst.members) for inst in res.instances})
+    per_state = {
+        f"codeword{ws}": {
             "contradictions_found": len(res.instances),
             "subset_sizes": sizes,
             "minimal_size": sizes[0] if sizes else None,
             "complete_to_size": res.complete_to_size,
             "examples": [
-                inst.operator_texts() for inst in res.instances[:3]
+                inst.operator_texts(ws) for inst in res.instances[:3]
             ],
         }
+        for ws in states
+    }
     details = {
         "group_order": len(code.group()),
         "max_subset": args.max_subset,
         "results": per_state,
     }
-    verdict = VERDICT_CONTRADICTION if any_found else VERDICT_FAIL
+    verdict = VERDICT_CONTRADICTION if res.instances else VERDICT_FAIL
     return Report("steane-search", verdict, code="steane", details=details)
 
 

@@ -2,12 +2,13 @@
 and the multiplicative operator-array argument.
 
 Everything here reduces a physical claim to exact bookkeeping.  A parity
-instance records operators together with their eigenvalues on one codeword;
-classical value assignments would force the product of those eigenvalues to
-+1 whenever every single-qubit symbol appears an even number of times, so an
-instance with even multiplicities and eigenvalue product -1 is a
-contradiction.  The exact operator product (which must then equal minus the
-identity) is computed as an independent cross-check on the sign data.
+instance is a tuple of a code's group elements; a codeword only picks which
+of each element's two signs is its eigenvalue.  Classical value assignments
+would force the product of the eigenvalues to +1 whenever every single-qubit
+symbol appears an even number of times.  The operator product is then +-I,
+and that scalar is the eigenvalue product on either codeword, so an instance
+whose product is -I is a contradiction on both.  The exact product is
+computed as an independent cross-check on the sign data.
 """
 
 from __future__ import annotations
@@ -109,21 +110,21 @@ def _sitewise_compatible(a: PauliString, b: PauliString) -> bool:
 
 @dataclass(frozen=True)
 class ParityInstance:
-    """Operators with their eigenvalues on one fixed state."""
+    """Elements of code's group; a codeword picks the sign read of each."""
 
-    state: StateVector
-    members: tuple[tuple[PauliString, int], ...]
+    code: CodeDefinition
+    members: tuple[StabilizerElement, ...]
 
     def factor_multiset(self) -> dict[tuple[int, str], int]:
         counts: Counter = Counter()
-        for op, _sign in self.members:
-            for k, letter in enumerate(op.letters, start=1):
+        for e in self.members:
+            for k, letter in enumerate(e.op.letters, start=1):
                 if letter != "I":
                     counts[(k, letter)] += 1
         return dict(counts)
 
-    def operator_texts(self) -> list[str]:
-        return [f"{sign:+d} {op}" for op, sign in self.members]
+    def operator_texts(self, which_state: int) -> list[str]:
+        return [f"{e.sign(which_state):+d} {e.op}" for e in self.members]
 
 
 @dataclass
@@ -136,21 +137,23 @@ class ParityReport:
     contradiction: bool
 
 
-def check_parity_contradiction(inst: ParityInstance) -> ParityReport:
-    """Verdict plus the independent matrix-product cross-check.
+def check_parity_contradiction(inst: ParityInstance,
+                               which_state: int) -> ParityReport:
+    """Verdict on codeword which_state, plus the matrix-product cross-check.
 
-    Raises ValueError when a member is not an eigenoperator of the state
-    with the declared sign; that is an input error, not a report entry.
+    Raises ValueError when a member's sign on that codeword is not its
+    eigenvalue there; that is an input error, not a report entry.
     """
+    state = inst.code.codeword(which_state)
     if not inst.members:
         raise ValueError("parity instance has no operators")
-    for op, sign in inst.members:
-        _check_eigensign(op, sign, inst.state)
+    for e in inst.members:
+        _check_eigensign(e.op, e.sign(which_state), state)
 
-    xor, prod = _parity_bookkeeping(inst.members)
+    xor, prod = _parity_bookkeeping(inst.members, which_state)
     mult = inst.factor_multiset()
     return ParityReport(
-        operators=inst.operator_texts(),
+        operators=inst.operator_texts(which_state),
         symbol_multiplicities={f"{site},{letter}": c
                                for (site, letter), c in sorted(mult.items())},
         all_multiplicities_even=xor & ~_ODD_SIGNS == 0,
@@ -185,34 +188,27 @@ def _parity_vector(op: PauliString, sign: int) -> int:
     return symbols << 1 | (sign == -1)
 
 
-def _parity_bookkeeping(members) -> tuple[int, PauliString]:
-    """(XOR of the members' parity vectors, operator product).
+def _parity_bookkeeping(members, which_state: int) -> tuple[int, PauliString]:
+    """(XOR of the parity vectors on codeword which_state, operator product).
 
-    The members' eigensigns must already be verified against the state:
+    The members' eigensigns must already be verified against the codeword:
     then an even-multiplicity instance has operator product exactly
     (eigenvalue product) x identity, and a disagreement is a bug.
     """
     xor = 0
-    for op, sign in members:
-        xor ^= _parity_vector(op, sign)
-    prod = _product([op for op, _sign in members])
+    for e in members:
+        xor ^= _parity_vector(e.op, e.sign(which_state))
+    prod = _product([e.op for e in members])
     all_even = xor & ~_ODD_SIGNS == 0
     if all_even and (_scalar_sign(prod) == -1) != (xor == _ODD_SIGNS):
         raise AssertionError("sign bookkeeping and matrix product disagree")
     return xor, prod
 
 
-def parity_instance(code: CodeDefinition, which_state: int,
-                    ops) -> ParityInstance:
-    """The operators on one codeword of code, each with the sign its
-    element of the code's group carries on that codeword."""
-    state = code.codeword(which_state)
+def parity_instance(code: CodeDefinition, ops) -> ParityInstance:
+    """The elements of the code's group with the letters of ops."""
     group = code.group()
-    members = []
-    for op in ops:
-        elem = _element(group, op)
-        members.append((elem.op, elem.sign(which_state)))
-    return ParityInstance(state, tuple(members))
+    return ParityInstance(code, tuple(_element(group, op) for op in ops))
 
 
 def _element(group: StabilizerGroup, op: PauliString) -> StabilizerElement:
@@ -237,12 +233,11 @@ def xzx_operator(a: int, b: int, c: int) -> PauliString:
     return from_letters(letters.get(k, "I") for k in range(1, 6))
 
 
-def canonical_pentagon_instance(code: CodeDefinition,
-                                which_state: int) -> ParityInstance:
+def canonical_pentagon_instance(code: CodeDefinition) -> ParityInstance:
     """The six-operator instance: all-Z plus the five XZX triples."""
     ops = [from_letters("Z" * 5)]
     ops += [xzx_operator(*t) for t in XZX_TRIPLES]
-    return parity_instance(code, which_state, ops)
+    return parity_instance(code, ops)
 
 
 def pentagon_description(code: CodeDefinition) -> dict:
@@ -419,24 +414,24 @@ class ParitySearchResult:
     nodes_used: int
 
 
-def search_parity_contradictions(code: CodeDefinition, which_state: int,
-                                 max_subset: int,
+def search_parity_contradictions(code: CodeDefinition, max_subset: int,
                                  node_budget: int = 3_000_000) -> ParitySearchResult:
-    """Subsets of the code's group whose sign bookkeeping on one of its
-    codewords is classically impossible.
+    """Subsets of the code's group whose sign bookkeeping is classically
+    impossible, on both of its codewords.
 
     Each element maps to its _parity_vector: its (site, letter) symbols
-    over GF(2) plus its sign bit.  The contradictions are exactly the
-    subsets whose vectors XOR to _ODD_SIGNS.  Tier t (subsets of size t)
-    costs comb(n, t-1) nodes, one per (t-1)-subset it settles.  The tiers
-    that fit node_budget are fixed before anything is enumerated, so each
-    is completed atomically and the result is deterministic.
+    over GF(2) plus its sign bit on codeword 0.  The contradictions are
+    exactly the subsets whose vectors XOR to _ODD_SIGNS.  Tier t (subsets
+    of size t) costs comb(n, t-1) nodes, one per (t-1)-subset it settles.
+    The tiers that fit node_budget are fixed before anything is enumerated,
+    so each is completed atomically and the result is deterministic.
 
-    Every element's sign is checked against the codeword with eigensign
-    (ValueError on a mismatch), which covers every member of every returned
-    subset.  Each subset is then rechecked by the bookkeeping that
-    check_parity_contradiction uses: its vectors XOR to _ODD_SIGNS, and its
-    operator product is exactly minus the identity.
+    Every element's signs are checked against both codewords with
+    eigensign (ValueError on a mismatch).  Each subset is then rechecked by
+    the bookkeeping check_parity_contradiction uses (its vectors XOR to
+    _ODD_SIGNS, its operator product is exactly -I), and it must hold an
+    even number of elements whose signs differ between the codewords, so
+    that it is a contradiction on codeword 1 too.
 
     The identity element is excluded: it contributes nothing and would only
     pad otherwise-minimal subsets.  Subsets come smallest first, then in
@@ -446,10 +441,8 @@ def search_parity_contradictions(code: CodeDefinition, which_state: int,
     """
     if max_subset < 1:
         raise ValueError(f"max_subset must be at least 1, got {max_subset}")
-    state = code.codeword(which_state)
     elements = code.group().non_identity()
-    signs = [e.sign(which_state) for e in elements]
-    vecs = tuple(_parity_vector(e.op, s) for e, s in zip(elements, signs))
+    vecs = tuple(_parity_vector(e.op, e.sign0) for e in elements)
 
     complete_to, used = _completed_tiers(len(vecs), max_subset, node_budget)
     subsets = _contradiction_subsets(vecs, complete_to)
@@ -458,15 +451,17 @@ def search_parity_contradictions(code: CodeDefinition, which_state: int,
             f"parity search exhausted its budget at size {complete_to} "
             f"of {max_subset} with nothing found")
 
-    for e, sign in zip(elements, signs):
-        _check_eigensign(e.op, sign, state)
+    for ws in (0, 1):
+        for e in elements:
+            _check_eigensign(e.op, e.sign(ws), code.codeword(ws))
     subsets.sort(key=lambda idxs: (len(idxs), idxs))
     instances = []
     for idxs in subsets:
-        members = tuple((elements[i].op, signs[i]) for i in idxs)
-        if _parity_bookkeeping(members)[0] != _ODD_SIGNS:
+        members = tuple(elements[i] for i in idxs)
+        if (_parity_bookkeeping(members, 0)[0] != _ODD_SIGNS
+                or sum(e.sign0 != e.sign1 for e in members) % 2):
             raise AssertionError("search returned a non-contradiction subset")
-        instances.append(ParityInstance(state, members))
+        instances.append(ParityInstance(code, members))
     return ParitySearchResult(instances, complete_to, used)
 
 

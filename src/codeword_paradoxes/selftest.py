@@ -107,8 +107,8 @@ def algebra_laws_suite(rng: random.Random) -> SuiteResult:
 def parity_rediscovery_suite() -> SuiteResult:
     """The bounded search must rediscover the canonical six-operator instance."""
     code = five_qubit_code()
-    res = search_parity_contradictions(code, 0, 6)
-    canon = set(canonical_pentagon_instance(code, 0).members)
+    res = search_parity_contradictions(code, 6)
+    canon = set(canonical_pentagon_instance(code).members)
     hit = any(set(inst.members) == canon for inst in res.instances)
     return SuiteResult("parity-rediscovery", len(res.instances), hit,
                        "" if hit else "canonical instance missing")

@@ -185,6 +185,18 @@ def test_out_of_range_bounds_are_usage_errors(capsys, argv):
     assert "must be at least" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("state", ["0", "1"])
+def test_steane_search_one_state_matches_its_golden_entry(capsys, state):
+    code, payload = run_json(capsys, "steane-search", "--max", "10",
+                             "--state", state)
+    assert code == 0
+    golden = json.loads((Path(__file__).parent / "golden"
+                         / "steane-search.json").read_text(encoding="utf-8"))
+    entry = f"codeword{state}"
+    assert payload["details"]["results"] == \
+        {entry: golden["details"]["results"][entry]}
+
+
 def test_steane_search_single_state(capsys):
     code, payload = run_json(capsys, "steane-search", "--max", "4",
                              "--state", "1")

@@ -22,6 +22,7 @@ from codeword_paradoxes.paradoxes import (OperatorArray, ParityInstance,
                                           pentagon_description,
                                           search_parity_contradictions)
 from codeword_paradoxes.pauli import from_letters, identity, parse
+from codeword_paradoxes.stabilizer import StabilizerElement
 from codeword_paradoxes.statevector import eigensign
 
 # The eight ways of learning sigma_1x from the other qubits, written as
@@ -123,8 +124,9 @@ def test_determinations_come_sorted_by_witness_key(name):
 
 
 def test_pentagon_contradiction_both_codewords(five):
+    inst = canonical_pentagon_instance(five)
     for ws in (0, 1):
-        report = check_parity_contradiction(canonical_pentagon_instance(five, ws))
+        report = check_parity_contradiction(inst, ws)
         assert report.all_multiplicities_even
         assert report.eigenvalue_product == -1
         assert report.operator_product == "-IIIII"
@@ -134,7 +136,7 @@ def test_pentagon_contradiction_both_codewords(five):
 
 
 def test_pentagon_symbol_count(five):
-    report = check_parity_contradiction(canonical_pentagon_instance(five, 0))
+    report = check_parity_contradiction(canonical_pentagon_instance(five), 0)
     assert len(report.symbol_multiplicities) == 10   # five z symbols, five x symbols
 
 
@@ -152,20 +154,30 @@ def test_pentagon_needs_the_five_qubit_group(name):
     with pytest.raises(ValueError, match="ZZZZZ is not a group element"):
         pentagon_description(code)
     with pytest.raises(ValueError, match="ZZZZZ is not a group element"):
-        canonical_pentagon_instance(code, 0)
+        canonical_pentagon_instance(code)
 
 
 def test_parity_instance_rejects_wrong_sign(five):
-    inst = ParityInstance(five.codeword(0),
-                          ((parse("ZZZZZ"), -1),))   # actual eigensign is +1
+    # the actual eigensign of ZZZZZ is +1 on codeword 0, -1 on codeword 1
+    inst = ParityInstance(five, (StabilizerElement(parse("ZZZZZ"), -1, -1),))
     with pytest.raises(ValueError):
-        check_parity_contradiction(inst)
+        check_parity_contradiction(inst, 0)
+    assert check_parity_contradiction(inst, 1).operators == ["-1 ZZZZZ"]
+
+
+@pytest.mark.parametrize("which_state", [-1, 2, 5])
+def test_parity_check_takes_only_codeword_0_or_1(five, which_state):
+    inst = canonical_pentagon_instance(five)
+    with pytest.raises(ValueError, match="which_state must be 0 or 1"):
+        check_parity_contradiction(inst, which_state)
+    with pytest.raises(ValueError, match="which_state must be 0 or 1"):
+        inst.operator_texts(which_state)
 
 
 def test_mermin_ghz_instance(mermin):
     ops = [parse(s) for s in ("XXX", "XYY", "YXY", "YYX")]
-    inst = parity_instance(mermin, 0, ops)
-    report = check_parity_contradiction(inst)
+    inst = parity_instance(mermin, ops)
+    report = check_parity_contradiction(inst, 0)
     assert report.contradiction
     assert report.eigenvalue_product == -1
     assert set(report.symbol_multiplicities.values()) == {2}
@@ -201,8 +213,7 @@ def test_array_last_column_is_the_pentagon_instance(five):
     array's final column is exactly the six-operator instance."""
     arr = build_canonical_array()
     column_ops = {str(op) for op in arr.column(13)}
-    instance_ops = {str(op) for op, _sign in
-                    canonical_pentagon_instance(five, 0).members}
+    instance_ops = {str(e.op) for e in canonical_pentagon_instance(five).members}
     assert column_ops == instance_ops
 
 
@@ -248,58 +259,57 @@ def test_array_rejects_declared_signs_off_its_shape():
 
 
 def test_search_five_qubit(five):
-    res = search_parity_contradictions(five, 0, 6)
+    res = search_parity_contradictions(five, 6)
     assert res.complete_to_size == 6
     # tiers 2..6 visit every 1..5-subset of the 31 elements once
     assert res.nodes_used == 206_367
     sizes = [len(inst.members) for inst in res.instances]
     assert Counter(sizes) == {4: 60, 5: 180, 6: 572}
-    canon = set(canonical_pentagon_instance(five, 0).members)
+    canon = set(canonical_pentagon_instance(five).members)
     assert any(set(inst.members) == canon for inst in res.instances)
     # results are ordered smallest first
     assert sizes == sorted(sizes)
 
 
 def test_search_is_deterministic(five):
-    a = search_parity_contradictions(five, 0, 5)
-    b = search_parity_contradictions(five, 0, 5)
-    assert [i.operator_texts() for i in a.instances] == \
-        [i.operator_texts() for i in b.instances]
+    a = search_parity_contradictions(five, 5)
+    b = search_parity_contradictions(five, 5)
+    assert [i.operator_texts(0) for i in a.instances] == \
+        [i.operator_texts(0) for i in b.instances]
 
 
 def test_search_mermin_finds_ghz(mermin):
-    res = search_parity_contradictions(mermin, 0, 4)
+    res = search_parity_contradictions(mermin, 4)
     assert len(res.instances) == 1
-    assert res.instances[0].operator_texts() == \
+    assert res.instances[0].operator_texts(0) == \
         ["+1 XXX", "-1 XYY", "-1 YXY", "-1 YYX"]
 
 
 def test_search_tiny_bounds(five, steane):
     # no contradiction can use fewer than two elements
-    empty = search_parity_contradictions(five, 0, 2)
+    empty = search_parity_contradictions(five, 2)
     assert empty.instances == [] and empty.complete_to_size == 2
-    tiny = search_parity_contradictions(steane, 0, 1)
+    tiny = search_parity_contradictions(steane, 1)
     assert tiny.instances == [] and tiny.complete_to_size == 1
     for bad in (0, -3):
         with pytest.raises(ValueError, match="at least 1"):
-            search_parity_contradictions(steane, 0, bad)
+            search_parity_contradictions(steane, bad)
 
 
 def test_check_rejects_empty_instance(five):
     with pytest.raises(ValueError):
-        check_parity_contradiction(ParityInstance(five.codeword(0), ()))
+        check_parity_contradiction(ParityInstance(five, ()), 0)
 
 
 def test_search_steane_finds_small_subsets(steane):
-    for ws in (0, 1):
-        res = search_parity_contradictions(steane, ws, 10)
-        sizes = [len(inst.members) for inst in res.instances]
-        assert res.instances
-        assert min(sizes) == 4
-        assert sizes.count(4) == 2016
-        # 127 + 8001 + 333,375 nodes; size 5 would need another 10,334,625
-        assert res.complete_to_size == 4
-        assert res.nodes_used == 341_503
+    res = search_parity_contradictions(steane, 10)
+    sizes = [len(inst.members) for inst in res.instances]
+    assert res.instances
+    assert min(sizes) == 4
+    assert sizes.count(4) == 2016
+    # 127 + 8001 + 333,375 nodes; size 5 would need another 10,334,625
+    assert res.complete_to_size == 4
+    assert res.nodes_used == 341_503
 
 
 def _size4_contradictions(group, which_state) -> tuple[set, set]:
@@ -323,33 +333,38 @@ def _size4_contradictions(group, which_state) -> tuple[set, set]:
                   if [elems[i][1] for i in idxs].count(-1) % 2}
 
 
-def _size4_instances(res) -> set[frozenset]:
-    return {frozenset(inst.members) for inst in res.instances
+def _signed_members(inst, which_state) -> frozenset:
+    """inst's members as (operator, sign on codeword which_state) pairs."""
+    return frozenset((e.op, e.sign(which_state)) for e in inst.members)
+
+
+def _size4_instances(res, which_state) -> set[frozenset]:
+    return {_signed_members(inst, which_state) for inst in res.instances
             if len(inst.members) == 4}
 
 
 def test_steane_size4_matches_pair_bucket_oracle(steane):
     group = steane.group()
+    res = search_parity_contradictions(steane, 10)
     for ws in (0, 1):
         even, expected = _size4_contradictions(group, ws)
         assert len(even) == 4557
         assert len(expected) == 2016
-        res = search_parity_contradictions(steane, ws, 10)
-        assert _size4_instances(res) == expected
+        assert _size4_instances(res, ws) == expected
 
 
 def test_five_qubit_size4_matches_pair_bucket_oracle(five, five_group):
+    res = search_parity_contradictions(five, 6)
     for ws in (0, 1):
         _even, expected = _size4_contradictions(five_group, ws)
         assert len(expected) == 60
-        res = search_parity_contradictions(five, ws, 6)
-        assert _size4_instances(res) == expected
+        assert _size4_instances(res, ws) == expected
 
 
 def test_search_rejects_codewords_that_contradict_the_group(steane, five,
                                                             monkeypatch):
     # with the codewords swapped, the first element whose sign differs
-    # between them is declared with the wrong eigenvalue
+    # between them is declared with the wrong eigenvalue on codeword 0
     for code, max_subset in ((steane, 4), (five, 6)):
         swapped = replace(code)
         monkeypatch.setitem(vars(swapped), "codeword",
@@ -357,16 +372,11 @@ def test_search_rejects_codewords_that_contradict_the_group(steane, five,
         first = next(e.op for e in code.group().non_identity()
                      if e.sign0 != e.sign1)
         with pytest.raises(ValueError, match=f"^{first} is not a"):
-            search_parity_contradictions(swapped, 0, max_subset)
+            search_parity_contradictions(swapped, max_subset)
 
 
-@pytest.mark.parametrize("which_state", [-1, 2, 5])
-def test_search_rejects_a_codeword_other_than_0_or_1(steane, which_state):
-    with pytest.raises(ValueError, match="which_state must be 0 or 1"):
-        search_parity_contradictions(steane, which_state, 4)
-
-
-def test_search_checks_each_element_sign_once(steane, monkeypatch):
+def test_search_checks_each_element_sign_once_per_codeword(steane,
+                                                           monkeypatch):
     calls = []
 
     def counting_eigensign(op, state):
@@ -375,22 +385,24 @@ def test_search_checks_each_element_sign_once(steane, monkeypatch):
 
     monkeypatch.setattr(paradoxes, "eigensign", counting_eigensign)
     group = steane.group()
-    res = search_parity_contradictions(steane, 1, 10)
+    res = search_parity_contradictions(steane, 10)
     assert len(res.instances) == 2016
-    assert sorted(map(str, calls)) == sorted(str(e.op) for e in group.non_identity())
+    assert len(calls) == 254
+    assert sorted(map(str, calls)) == \
+        sorted(2 * [str(e.op) for e in group.non_identity()])
 
 
 def test_steane_budget_is_spent_by_whole_tiers(steane):
     # tiers 2..4 cost 127 + 8001 + 333,375 nodes: any budget below their
-    # sum stops at size 3, on every call and for either codeword
+    # sum stops at size 3, on every call
     messages = set()
-    for ws, budget in ((0, 100_000), (1, 100_000), (0, 100_000), (1, 341_502)):
+    for budget in (100_000, 100_000, 341_502):
         with pytest.raises(BudgetExceededError) as err:
-            search_parity_contradictions(steane, ws, 10, node_budget=budget)
+            search_parity_contradictions(steane, 10, node_budget=budget)
         messages.add(str(err.value))
     assert messages == {"parity search exhausted its budget at size 3 "
                         "of 10 with nothing found"}
-    res = search_parity_contradictions(steane, 0, 10, node_budget=341_503)
+    res = search_parity_contradictions(steane, 10, node_budget=341_503)
     assert res.complete_to_size == 4 and res.nodes_used == 341_503
     assert [len(inst.members) for inst in res.instances] == [4] * 2016
 
@@ -403,16 +415,14 @@ def test_search_orders_by_size_then_element_index(name, max_subset):
     order of the members' texts."""
     code = code_by_name(name)
     index = {e.op: i for i, e in enumerate(code.group().non_identity())}
-    for ws in (0, 1):
-        res = search_parity_contradictions(code, ws, max_subset)
-        by_index = [(len(inst.members),
-                     tuple(index[op] for op, _ in inst.members))
-                    for inst in res.instances]
-        assert all(list(idxs) == sorted(idxs) for _size, idxs in by_index)
-        assert by_index == sorted(set(by_index))
-        by_text = [(len(inst.members), [str(op) for op, _ in inst.members])
-                   for inst in res.instances]
-        assert by_text == sorted(by_text)
+    res = search_parity_contradictions(code, max_subset)
+    by_index = [(len(inst.members), tuple(index[e.op] for e in inst.members))
+                for inst in res.instances]
+    assert all(list(idxs) == sorted(idxs) for _size, idxs in by_index)
+    assert by_index == sorted(set(by_index))
+    by_text = [(len(inst.members), [str(e.op) for e in inst.members])
+               for inst in res.instances]
+    assert by_text == sorted(by_text)
 
 
 @pytest.mark.parametrize("name, max_subset, count",
@@ -423,39 +433,53 @@ def test_both_codewords_give_the_same_contradiction_subsets(name, max_subset,
     """When every symbol occurs an even number of times, the members'
     operator product is +-I, and the product of their eigenvalues on a
     codeword is that scalar on every codeword.  So whether a subset is a
-    contradiction does not depend on the codeword: the two searches return
-    the same operator lists in the same order, and only the members' signs
-    may differ."""
+    contradiction does not depend on the codeword: the oracles, run on each
+    codeword, find the same operator sets, and every instance of the one
+    search has an odd number of -1 signs on both codewords.  The oracle is
+    every subset for the three-qubit group, the pair buckets' size-4
+    subsets for the others."""
     code = code_by_name(name)
-    ops = []
+    res = search_parity_contradictions(code, max_subset)
+    assert res.complete_to_size == max_subset
+    assert len(res.instances) == count
+    ops = {frozenset(e.op for e in inst.members) for inst in res.instances}
+    oracle = []
     for ws in (0, 1):
-        res = search_parity_contradictions(code, ws, max_subset)
-        assert res.complete_to_size == max_subset
-        ops.append([[op for op, _ in inst.members] for inst in res.instances])
-    assert len(ops[0]) == count
-    assert ops[0] == ops[1]
+        assert all([e.sign(ws) for e in inst.members].count(-1) % 2
+                   for inst in res.instances)
+        found = (_every_contradiction(code.group(), ws) if name == "mermin"
+                 else _size4_contradictions(code.group(), ws)[1])
+        oracle.append({frozenset(op for op, _sign in s) for s in found})
+    assert oracle[0] == oracle[1]
+    assert oracle[0] <= ops
+
+
+def _every_contradiction(group, which_state) -> set[frozenset]:
+    """Every subset of the non-identity elements, by bitmask, that is a
+    contradiction on codeword which_state, as (operator, sign) pairs."""
+    members = [(e.op, e.sign(which_state)) for e in group.non_identity()]
+    expected = set()
+    for mask in range(1, 1 << len(members)):
+        chosen = [m for k, m in enumerate(members) if mask >> k & 1]
+        counts = Counter((k, letter) for op, _sign in chosen
+                         for k, letter in enumerate(op.letters)
+                         if letter != "I")
+        if (all(c % 2 == 0 for c in counts.values())
+                and [sign for _op, sign in chosen].count(-1) % 2):
+            expected.add(frozenset(chosen))
+    return expected
 
 
 def test_three_qubit_search_matches_every_subset(mermin):
     """All 2^7 subsets of the seven non-identity elements, by bitmask: the
     contradictions of every size are exactly the search's instances."""
     group = mermin.group()
-    elems = group.non_identity()
-    assert len(elems) == 7
+    assert len(group.non_identity()) == 7
+    res = search_parity_contradictions(mermin, 7)
+    assert res.complete_to_size == 7
     for ws in (0, 1):
-        members = [(e.op, e.sign(ws)) for e in elems]
-        expected = set()
-        for mask in range(1, 1 << len(members)):
-            chosen = [m for k, m in enumerate(members) if mask >> k & 1]
-            counts = Counter((k, letter) for op, _sign in chosen
-                             for k, letter in enumerate(op.letters)
-                             if letter != "I")
-            if (all(c % 2 == 0 for c in counts.values())
-                    and [sign for _op, sign in chosen].count(-1) % 2):
-                expected.add(frozenset(chosen))
-        res = search_parity_contradictions(mermin, ws, 7)
-        assert res.complete_to_size == 7
-        assert {frozenset(inst.members) for inst in res.instances} == expected
+        expected = _every_contradiction(group, ws)
+        assert {_signed_members(inst, ws) for inst in res.instances} == expected
         assert len(res.instances) == len(expected) == 2
 
 

@@ -64,6 +64,18 @@ def test_steane_search_counts_read_the_search_result(capsys):
     assert tracer.counts["paradoxes.complete_to_size"] == 4
 
 
+def test_steane_search_both_codewords_search_once(capsys):
+    # one search serves both codewords' entries, with the same work counts
+    # as a single-codeword run
+    with _traced() as tracer:
+        assert cli.main(["steane-search", "--max", "4", "--state", "both",
+                         "--format", "json"]) == 0
+    assert tracer.counts["paradoxes.search_calls"] == 1
+    assert tracer.counts["paradoxes.search_nodes"] == 341_503
+    assert tracer.counts["paradoxes.instances"] == 2016
+    assert tracer.counts["paradoxes.complete_to_size"] == 4
+
+
 def test_verify_code_closes_once_and_counts_kl_pairs(capsys):
     # the closure is built behind CodeDefinition.group(); its span must
     # still see the one call through codes.close
