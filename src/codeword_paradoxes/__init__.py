@@ -1,11 +1,13 @@
 """Exact verification of quantum-codeword local-realism contradictions.
 
-The package rebuilds, at exact dyadic-rational arithmetic, the stabilizer
-groups of three small quantum codes and the chain of no-hidden-variables
-arguments they support: element-of-reality enumerations, parity
-contradictions, a multiplicative operator-array contradiction, and a
-104-projector additive Kochen-Specker set with an exhaustive
-non-colorability search.
+The package rebuilds, in exact arithmetic, the stabilizer groups of three
+small quantum codes and the chain of no-hidden-variables arguments they
+support: element-of-reality enumerations, parity contradictions, a
+multiplicative operator-array contradiction, and a 104-projector additive
+Kochen-Specker set with an exhaustive non-colorability search.  State
+amplitudes are Gaussian integers held on their support; Dyadic, the ring
+(a + b i)/2^k, is the dense oracle's number type and the type of an inner
+product.
 """
 
 __version__ = "0.1.0"

@@ -258,6 +258,11 @@ def _cmd_ks(args) -> Report:
     return Report("ks", verdict, code="five", details=details)
 
 
+def _amplitude_text(x: int, exp: int) -> str:
+    """x/2**exp as text, for odd x whenever exp > 0 (the mutation entries)."""
+    return f"{x}/2^{exp}" if exp else str(x)
+
+
 def _dump_ks_set(path: str, graph, contexts) -> None:
     payload = {
         "vertices": [
@@ -267,7 +272,10 @@ def _dump_ks_set(path: str, graph, contexts) -> None:
                 "kind": v.kind,
                 "label": v.label(),
                 "provenance": list(v.provenance),
-                "spanning_vectors": [vec.to_pairs() for vec in v.vectors],
+                "spanning_vectors": [
+                    [(format(j, "05b"), _amplitude_text(x, v.scale_exp))
+                     for j, x in enumerate(iv) if x]
+                    for iv in v.ivecs],
             }
             for i, v in enumerate(graph.vertices)
         ],

@@ -4,10 +4,10 @@ Each definition is its sign-decorated generators plus the structural
 expectations the rest of the package asserts against (group order,
 invariant-subgroup order, correctable error sets).  The codewords are not
 stored: codeword j is the vector the closed group fixes with its signs on
-codeword j, derived once per definition.  It is left unnormalized, with
-amplitude 1 on the first ket of its support and 0 or a power of i
-everywhere else, so it stays exact; every consumer is
-normalization-independent.  The paper's ket listings are kept in the tests,
+codeword j, derived once per definition.  It is left unnormalized: a
+state vector of Gaussian integers with amplitude 1 on the first ket of its
+support and a power of i on the rest, so it needs no denominator; every
+consumer is normalization-independent.  The paper's ket listings are kept in the tests,
 which check each derived codeword against them.
 """
 
@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .dyadic import Dyadic
 from .pauli import PauliString, identity, parse, single_site
 from .stabilizer import StabilizerElement, StabilizerGroup, close, codeword_index
-from .statevector import StateVector, inner
+from .statevector import StateVector
 
 __all__ = ["CodeDefinition", "five_qubit_code", "mermin_code", "steane_code",
            "code_by_name", "CODE_NAMES", "single_qubit_errors"]
@@ -62,7 +61,7 @@ class CodeDefinition:
     def norm2(self) -> int:
         """<v|v> for either codeword: the size of its support, since each
         amplitude is 0 or a power of i."""
-        return inner(self.codeword(0), self.codeword(0)).re
+        return len(self.codeword(0).support)
 
 
 # g|k> is i**t |k ^ x> for a bare g, t = (number of Ys) + 2·parity(k & z),
@@ -77,22 +76,23 @@ def _fixed_vector(group: StabilizerGroup, which_state: int) -> StateVector:
     With |G| = 2**n the sum is |G|·|c><c|k> for the one vector c that every
     g fixes with sign s_g.  It is nonzero exactly when k is in c's support,
     that is when every X-free element fixes |k> with its sign, and its
-    amplitude at k is |G|·|<c|k>|**2, a power of two.  So the result has
-    amplitude 1 at k and 0 or a power of i elsewhere.
+    amplitude at k is |G|·|<c|k>|**2, a power of two that divides every
+    sum exactly.  So the result has amplitude 1 at k and 0 or a power of i
+    elsewhere.
     """
-    dim = 1 << group.n
     signed = [(e.op, e.sign(which_state)) for e in group]
     diagonal = [(op.z, s) for op, s in signed if not op.x]
-    k = next(k for k in range(dim)
+    k = next(k for k in range(1 << group.n)
              if all((-1) ** (k & z).bit_count() == s for z, s in diagonal))
-    re, im = [0] * dim, [0] * dim
+    sums: dict[int, tuple[int, int]] = {}
     for op, s in signed:
         t = (op.x & op.z).bit_count() + 2 * (k & op.z).bit_count()
         dr, di = _I_POWERS[t & 3]
-        re[k ^ op.x] += s * dr
-        im[k ^ op.x] += s * di
-    exp = re[k].bit_length() - 1
-    return StateVector(group.n, (Dyadic(r, i, exp) for r, i in zip(re, im)))
+        re, im = sums.get(k ^ op.x, (0, 0))
+        sums[k ^ op.x] = (re + s * dr, im + s * di)
+    pivot = sums[k][0]
+    return StateVector(group.n, {j: (re // pivot, im // pivot)
+                                 for j, (re, im) in sums.items()})
 
 
 def single_qubit_errors(n: int) -> tuple[PauliString, ...]:

@@ -50,7 +50,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 
 def pauli_matrix(p: PauliString) -> Matrix:
-    m: Matrix = (((0, ONE.times_i_power(p.phase_exp)),),)
+    m: Matrix = (((0, (ONE, I_UNIT, MINUS_ONE, -I_UNIT)[p.phase_exp]),),)
     for letter in p.letters:
         m = kron(m, _LETTER_MATRIX[letter])
     return m

@@ -1,19 +1,19 @@
 """Exact complex numbers with power-of-two denominators.
 
-Every amplitude this package ever constructs is of the form
-(a + b*i) / 2**k with integers a, b, k >= 0: codeword amplitudes are 0 or
-powers of i, projector spanning vectors have integer or quarter entries,
-and Pauli action only multiplies by powers of i and permutes entries.  Staying
-inside this ring makes every comparison exact; there is no epsilon anywhere.
+(a + b*i) / 2**k with integers a, b, k >= 0 is the number type of the dense
+oracle (`dense`), whose projectors divide by a power-of-two norm, and the
+type `statevector.inner` returns its integer sum in.  State vectors
+themselves hold Gaussian integers.  Staying inside this ring keeps every
+comparison exact; there is no epsilon anywhere.
 
 Every value is kept in lowest terms: exp == 0, or at least one of re, im
 is odd; zero is (0, 0, 0).  The form is unique, so equality and hashing
 compare the three fields.  The constructor reaches it in one step, by
 shifting out the trailing zero bits common to re and im (those of re | im),
-at most exp of them.  Negation, conjugation and multiplication by a power
-of i skip that step and build their result raw: each maps (re, im) to
-(±re, ±im) or (±im, ±re) at the same exp, and neither a sign nor a swap
-changes which parts are odd, so a value in lowest terms stays in them.
+at most exp of them.  Negation and conjugation skip that step and build
+their result raw: each maps (re, im) to (±re, ±im) at the same exp, and a
+sign does not change which parts are odd, so a value in lowest terms stays
+in them.
 
 The canonical text form is ``a/2^k + b/2^k i`` (terms with zero numerator
 are dropped, ``0`` for the zero value).
@@ -64,9 +64,6 @@ class Dyadic:
         return Dyadic((self.re << shift) + other.re,
                       (self.im << shift) + other.im, other.exp)
 
-    def __sub__(self, other: "Dyadic") -> "Dyadic":
-        return self + (-other)
-
     def __neg__(self) -> "Dyadic":
         return _raw(-self.re, -self.im, self.exp)
 
@@ -77,17 +74,6 @@ class Dyadic:
 
     def conj(self) -> "Dyadic":
         return _raw(self.re, -self.im, self.exp)
-
-    def times_i_power(self, t: int) -> "Dyadic":
-        """Multiply by i**t without general complex multiplication."""
-        t &= 3
-        if t == 0:
-            return self
-        if t == 1:
-            return _raw(-self.im, self.re, self.exp)
-        if t == 2:
-            return _raw(-self.re, -self.im, self.exp)
-        return _raw(self.im, -self.re, self.exp)
 
     def half_power(self, k: int) -> "Dyadic":
         """Divide by 2**k (k may be negative to multiply)."""

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codes import five_qubit_code, single_qubit_errors
-from .dyadic import Dyadic
 from .errors import BudgetExceededError
 from .paradoxes import ROW_SITES
 from .pauli import PauliString
@@ -62,8 +61,7 @@ class KSVertex:
     and determines the projector uniquely.  ivecs is the only stored form:
     mutually orthogonal integer spanning vectors equal to the amplitudes
     times 2**scale_exp (scale_exp is 2 for mutation vectors, whose sixteen
-    nonzero amplitudes are ±1/4 at unit norm, and 0 otherwise).  The exact
-    vectors are built from them on demand.
+    nonzero amplitudes are ±1/4 at unit norm, and 0 otherwise).
     """
 
     provenance: tuple
@@ -78,12 +76,6 @@ class KSVertex:
     def kind(self) -> str:
         return self.provenance[0]
 
-    @property
-    def vectors(self) -> tuple[StateVector, ...]:
-        """The spanning vectors with their exact amplitudes."""
-        return tuple(StateVector(5, (Dyadic(x, 0, self.scale_exp) for x in iv))
-                     for iv in self.ivecs)
-
     def label(self) -> str:
         if self.kind == "classical":
             return f"|{self.provenance[1]}>"
@@ -95,9 +87,9 @@ class KSVertex:
 
 
 def _int_vector(v: StateVector) -> tuple[int, ...]:
-    if any(a.im or a.exp for a in v.amps):
-        raise ValueError("spanning vectors must have real integer amplitudes")
-    return tuple(a.re for a in v.amps)
+    if any(im for _, im in v.support.values()):
+        raise ValueError("spanning vectors must have real amplitudes")
+    return tuple(v.support.get(j, (0, 0))[0] for j in range(_DIM))
 
 
 def build_ks_set() -> list[KSVertex]:

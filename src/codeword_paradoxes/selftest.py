@@ -17,7 +17,8 @@ from .pauli import PauliString, from_letters, identity
 from .paradoxes import canonical_pentagon_instance, search_parity_contradictions
 from .statevector import StateVector, apply
 
-__all__ = ["SuiteResult", "run_all", "random_pauli", "random_state"]
+__all__ = ["SuiteResult", "run_all", "random_pauli", "random_state",
+           "dense_amplitudes"]
 
 
 # Trials per seeded suite; the selftest report records them.
@@ -40,9 +41,18 @@ def random_pauli(rng: random.Random, n: int) -> PauliString:
 
 
 def random_state(rng: random.Random, n: int) -> StateVector:
-    amps = [Dyadic(rng.randint(-4, 4), rng.randint(-4, 4), rng.randrange(3))
-            for _ in range(1 << n)]
-    return StateVector(n, amps)
+    """Amplitudes (a + b i)/2**e, a, b in [-4, 4] and e in [0, 2], times 4
+    so that they are Gaussian integers; the draws run over the kets in
+    order, three per ket."""
+    draws = [(rng.randint(-4, 4), rng.randint(-4, 4), rng.randrange(3))
+             for _ in range(1 << n)]
+    return StateVector(n, {j: (a << (2 - e), b << (2 - e))
+                           for j, (a, b, e) in enumerate(draws)})
+
+
+def dense_amplitudes(v: StateVector) -> list[Dyadic]:
+    """v's amplitudes over all 2**n kets, as the dense oracle's numbers."""
+    return [Dyadic(*v.support.get(j, (0, 0))) for j in range(1 << v.n)]
 
 
 def dense_oracle_suite(rng: random.Random) -> SuiteResult:
@@ -61,9 +71,7 @@ def dense_oracle_suite(rng: random.Random) -> SuiteResult:
             return SuiteResult("dense-oracle", t + 1, False,
                                f"commutation mismatch for {a}, {b}")
         v = random_state(rng, n)
-        fast = apply(a, v)
-        slow = dense.mat_vec(ma, list(v.amps))
-        if list(fast.amps) != slow:
+        if dense_amplitudes(apply(a, v)) != dense.mat_vec(ma, dense_amplitudes(v)):
             return SuiteResult("dense-oracle", t + 1, False,
                                f"action mismatch for {a}")
     return SuiteResult("dense-oracle", DENSE_ORACLE_TRIALS, True)

@@ -1,14 +1,17 @@
-"""Exact dense linear algebra on 2**n-dimensional vectors.
+"""Exact state vectors on n qubits, stored as their support.
 
-Amplitudes are Dyadic values and the basis is ordered lexicographically with
-site 1 as the most significant bit, so a ket label like |10010> maps straight
-to its integer index.  Zero means zero: every eigenvector and orthogonality
-statement below is decided by exact comparison.
+A state maps each basis index to a Gaussian-integer amplitude, an integer
+(re, im) pair, and stores no zero amplitude; the basis is ordered
+lexicographically with site 1 as the most significant bit, so a ket label
+like |10010> maps straight to its integer index.  Every state built here
+has integer amplitudes (codewords are 0 or ±1, spanning vectors are kept
+unnormalized), so every eigenvector and orthogonality statement below is
+decided by exact integer comparison over the support only.
 """
 
 from __future__ import annotations
 
-from .dyadic import Dyadic, ZERO
+from .dyadic import Dyadic
 from .errors import DimensionMismatchError, NonHermitianError
 from .pauli import PauliString
 
@@ -21,16 +24,17 @@ __all__ = [
 
 
 class StateVector:
-    """Length-2**n vector of exact amplitudes."""
+    """Immutable n-qubit vector: support maps basis index -> (re, im), zeros
+    dropped, so two vectors are equal exactly when their supports are."""
 
-    __slots__ = ("n", "amps")
+    __slots__ = ("n", "support")
 
-    def __init__(self, n: int, amps):
-        amps = tuple(amps)
-        if len(amps) != 1 << n:
-            raise ValueError(f"expected {1 << n} amplitudes, got {len(amps)}")
+    def __init__(self, n: int, support):
+        support = {j: (re, im) for j, (re, im) in support.items() if re or im}
+        if any(not 0 <= j < 1 << n for j in support):
+            raise ValueError(f"basis index out of range for {n} qubits")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "support", support)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("StateVector is immutable")
@@ -38,13 +42,11 @@ class StateVector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, StateVector):
             return NotImplemented
-        return self.n == other.n and self.amps == other.amps
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.amps))
+        return self.n == other.n and self.support == other.support
 
     def __neg__(self) -> "StateVector":
-        return StateVector(self.n, (-a for a in self.amps))
+        return StateVector(self.n, {j: (-re, -im)
+                                    for j, (re, im) in self.support.items()})
 
     def phase_canonical(self) -> "StateVector":
         """Rotate by a power of i so the first nonzero amplitude is positive real.
@@ -52,30 +54,36 @@ class StateVector:
         Raises if no power of i achieves that (never the case for vectors
         built here, whose leading amplitudes are along the axes).
         """
-        for a in self.amps:
-            if not a.is_zero():
-                for t in range(4):
-                    rotated = a.times_i_power(t)
-                    if rotated.im == 0 and rotated.re > 0:
-                        if t == 0:
-                            return self
-                        return StateVector(self.n, (x.times_i_power(t) for x in self.amps))
-                raise ValueError("leading amplitude is not on a quarter-turn axis")
-        return self
-
-    def to_pairs(self) -> list[tuple[str, str]]:
-        """Nonzero amplitudes as (basis label, amplitude text) pairs."""
-        return [(format(j, f"0{self.n}b"), str(a))
-                for j, a in enumerate(self.amps) if not a.is_zero()]
+        if not self.support:
+            return self
+        re, im = self.support[min(self.support)]
+        if im == 0 and re > 0:
+            return self
+        if re and im:
+            raise ValueError("leading amplitude is not on a quarter-turn axis")
+        t = 2 if re else (3 if im > 0 else 1)     # -1, +i, -i to +1
+        return StateVector(self.n, {j: _times_i_power(a, t)
+                                    for j, a in self.support.items()})
 
     def __repr__(self) -> str:
-        body = ", ".join(f"|{label}> {amp}" for label, amp in self.to_pairs())
-        return f"StateVector({body or '0'})"
+        return f"StateVector({self.n}, {dict(sorted(self.support.items()))})"
 
 
-def _same_n(u, v) -> None:
-    if u.n != v.n:
-        raise DimensionMismatchError(f"dimension mismatch: {u.n} vs {v.n} qubits")
+def _times_i_power(a: tuple[int, int], t: int) -> tuple[int, int]:
+    re, im = a
+    t &= 3
+    if t == 0:
+        return a
+    if t == 1:
+        return -im, re
+    if t == 2:
+        return -re, -im
+    return im, -re
+
+
+def _same_n(p, v) -> None:
+    if p.n != v.n:
+        raise DimensionMismatchError(f"dimension mismatch: {p.n} vs {v.n} qubits")
 
 
 def apply(p: PauliString, v: StateVector) -> StateVector:
@@ -84,37 +92,35 @@ def apply(p: PauliString, v: StateVector) -> StateVector:
     X permutes basis indices, Z flips signs on set bits, Y does both with an
     i factor; the global i**phase_exp rides along.
     """
-    if p.n != v.n:
-        raise DimensionMismatchError(f"operator on {p.n} qubits, state on {v.n}")
-    y_count = (p.x & p.z).bit_count()
-    base_phase = (p.phase_exp + y_count) & 3
-    out = [ZERO] * (1 << v.n)
-    for j, a in enumerate(v.amps):
-        if not (a.re or a.im):
-            continue
-        t = base_phase + 2 * ((j & p.z).bit_count() & 1)
-        out[j ^ p.x] = a.times_i_power(t)
-    return StateVector(v.n, out)
+    _same_n(p, v)
+    base_phase = p.phase_exp + (p.x & p.z).bit_count()
+    return StateVector(v.n, {
+        j ^ p.x: _times_i_power(a, base_phase + 2 * (j & p.z).bit_count())
+        for j, a in v.support.items()})
 
 
 def eigensign(p: PauliString, v: StateVector):
     """+1 or -1 when p·v == ±v exactly, None when v is not an eigenvector.
 
-    Compares p·v with v one amplitude at a time and stops at the first
-    amplitude that rules out both signs.  The zero vector has every sign,
-    so it is refused.
+    Compares the image of each support ket with v's amplitude where it
+    lands and stops at the first one that rules out both signs; p permutes
+    the kets, so when every image lands on v's support the images cover it.
+    The zero vector has every sign, so it is refused.
     """
     if not p.is_hermitian():
         raise NonHermitianError(f"{p} has phase i**{p.phase_exp}; eigensigns need ±1 spectra")
+    _same_n(p, v)
+    base_phase = p.phase_exp + (p.x & p.z).bit_count()
+    support = v.support
     sign = 0
-    for a, b in zip(apply(p, v).amps, v.amps):
-        if not (b.re or b.im):
-            continue    # p·v has v's support permuted: a mismatch meets a nonzero b
-        if a.exp != b.exp:
+    for j, a in support.items():
+        b = support.get(j ^ p.x)
+        if b is None:
             return None
-        if a.re == b.re and a.im == b.im:
+        re, im = _times_i_power(a, base_phase + 2 * (j & p.z).bit_count())
+        if re == b[0] and im == b[1]:
             s = 1
-        elif a.re == -b.re and a.im == -b.im:
+        elif re == -b[0] and im == -b[1]:
             s = -1
         else:
             return None
@@ -128,26 +134,15 @@ def eigensign(p: PauliString, v: StateVector):
 
 
 def inner(u: StateVector, v: StateVector) -> Dyadic:
-    """<u|v>, conjugate-linear in the first argument.
-
-    Sums the integer parts of conj(a)·b at a common exponent, the largest
-    seen so far, and builds one Dyadic at the end.
-    """
+    """<u|v>, conjugate-linear in the first argument, as a Dyadic with
+    exponent 0: the integer sum of conj(a)·b over the common support."""
     _same_n(u, v)
-    re = im = exp = 0
-    for a, b in zip(u.amps, v.amps):
-        if (a.re or a.im) and (b.re or b.im):
-            ar, ai, br, bi = a.re, a.im, b.re, b.im
-            r = ar * br + ai * bi
-            i = ar * bi - ai * br
-            e = a.exp + b.exp
-            if e > exp:
-                re <<= e - exp
-                im <<= e - exp
-                exp = e
-            elif e < exp:
-                r <<= exp - e
-                i <<= exp - e
-            re += r
-            im += i
-    return Dyadic(re, im, exp)
+    re = im = 0
+    other = v.support
+    for j, (ar, ai) in u.support.items():
+        b = other.get(j)
+        if b is not None:
+            br, bi = b
+            re += ar * br + ai * bi
+            im += ar * bi - ai * br
+    return Dyadic(re, im)

@@ -6,14 +6,14 @@ import pytest
 
 from codeword_paradoxes.cli import main
 from codeword_paradoxes.codes import five_qubit_code, mermin_code, steane_code
-from codeword_paradoxes.dyadic import Dyadic, ONE, ZERO
 from codeword_paradoxes.kochen_specker import (build_ks_set,
                                                build_orthogonality_graph,
                                                enumerate_contexts)
 from codeword_paradoxes.statevector import StateVector
 
 # The paper's ket listings of each code's |0_L>.  The five-qubit word has
-# sixteen kets of amplitude -1/4 or +1/4; the Steane word is the sum of the
+# sixteen kets of amplitude -1/4 or +1/4, kept here 4 times over (-1 or +1)
+# so that its amplitudes are integers; the Steane word is the sum of the
 # eight Hamming-coset words.  Each |1_L> is the bit complement of its |0_L>,
 # except the GHZ pair |000> + |111>, |000> - |111>.
 FIVE_MINUS = ("00000", "11000", "01100", "00110", "00011", "10001")
@@ -24,13 +24,10 @@ STEANE_WORDS = ("0000000", "1010101", "0110011", "1100110",
 
 
 def _listing(n, kets, complemented=False):
-    """The state with amplitude a at each (label, a) of kets, every label
-    bit-complemented when asked."""
+    """The state with real amplitude a at each (label, a) of kets, every
+    label bit-complemented when asked."""
     flip = (1 << n) - 1 if complemented else 0
-    amps = [ZERO] * (1 << n)
-    for label, a in kets:
-        amps[int(label, 2) ^ flip] = a
-    return StateVector(n, amps)
+    return StateVector(n, {int(label, 2) ^ flip: (a, 0) for label, a in kets})
 
 
 @pytest.fixture(scope="session")
@@ -40,16 +37,15 @@ def five():
 
 @pytest.fixture(scope="session")
 def paper_codewords():
-    """{code name: (|0_L>, |1_L>)} as the paper lists them: the oracle the
-    derived codewords are checked against."""
-    quarter = Dyadic(1, 0, 2)
-    five0 = ([(label, -quarter) for label in FIVE_MINUS]
-             + [(label, quarter) for label in FIVE_PLUS])
-    steane0 = [(label, ONE) for label in STEANE_WORDS]
+    """{code name: (|0_L>, |1_L>)} as the paper lists them (the five-qubit
+    pair times 4): the oracle the derived codewords are checked against."""
+    five0 = ([(label, -1) for label in FIVE_MINUS]
+             + [(label, 1) for label in FIVE_PLUS])
+    steane0 = [(label, 1) for label in STEANE_WORDS]
     return {
         "five": (_listing(5, five0), _listing(5, five0, complemented=True)),
-        "mermin": (_listing(3, [("000", ONE), ("111", ONE)]),
-                   _listing(3, [("000", ONE), ("111", -ONE)])),
+        "mermin": (_listing(3, [("000", 1), ("111", 1)]),
+                   _listing(3, [("000", 1), ("111", -1)])),
         "steane": (_listing(7, steane0), _listing(7, steane0, complemented=True)),
     }
 

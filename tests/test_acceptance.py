@@ -26,11 +26,12 @@ from codeword_paradoxes.paradoxes import (build_canonical_array,
                                           find_determinations,
                                           search_parity_contradictions)
 from codeword_paradoxes.pauli import identity, parse, single_site
-from codeword_paradoxes.selftest import random_pauli, random_state
+from codeword_paradoxes.dyadic import ONE
+from codeword_paradoxes.selftest import dense_amplitudes, random_pauli, random_state
 from codeword_paradoxes.stabilizer import (invariant_subgroup,
                                            knill_laflamme_check,
                                            verify_stabilizes)
-from codeword_paradoxes.statevector import apply, eigensign, inner
+from codeword_paradoxes.statevector import StateVector, apply, eigensign, inner
 
 
 @contextmanager
@@ -56,12 +57,19 @@ def _resolves_identity(vertices) -> bool:
     """The vertices' spanning vectors number 32, are pairwise orthogonal, and
     their dense projector sum (the sum of the projectors, by that
     orthogonality) is exactly the identity."""
-    vecs = [s for v in vertices for s in v.vectors]
+    vecs = [s for v in vertices for s in _states(v)]
     return (len(vecs) == 32
             and all(inner(u, w).is_zero() for i, u in enumerate(vecs)
                     for w in vecs[i + 1:])
-            and dense.mat_eq(dense.projector_matrix([s.amps for s in vecs]),
+            and dense.mat_eq(dense.projector_matrix([dense_amplitudes(s)
+                                                     for s in vecs]),
                              dense.pauli_matrix(identity(5))))
+
+
+def _states(v):
+    """A KS vertex's integer spanning vectors as state vectors."""
+    return [StateVector(5, {j: (x, 0) for j, x in enumerate(iv)})
+            for iv in v.ivecs]
 
 
 def test_criterion_1_stabilizer_verification(monkeypatch):
@@ -161,8 +169,9 @@ def test_criterion_6_ks_set_construction():
         assert len(vertices) / 32 == 3.25
 
         for family in ("classical", "mutation"):
-            vecs = [v.vectors[0] for v in by_kind[family]]
-            assert all(inner(u, u).as_pow2() == 0 for u in vecs)
+            # exactly norm 1 once each ivec is divided by 2**scale_exp
+            assert all(inner(u, u).half_power(2 * v.scale_exp) == ONE
+                       for v in by_kind[family] for u in _states(v))
             assert _resolves_identity(by_kind[family])
 
         graph = build_orthogonality_graph(vertices)
@@ -187,8 +196,7 @@ def test_criterion_6_ks_set_construction():
         for v in row3_minus:
             for j in range(32):
                 if not (j >> 3) & 1:  # kets |a0cde>
-                    assert all(vec.amps[j].is_zero()
-                               for vec in v.vectors)
+                    assert all(iv[j] == 0 for iv in v.ivecs)
 
         m_eq_n = [v for v in row3_minus if v.provenance[2] == v.provenance[3]]
         assert len(m_eq_n) == 2
@@ -202,7 +210,7 @@ def test_criterion_6_ks_set_construction():
                 w = apply(op, code.codeword(1))
                 for v in m_eq_n:
                     assert all(inner(s, w).is_zero()
-                               for s in v.vectors)
+                               for s in _states(v))
 
 
 def test_criterion_7_ks_non_colorability():
@@ -239,7 +247,8 @@ def test_criterion_9_property_suites():
             assert dense.mat_eq(dense.pauli_matrix(a * b), dense.mat_mul(ma, mb))
             assert a.commutes_with(b) == dense.commutator_is_zero(ma, mb)
             v = random_state(rng, n)
-            assert list(apply(a, v).amps) == dense.mat_vec(ma, list(v.amps))
+            assert dense_amplitudes(apply(a, v)) == \
+                dense.mat_vec(ma, dense_amplitudes(v))
         for _ in range(200):
             p, q = random_pauli(rng, 5), random_pauli(rng, 5)
             v = random_state(rng, 5)

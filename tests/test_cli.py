@@ -10,6 +10,7 @@ import pytest
 import codeword_paradoxes
 from codeword_paradoxes import cli
 from codeword_paradoxes.cli import main
+from codeword_paradoxes.dyadic import Dyadic
 from codeword_paradoxes.report import REPORT_DIR_ENV
 
 
@@ -156,6 +157,22 @@ def test_ks_dump_set(ks_dump_run):
     assert all(len(e) == 2 for e in dump["edges"])
 
 
+def test_dump_writes_amplitudes_from_the_integer_vectors(ks_dump_run):
+    """Mutation amplitudes are ±1/4, written 1/2^2; the others are integers."""
+    vertices = json.loads(ks_dump_run.path.read_text())["vertices"]
+    unit = [v for v in vertices if v["provenance"] == ["mutation", 0, "I"]]
+    assert len(unit) == 1
+    (pairs,) = unit[0]["spanning_vectors"]
+    assert ["00000", "1/2^2"] in pairs      # the paper's -1/4, times -1
+    assert ["10010", "-1/2^2"] in pairs
+    assert len(pairs) == 16
+    assert {text for v in vertices for vec in v["spanning_vectors"]
+            for _, text in vec} == {"1", "-1", "1/2^2", "-1/2^2"}
+    for x in (-3, -1, 1, 5):
+        for exp in (0, 1, 2):
+            assert cli._amplitude_text(x, exp) == str(Dyadic(x, 0, exp))
+
+
 def test_steane_search(capsys):
     code, out = run_cli(capsys, "steane-search", "--max", "10",
                         "--format", "json")
@@ -205,9 +222,11 @@ def test_steane_search_single_state(capsys):
 
 
 def test_selftest(capsys):
-    code, payload = run_json(capsys, "selftest", "--seed", "1")
-    assert code == 0
-    assert all(s["ok"] for s in payload["details"]["suites"])
+    for seed in ("1", "2", "3"):
+        code, payload = run_json(capsys, "selftest", "--seed", seed)
+        assert code == 0
+        assert payload["details"]["seed"] == int(seed)
+        assert all(s["ok"] for s in payload["details"]["suites"])
 
 
 def test_json_output_is_deterministic(capsys):

@@ -4,36 +4,39 @@ import pytest
 
 from codeword_paradoxes.codes import (code_by_name, five_qubit_code,
                                       mermin_code, steane_code)
-from codeword_paradoxes.dyadic import Dyadic, ONE
+from codeword_paradoxes.dyadic import Dyadic
 from codeword_paradoxes.paradoxes import compatible_pairs, find_determinations
 from codeword_paradoxes.pauli import parse
 from codeword_paradoxes.statevector import StateVector, eigensign, inner
 
 
 def test_five_qubit_amplitudes(five_listing):
-    quarter = Dyadic(1, 0, 2)
-    amps = five_listing[0].amps
-    assert amps[0b10010] == quarter
-    assert amps[0b11000] == -quarter
-    assert amps[0b00000] == -quarter
-    assert sum(1 for a in amps if not a.is_zero()) == 16
-    assert all(a.is_zero() or a in (quarter, -quarter) for a in amps)
+    # the listing is 4 times the paper's: ±1 where the paper has ±1/4
+    amps = five_listing[0].support
+    assert amps[0b10010] == (1, 0)
+    assert amps[0b11000] == (-1, 0)
+    assert amps[0b00000] == (-1, 0)
+    assert len(amps) == 16
+    assert set(amps.values()) == {(1, 0), (-1, 0)}
 
 
 def test_five_qubit_codeword1_is_bit_complement(five):
     # the derived words are -4 and 4 times the paper's, hence the minus sign
-    for j in range(32):
-        assert five.codeword(1).amps[j] == -five.codeword(0).amps[j ^ 0b11111]
+    complement = StateVector(5, {j ^ 0b11111: a
+                                 for j, a in five.codeword(0).support.items()})
+    assert five.codeword(1) == -complement
 
 
 def test_five_qubit_codewords_cyclically_invariant(five):
     for word in (five.codeword(0), five.codeword(1)):
-        shifted = [word.amps[((j >> 1) | ((j & 1) << 4))] for j in range(32)]
+        # ket j moves to the rotation of its bits one site to the left
+        shifted = {((j << 1) | (j >> 4)) & 0b11111: a
+                   for j, a in word.support.items()}
         assert StateVector(5, shifted) == word
 
 
 def test_codeword_norms(five_listing, five, mermin, steane):
-    assert inner(five_listing[0], five_listing[0]) == ONE
+    assert inner(five_listing[0], five_listing[0]) == Dyadic(16)   # 4 x unit
     assert inner(mermin.codeword(0), mermin.codeword(0)) == Dyadic(mermin.norm2)
     assert inner(steane.codeword(0), steane.codeword(0)) == Dyadic(steane.norm2)
     assert (five.norm2, mermin.norm2, steane.norm2) == (16, 2, 8)
@@ -78,8 +81,8 @@ def test_steane_sign_pattern_histogram(steane):
 
 
 def test_steane_codeword_support(steane):
-    support0 = {j for j, a in enumerate(steane.codeword(0).amps) if not a.is_zero()}
-    support1 = {j for j, a in enumerate(steane.codeword(1).amps) if not a.is_zero()}
+    support0 = set(steane.codeword(0).support)
+    support1 = set(steane.codeword(1).support)
     assert len(support0) == 8 and len(support1) == 8
     assert not support0 & support1
     assert 0 in support0 and 0b1111111 in support1
@@ -139,7 +142,7 @@ def test_codeword_needs_a_full_group(five):
         two.codeword(2)
 
 
-@pytest.mark.parametrize("name, factors", [("five", (-4, 4)),
+@pytest.mark.parametrize("name, factors", [("five", (-1, 1)),
                                            ("mermin", (1, 1)),
                                            ("steane", (1, 1))])
 def test_derived_codewords_are_the_paper_listings(paper_codewords, name,
@@ -147,5 +150,6 @@ def test_derived_codewords_are_the_paper_listings(paper_codewords, name,
     code = code_by_name(name)
     for which_state, factor in enumerate(factors):
         listing = paper_codewords[name][which_state]
-        scaled = StateVector(code.n, (a * Dyadic(factor) for a in listing.amps))
+        scaled = StateVector(code.n, {j: (factor * re, factor * im)
+                                      for j, (re, im) in listing.support.items()})
         assert code.codeword(which_state) == scaled

@@ -17,7 +17,7 @@ def test_ring_operations():
     a = Dyadic(1, 0, 2)   # 1/4
     b = Dyadic(3, 0, 2)   # 3/4
     assert a + b == ONE
-    assert b - a == Dyadic(1, 0, 1)
+    assert b + -a == Dyadic(1, 0, 1)
     assert a * Dyadic(4) == ONE
     assert -a == Dyadic(-1, 0, 2)
     assert (a + a + a + a) == ONE
@@ -29,15 +29,6 @@ def test_complex_arithmetic():
     assert z.conj() == Dyadic(1, -1)
     assert z * z.conj() == Dyadic(2)
     assert I_UNIT * I_UNIT == Dyadic(-1)
-
-
-def test_times_i_power_cycles():
-    z = Dyadic(3, -5, 1)
-    assert z.times_i_power(0) == z
-    assert z.times_i_power(1) == z * I_UNIT
-    assert z.times_i_power(2) == -z
-    assert z.times_i_power(3) == z.conj().times_i_power(1).conj()
-    assert z.times_i_power(4) == z
 
 
 def test_as_pow2():
@@ -88,15 +79,12 @@ def test_constructor_matches_halving_loop():
 
 
 def test_raw_built_results_are_in_lowest_terms():
-    """-z, conj and times_i_power skip normalisation; the form must match."""
+    """-z and conj skip normalisation; the form must match."""
     for re, im, exp in TRIPLES:
         z = Dyadic(re, im, exp)
         a, b, k = z.re, z.im, z.exp
         assert -z == Dyadic(-a, -b, k)
         assert z.conj() == Dyadic(a, -b, k)
-        for t, (c, d) in enumerate([(a, b), (-b, a), (-a, -b), (b, -a)]):
-            assert z.times_i_power(t) == Dyadic(c, d, k)
-            assert z.times_i_power(t + 4) == Dyadic(c, d, k)
 
 
 def test_equality_compares_all_three_fields():

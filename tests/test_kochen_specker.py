@@ -13,7 +13,9 @@ from codeword_paradoxes.kochen_specker import (KSVertex, bit_indices,
                                                _check_coloring)
 from codeword_paradoxes.paradoxes import ROW_SITES
 from codeword_paradoxes.pauli import identity, single_site
-from codeword_paradoxes.statevector import apply, eigensign, inner
+from codeword_paradoxes.dyadic import ONE
+from codeword_paradoxes.selftest import dense_amplitudes
+from codeword_paradoxes.statevector import StateVector, apply, eigensign, inner
 
 EDGE_COUNT = 3084        # frozen from the first exhaustive pairwise run
 CONTEXT_COUNT = 39       # frozen from the first exhaustive enumeration
@@ -29,12 +31,18 @@ def _family_ids(vertices, kind):
     return [i for i, v in enumerate(vertices) if v.kind == kind]
 
 
+def _states(v):
+    """The vertex's integer spanning vectors as state vectors."""
+    return [StateVector(5, {j: (x, 0) for j, x in enumerate(iv)})
+            for iv in v.ivecs]
+
+
 def _spanning(vertices):
-    return [s for v in vertices for s in v.vectors]
+    return [s for v in vertices for s in _states(v)]
 
 
 def _orthogonal(p, q):
-    return all(inner(u, w).is_zero() for u in p.vectors for w in q.vectors)
+    return all(inner(u, w).is_zero() for u in _states(p) for w in _states(q))
 
 
 def _assert_resolves_identity(vectors):
@@ -45,7 +53,8 @@ def _assert_resolves_identity(vectors):
     for i, u in enumerate(vectors):
         for w in vectors[i + 1:]:
             assert inner(u, w).is_zero()
-    assert dense.mat_eq(dense.projector_matrix([v.amps for v in vectors]),
+    assert dense.mat_eq(dense.projector_matrix([dense_amplitudes(v)
+                                                for v in vectors]),
                         IDENTITY_MATRIX)
 
 
@@ -68,9 +77,11 @@ def test_vertex_counts(ks_vertices):
 
 
 def test_mutation_family_is_orthonormal_basis(ks_vertices):
-    vectors = _spanning(_family(ks_vertices, "mutation"))
-    assert all(inner(u, u).as_pow2() == 0 for u in vectors)   # exactly norm 1
-    _assert_resolves_identity(vectors)
+    mutations = _family(ks_vertices, "mutation")
+    # exactly norm 1 once each ivec is divided by 2**scale_exp
+    assert all(inner(u, u).half_power(2 * v.scale_exp) == ONE
+               for v in mutations for u in _states(v))
+    _assert_resolves_identity(_spanning(mutations))
 
 
 def test_sixteen_mutations_per_codeword(ks_vertices):
@@ -97,7 +108,7 @@ def test_row3_spanning_vectors_match_expected_form(ks_vertices):
     |000> + |001> + |100> + |101> on sites 1-3, tensored with each basis
     state of sites 4 and 5."""
     v = _row_family(ks_vertices, 3, m=+1, n=+1, s=+1)[0]
-    from codeword_paradoxes.dyadic import ONE
+    assert v.scale_exp == 0
     expected_supports = []
     for bd in (0, 1):
         for be in (0, 1):
@@ -105,9 +116,9 @@ def test_row3_spanning_vectors_match_expected_form(ks_vertices):
             expected_supports.append({(ba << 4) | (bc << 2) | tail
                                       for ba in (0, 1) for bc in (0, 1)})
     got_supports = []
-    for vec in v.vectors:
-        support = {j for j, a in enumerate(vec.amps) if not a.is_zero()}
-        assert all(vec.amps[j] == ONE for j in support)
+    for iv in v.ivecs:
+        support = {j for j, x in enumerate(iv) if x}
+        assert all(iv[j] == 1 for j in support)
         got_supports.append(support)
     assert got_supports == expected_supports
 
@@ -121,7 +132,7 @@ def test_row_spanning_vectors_are_eigenvectors_of_their_triple(ks_vertices):
     for v in rows:
         _, r, m, n, s = v.provenance
         a, b, c = ROW_SITES[r]
-        for vec in v.vectors:
+        for vec in _states(v):
             assert eigensign(single_site(5, a, "X"), vec) == m
             assert eigensign(single_site(5, b, "Z"), vec) == s
             assert eigensign(single_site(5, c, "X"), vec) == n
@@ -139,7 +150,7 @@ def test_row_families_resolve_identity(ks_vertices):
 
 def test_rank4_projector_matrix_properties(ks_vertices):
     v = _row_family(ks_vertices, 3, m=+1, n=+1, s=+1)[0]
-    m = dense.projector_matrix([s.amps for s in v.vectors])
+    m = dense.projector_matrix([dense_amplitudes(s) for s in _states(v)])
     assert dense.mat_eq(dense.mat_mul(m, m), m)
     # Hermitian: each stored (i, j) has its conjugate stored at (j, i)
     entries = {(i, j): x for i, row in enumerate(m) for j, x in row}
@@ -148,7 +159,7 @@ def test_rank4_projector_matrix_properties(ks_vertices):
 
 def test_rank4_acts_as_identity_on_untouched_qubits(ks_vertices):
     v = _row_family(ks_vertices, 3, m=+1, n=-1, s=-1)[0]
-    p = dense.projector_matrix([s.amps for s in v.vectors])
+    p = dense.projector_matrix([dense_amplitudes(s) for s in _states(v)])
     for op in (single_site(5, 4, "X"), single_site(5, 5, "Z"),
                single_site(5, 4, "Y")):
         assert dense.commutator_is_zero(p, dense.pauli_matrix(op))
@@ -161,8 +172,7 @@ def test_row3_z_minus_family_orthogonal_to_a0cde_kets(ks_vertices):
     for v in family:
         for j in range(32):
             if not (j >> 3) & 1:
-                assert all(vec.amps[j].is_zero()
-                           for vec in v.vectors)
+                assert all(iv[j] == 0 for iv in v.ivecs)
 
 
 def test_row3_m_equals_n_family_orthogonal_to_codeword1_mutations(ks_vertices):
@@ -179,7 +189,7 @@ def test_row3_m_equals_n_family_orthogonal_to_codeword1_mutations(ks_vertices):
                 op = op * single_site(5, 5, e)
             w = apply(op, code.codeword(1))
             for v in family:
-                assert all(inner(s, w).is_zero() for s in v.vectors)
+                assert all(inner(s, w).is_zero() for s in _states(v))
 
 
 def test_row3_m_equals_n_family_orthogonal_to_odd_codeword0_mutations(ks_vertices):
@@ -190,7 +200,7 @@ def test_row3_m_equals_n_family_orthogonal_to_odd_codeword0_mutations(ks_vertice
                          (3, "Y"), (3, "Z")):
         w = apply(single_site(5, site, letter), code.codeword(0))
         for v in family:
-            assert all(inner(s, w).is_zero() for s in v.vectors)
+            assert all(inner(s, w).is_zero() for s in _states(v))
 
 
 def test_row3_row6_shared_x_orthogonality(ks_vertices):

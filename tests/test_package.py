@@ -1,6 +1,6 @@
 """Package-wide contracts: every exported name resolves, the package imports
-nothing outside the standard library, and the README's library example runs
-as written."""
+nothing outside the standard library, its modules keep their import
+boundaries, and the README's library example runs as written."""
 
 import ast
 import importlib
@@ -9,7 +9,45 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 import codeword_paradoxes
+
+PACKAGE = Path(codeword_paradoxes.__file__).parent
+
+# (module, module it must not import from, names it may still import).
+# The dense oracle checks the state-vector route, so it must not use it;
+# production amplitudes are Gaussian integers, so Dyadic stays with the
+# oracle, which selftest feeds, and with inner's return value.
+IMPORT_BOUNDARIES = [
+    ("dense", "statevector", ()),
+    ("codes", "dyadic", ()),
+    ("stabilizer", "dyadic", ()),
+    ("kochen_specker", "dyadic", ()),
+    ("paradoxes", "dyadic", ()),
+    ("cli", "dyadic", ()),
+    ("statevector", "dyadic", ("Dyadic",)),
+]
+
+
+def _tree(module):
+    path = PACKAGE / f"{module}.py"
+    return ast.parse(path.read_text(), str(path))
+
+
+def _imports_from(module, source):
+    """What module imports from source: its names, or "*" for the module."""
+    found = []
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == source:
+                found += [alias.name for alias in node.names]
+            else:
+                found += ["*" for alias in node.names if alias.name == source]
+        elif isinstance(node, ast.Import):
+            found += ["*" for alias in node.names
+                      if alias.name.split(".")[-1] == source]
+    return found
 
 
 def test_every_exported_name_exists():
@@ -45,3 +83,17 @@ def test_package_imports_only_the_standard_library():
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert len(sources) > 10
     assert outside == []
+
+
+@pytest.mark.parametrize("module, source, allowed", IMPORT_BOUNDARIES,
+                         ids=[f"{m}-{s}" for m, s, _ in IMPORT_BOUNDARIES])
+def test_import_boundary(module, source, allowed):
+    assert set(_imports_from(module, source)) <= set(allowed)
+
+
+def test_statevector_builds_dyadic_only_in_inner():
+    users = {node.name for node in ast.walk(_tree("statevector"))
+             if isinstance(node, ast.FunctionDef)
+             and any(isinstance(n, ast.Name) and n.id == "Dyadic"
+                     for n in ast.walk(node))}
+    assert users == {"inner"}

@@ -197,6 +197,32 @@ def test_knill_laflamme_mermin_bit_flips_only(mermin):
     assert ("III", "ZII") in failing_pairs
 
 
+def _failure(pair, off, d0, d1):
+    return {"pair": pair, "off_diagonal": off, "diag0": d0, "diag1": d1}
+
+
+def test_knill_laflamme_failure_texts_are_literals(mermin, five):
+    """The failure records as fixed text: the per-pair reference below goes
+    through the same inner and apply, so it would follow a format change."""
+    probe = knill_laflamme_check(mermin.codeword(0), mermin.codeword(1),
+                                 list(mermin.correctable)
+                                 + [single_site(3, 1, "Z")])
+    assert probe.pairs_checked == 25
+    assert probe.failures == [_failure(("III", "ZII"), "2", "0", "0"),
+                              _failure(("ZII", "III"), "2", "0", "0")]
+    logical = knill_laflamme_check(five.codeword(0), five.codeword(1),
+                                   [parse(t) for t in ("IIIII", "XXXXX", "YYYYY")])
+    assert logical.pairs_checked == 9
+    assert logical.failures == [
+        _failure(("IIIII", "XXXXX"), "-16", "0", "0"),
+        _failure(("IIIII", "YYYYY"), "16 i", "0", "0"),
+        _failure(("XXXXX", "IIIII"), "-16", "0", "0"),
+        _failure(("XXXXX", "YYYYY"), "0", "16 i", "-16 i"),
+        _failure(("YYYYY", "IIIII"), "16 i", "0", "0"),
+        _failure(("YYYYY", "XXXXX"), "0", "-16 i", "16 i"),
+    ]
+
+
 def test_knill_laflamme_steane(steane):
     report = knill_laflamme_check(steane.codeword(0), steane.codeword(1),
                                   single_qubit_errors(7))

@@ -3,26 +3,33 @@ import random
 import pytest
 
 from codeword_paradoxes import dense
-from codeword_paradoxes.dyadic import Dyadic, I_UNIT, ONE, ZERO
+from codeword_paradoxes.dyadic import Dyadic, ZERO
 from codeword_paradoxes.errors import DimensionMismatchError, NonHermitianError
 from codeword_paradoxes.pauli import from_letters, identity, parse, single_site
-from codeword_paradoxes.selftest import random_pauli, random_state
+from codeword_paradoxes.selftest import dense_amplitudes, random_pauli, random_state
 from codeword_paradoxes.statevector import StateVector, apply, eigensign, inner
 
 
 def basis_ket(n: int, label) -> StateVector:
     """Basis vector from an integer index or a '01001'-style label."""
     index = int(label, 2) if isinstance(label, str) else label
-    amps = [ZERO] * (1 << n)
-    amps[index] = ONE
-    return StateVector(n, amps)
+    return StateVector(n, {index: (1, 0)})
 
 
 def test_basis_ket_labels():
     v = basis_ket(5, "10010")
-    assert v.amps[0b10010] == ONE
-    assert sum(1 for a in v.amps if not a.is_zero()) == 1
+    assert v.support == {0b10010: (1, 0)}
     assert basis_ket(5, 18) == v
+
+
+def test_support_drops_zeros_and_checks_indices():
+    v = StateVector(2, {0: (0, 0), 3: (2, -1), 1: [0, 0]})
+    assert v.support == {3: (2, -1)}
+    assert v != StateVector(3, {3: (2, -1)})
+    assert StateVector(2, {}) == StateVector(2, {1: (0, 0)})
+    for index in (-1, 4):
+        with pytest.raises(ValueError, match="out of range"):
+            StateVector(2, {index: (1, 0)})
 
 
 def test_apply_identity(five):
@@ -39,14 +46,16 @@ def test_apply_single_qubit_conventions():
     plus = basis_ket(1, 0)
     assert apply(parse("X"), plus) == basis_ket(1, 1)
     y0 = apply(parse("Y"), plus)
-    assert y0.amps[1] == I_UNIT and y0.amps[0] == ZERO
+    assert y0.support == {1: (0, 1)}
     z1 = apply(parse("Z"), basis_ket(1, 1))
-    assert z1.amps[1] == Dyadic(-1)
+    assert z1.support == {1: (-1, 0)}
 
 
 def test_apply_dimension_mismatch(five):
     with pytest.raises(DimensionMismatchError):
         apply(parse("XX"), five.codeword(0))
+    with pytest.raises(DimensionMismatchError):
+        eigensign(parse("XX"), five.codeword(0))
 
 
 def test_apply_matches_dense_oracle():
@@ -55,8 +64,8 @@ def test_apply_matches_dense_oracle():
         n = rng.randint(1, 3)
         p = random_pauli(rng, n)
         v = random_state(rng, n)
-        assert list(apply(p, v).amps) == dense.mat_vec(dense.pauli_matrix(p),
-                                                       list(v.amps))
+        assert dense_amplitudes(apply(p, v)) == \
+            dense.mat_vec(dense.pauli_matrix(p), dense_amplitudes(v))
 
 
 def test_apply_composition_small_n():
@@ -85,28 +94,29 @@ def test_eigensign_requires_hermitian(five):
 
 
 def _times_i(v):
-    return StateVector(v.n, (a.times_i_power(1) for a in v.amps))
+    return StateVector(v.n, {j: (-im, re) for j, (re, im) in v.support.items()})
 
 
 def test_eigensign_global_phase_invariant(five):
     rotated = _times_i(five.codeword(0))
-    assert rotated.amps[0] == five.codeword(0).amps[0] * I_UNIT
+    assert five.codeword(0).support[0] == (1, 0)
+    assert rotated.support[0] == (0, 1)
     assert eigensign(parse("XZIZX"), rotated) == +1
     assert eigensign(parse("IXZXI"), rotated) == -1
 
 
 def test_inner_products(five_listing):
-    zero, one = five_listing
-    assert inner(zero, zero) == ONE
+    zero, one = five_listing                  # 4 times the unit codewords
+    assert inner(zero, zero) == Dyadic(16)
     assert inner(zero, one) == ZERO
-    assert inner(basis_ket(5, "00000"), zero) == Dyadic(-1, 0, 2)
+    assert inner(basis_ket(5, "00000"), zero) == Dyadic(-1)
     with pytest.raises(DimensionMismatchError):
         inner(basis_ket(2, 0), zero)
 
 
 def test_inner_conjugate_linearity():
-    u = StateVector(1, [Dyadic(0, 1), ZERO])    # i|0>
-    v = StateVector(1, [ONE, ZERO])
+    u = StateVector(1, {0: (0, 1)})    # i|0>
+    v = StateVector(1, {0: (1, 0)})
     assert inner(u, v) == Dyadic(0, -1)
     assert inner(v, u) == Dyadic(0, 1)
 
@@ -123,39 +133,38 @@ def test_classical_basis_resolves_identity():
     assert all(inner(u, w).is_zero() for i, u in enumerate(kets)
                for w in kets[i + 1:])
     identity_matrix = dense.pauli_matrix(identity(5))
-    assert dense.mat_eq(dense.projector_matrix([k.amps for k in kets]),
-                        identity_matrix)
+    columns = [dense_amplitudes(k) for k in kets]
+    assert dense.mat_eq(dense.projector_matrix(columns), identity_matrix)
     # 31 kets are pairwise orthogonal too, but one short of the identity
-    assert not dense.mat_eq(dense.projector_matrix([k.amps for k in kets[:31]]),
+    assert not dense.mat_eq(dense.projector_matrix(columns[:31]),
                             identity_matrix)
 
 
 def test_projector_matrix_idempotent(five):
-    m = dense.projector_matrix([five.codeword(0).amps, five.codeword(1).amps])
+    m = dense.projector_matrix([dense_amplitudes(five.codeword(0)),
+                                dense_amplitudes(five.codeword(1))])
     assert dense.mat_eq(dense.mat_mul(m, m), m)
     # Hermitian: each stored (i, j) has its conjugate stored at (j, i)
     entries = {(i, j): x for i, row in enumerate(m) for j, x in row}
     assert all(entries.get((j, i)) == x.conj() for (i, j), x in entries.items())
 
 
-def test_serialization_round_trip(five_listing):
-    pairs = five_listing[0].to_pairs()
-    assert ("00000", "-1/2^2") in pairs
-    assert ("10010", "1/2^2") in pairs
-    assert len(pairs) == 16
-
-
 def test_phase_canonical():
-    v = StateVector(1, [Dyadic(0, -1), ZERO])   # -i|0>
-    w = v.phase_canonical()
-    assert w.amps[0] == ONE
-    plain = StateVector(1, [ONE, ONE])
+    v = StateVector(1, {0: (0, -1), 1: (3, 0)})   # -i|0> + 3|1>
+    assert v.phase_canonical() == StateVector(1, {0: (1, 0), 1: (0, 3)})
+    for lead in ((-2, 0), (0, 2), (0, -2)):
+        w = StateVector(2, {1: lead, 2: (1, 1)}).phase_canonical()
+        assert w.support[1] == (2, 0)
+        assert inner(w, w) == Dyadic(6)
+    plain = StateVector(1, {0: (1, 0), 1: (1, 0)})
     assert plain.phase_canonical() is plain
+    with pytest.raises(ValueError, match="quarter-turn axis"):
+        StateVector(1, {0: (1, 1)}).phase_canonical()
 
 
 def _inner_by_terms(u, v):
     total = ZERO
-    for a, b in zip(u.amps, v.amps):
+    for a, b in zip(dense_amplitudes(u), dense_amplitudes(v)):
         total = total + a.conj() * b
     return total
 
@@ -172,8 +181,16 @@ def _eigensign_by_vectors(p, v):
 def _eigenvectors(p, v):
     """v + p·v and v - p·v: eigenvectors of p for +1 and -1 (or zero)."""
     w = apply(p, v)
-    return (StateVector(v.n, (a + b for a, b in zip(v.amps, w.amps))),
-            StateVector(v.n, (a - b for a, b in zip(v.amps, w.amps))))
+    return _add(v, w, 1), _add(v, w, -1)
+
+
+def _add(v, w, sign):
+    """v + sign·w, amplitude by amplitude."""
+    out = dict(v.support)
+    for j, (re, im) in w.support.items():
+        r0, i0 = out.get(j, (0, 0))
+        out[j] = (r0 + sign * re, i0 + sign * im)
+    return StateVector(v.n, out)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -186,19 +203,38 @@ def test_inner_and_eigensign_match_reference_formulas(n):
         if not p.is_hermitian():
             p = from_letters(p.letters)
         plus, minus = _eigenvectors(p, v)
-        vectors = [u, v, -v, _times_i(v), plus, minus, -plus, _times_i(minus)]
+        # plus without its first ket: p maps some ket off the support
+        cut = StateVector(n, dict(list(plus.support.items())[1:]))
+        vectors = [u, v, -v, _times_i(v), plus, minus, -plus, _times_i(minus),
+                   cut]
         for a in vectors:
             for b in vectors:
                 assert inner(a, b) == _inner_by_terms(a, b)
-            if any(x.re or x.im for x in a.amps):
+            if a.support:
                 got = eigensign(p, a)
                 assert got == _eigensign_by_vectors(p, a)
                 signs.add(got)
     assert signs == {+1, -1, None}
 
 
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_random_state_is_four_times_the_drawn_dyadics(n):
+    """Per ket, in order, the draws a, b in [-4, 4] and e in [0, 2] give
+    the amplitude 4·(a + b i)/2**e, and the generator ends where exactly
+    those draws leave it."""
+    rng, reference = random.Random(n), random.Random(n)
+    v = random_state(rng, n)
+    draws = [(reference.randint(-4, 4), reference.randint(-4, 4),
+              reference.randrange(3)) for _ in range(1 << n)]
+    assert dense_amplitudes(v) == [Dyadic(a, b, e) * Dyadic(4)
+                                   for a, b, e in draws]
+    assert v == StateVector(n, {j: (a << (2 - e), b << (2 - e))
+                                for j, (a, b, e) in enumerate(draws)})
+    assert rng.getstate() == reference.getstate()
+
+
 def test_eigensign_rejects_zero_vector():
-    zero = StateVector(3, [ZERO] * 8)
+    zero = StateVector(3, {})
     with pytest.raises(ValueError, match="zero vector"):
         eigensign(parse("XZY"), zero)
     with pytest.raises(ValueError, match="zero vector"):
