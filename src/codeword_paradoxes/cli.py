@@ -293,15 +293,16 @@ def _cmd_steane_search(args) -> Report:
     res = search_parity_contradictions(code, args.max_subset,
                                        node_budget=args.budget)
     sizes = sorted({len(inst.members) for inst in res.instances})
+    # each printed example, confirmed on its codeword as the pentagon is
+    examples = {ws: [check_parity_contradiction(inst, ws)
+                     for inst in res.instances[:3]] for ws in states}
     per_state = {
         f"codeword{ws}": {
             "contradictions_found": len(res.instances),
             "subset_sizes": sizes,
             "minimal_size": sizes[0] if sizes else None,
             "complete_to_size": res.complete_to_size,
-            "examples": [
-                inst.operator_texts(ws) for inst in res.instances[:3]
-            ],
+            "examples": [rep.operators for rep in examples[ws]],
         }
         for ws in states
     }
@@ -310,7 +311,9 @@ def _cmd_steane_search(args) -> Report:
         "max_subset": args.max_subset,
         "results": per_state,
     }
-    verdict = VERDICT_CONTRADICTION if res.instances else VERDICT_FAIL
+    confirmed = bool(res.instances) and all(
+        rep.contradiction for reps in examples.values() for rep in reps)
+    verdict = VERDICT_CONTRADICTION if confirmed else VERDICT_FAIL
     return Report("steane-search", verdict, code="steane", details=details)
 
 

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 
 from .pauli import PauliString, identity, parse, single_site
 from .stabilizer import StabilizerElement, StabilizerGroup, close, codeword_index
-from .statevector import StateVector
+from .statevector import StateVector, apply
 
 __all__ = ["CodeDefinition", "five_qubit_code", "mermin_code", "steane_code",
            "code_by_name", "CODE_NAMES", "single_qubit_errors"]
@@ -64,11 +64,6 @@ class CodeDefinition:
         return len(self.codeword(0).support)
 
 
-# g|k> is i**t |k ^ x> for a bare g, t = (number of Ys) + 2·parity(k & z),
-# as in statevector.apply; these are i**t as (re, im).
-_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
-
-
 def _fixed_vector(group: StabilizerGroup, which_state: int) -> StateVector:
     """Sum of s_g·g|k> over the group, for the first basis ket |k> that the
     sum does not annihilate, divided by its amplitude at k.
@@ -84,12 +79,12 @@ def _fixed_vector(group: StabilizerGroup, which_state: int) -> StateVector:
     diagonal = [(op.z, s) for op, s in signed if not op.x]
     k = next(k for k in range(1 << group.n)
              if all((-1) ** (k & z).bit_count() == s for z, s in diagonal))
+    ket = StateVector(group.n, {k: (1, 0)})
     sums: dict[int, tuple[int, int]] = {}
     for op, s in signed:
-        t = (op.x & op.z).bit_count() + 2 * (k & op.z).bit_count()
-        dr, di = _I_POWERS[t & 3]
-        re, im = sums.get(k ^ op.x, (0, 0))
-        sums[k ^ op.x] = (re + s * dr, im + s * di)
+        [(j, (dr, di))] = apply(op, ket).support.items()
+        re, im = sums.get(j, (0, 0))
+        sums[j] = (re + s * dr, im + s * di)
     pivot = sums[k][0]
     return StateVector(group.n, {j: (re // pivot, im // pivot)
                                  for j, (re, im) in sums.items()})

@@ -21,7 +21,7 @@ from .codes import CodeDefinition
 from .errors import BudgetExceededError, NonHermitianError
 from .pauli import PauliString, from_letters, identity, single_site
 from .stabilizer import StabilizerElement, StabilizerGroup, codeword_index
-from .statevector import StateVector, eigensign
+from .statevector import eigensign
 
 __all__ = [
     "Determination",
@@ -148,7 +148,12 @@ def check_parity_contradiction(inst: ParityInstance,
     if not inst.members:
         raise ValueError("parity instance has no operators")
     for e in inst.members:
-        _check_eigensign(e.op, e.sign(which_state), state)
+        sign = e.sign(which_state)
+        got = eigensign(e.op, state)
+        if got != sign:
+            raise ValueError(
+                f"{e.op} is not a {sign:+d} eigenoperator of the state"
+                f" (observed {got})")
 
     xor, prod = _parity_bookkeeping(inst.members, which_state)
     mult = inst.factor_multiset()
@@ -161,14 +166,6 @@ def check_parity_contradiction(inst: ParityInstance,
         operator_product=str(prod),
         contradiction=xor == _ODD_SIGNS,
     )
-
-
-def _check_eigensign(op: PauliString, sign: int, state: StateVector) -> None:
-    got = eigensign(op, state)
-    if got != sign:
-        raise ValueError(
-            f"{op} is not a {sign:+d} eigenoperator of the state"
-            f" (observed {got})")
 
 
 # Bit 0 of a parity vector: set for an eigenvalue of -1.
@@ -191,8 +188,8 @@ def _parity_vector(op: PauliString, sign: int) -> int:
 def _parity_bookkeeping(members, which_state: int) -> tuple[int, PauliString]:
     """(XOR of the parity vectors on codeword which_state, operator product).
 
-    The members' eigensigns must already be verified against the codeword:
-    then an even-multiplicity instance has operator product exactly
+    The members' signs must be their eigenvalues on the codeword: then an
+    even-multiplicity instance has operator product exactly
     (eigenvalue product) x identity, and a disagreement is a bug.
     """
     xor = 0
@@ -302,9 +299,14 @@ class OperatorArray:
 
     def cell(self, row: int, col: int) -> PauliString:
         """1-based access (row 1, column 1 is the top-left cell)."""
-        return self.rows[row - 1][col - 1]
+        if not 1 <= row <= self.shape[0]:
+            raise ValueError(f"row {row} out of range 1..{self.shape[0]}")
+        return self.column(col)[row - 1]
 
     def column(self, col: int) -> tuple[PauliString, ...]:
+        """1-based column col, top to bottom."""
+        if not 1 <= col <= self.shape[1]:
+            raise ValueError(f"column {col} out of range 1..{self.shape[1]}")
         return tuple(row[col - 1] for row in self.rows)
 
 
@@ -426,8 +428,8 @@ def search_parity_contradictions(code: CodeDefinition, max_subset: int,
     The tiers that fit node_budget are fixed before anything is enumerated,
     so each is completed atomically and the result is deterministic.
 
-    Every element's signs are checked against both codewords with
-    eigensign (ValueError on a mismatch).  Each subset is then rechecked by
+    No eigensign is replayed: the group's signs define its codewords, so
+    they are the elements' eigenvalues there.  Each subset is rechecked by
     the bookkeeping check_parity_contradiction uses (its vectors XOR to
     _ODD_SIGNS, its operator product is exactly -I), and it must hold an
     even number of elements whose signs differ between the codewords, so
@@ -451,9 +453,6 @@ def search_parity_contradictions(code: CodeDefinition, max_subset: int,
             f"parity search exhausted its budget at size {complete_to} "
             f"of {max_subset} with nothing found")
 
-    for ws in (0, 1):
-        for e in elements:
-            _check_eigensign(e.op, e.sign(ws), code.codeword(ws))
     subsets.sort(key=lambda idxs: (len(idxs), idxs))
     instances = []
     for idxs in subsets:

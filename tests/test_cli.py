@@ -120,6 +120,17 @@ def test_falsified_claim_exits_1(capsys, monkeypatch):
     assert payload["details"]["impossibility"] is False
 
 
+def test_unconfirmed_steane_example_exits_1(capsys, monkeypatch):
+    check = cli.check_parity_contradiction
+    monkeypatch.setattr(cli, "check_parity_contradiction", lambda inst, ws:
+                        replace(check(inst, ws), contradiction=False))
+    code, payload = run_json(capsys, "steane-search", "--max", "4")
+    assert code == 1
+    assert payload["verdict"] == "fail"
+    assert payload["details"]["results"]["codeword0"]["contradictions_found"] \
+        == 2016
+
+
 def test_ks(ks_dump_run):
     assert ks_dump_run.code == 0
     det = json.loads(ks_dump_run.out)["details"]

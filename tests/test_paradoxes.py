@@ -7,7 +7,7 @@ from operator import xor
 
 import pytest
 
-from codeword_paradoxes import paradoxes
+from codeword_paradoxes import cli, paradoxes, stabilizer
 from codeword_paradoxes.codes import code_by_name
 from codeword_paradoxes.errors import BudgetExceededError
 from codeword_paradoxes.paradoxes import (OperatorArray, ParityInstance,
@@ -22,7 +22,7 @@ from codeword_paradoxes.paradoxes import (OperatorArray, ParityInstance,
                                           pentagon_description,
                                           search_parity_contradictions)
 from codeword_paradoxes.pauli import from_letters, identity, parse
-from codeword_paradoxes.stabilizer import StabilizerElement
+from codeword_paradoxes.stabilizer import StabilizerElement, verify_stabilizes
 from codeword_paradoxes.statevector import eigensign
 
 # The eight ways of learning sigma_1x from the other qubits, written as
@@ -196,6 +196,21 @@ def test_canonical_array_layout():
     assert str(arr.cell(1, 13)) == "ZZZZZ"
 
 
+def test_array_indices_are_one_based():
+    arr = build_canonical_array()
+    assert arr.column(13) == tuple(row[12] for row in arr.rows)
+    for row, col in ((0, 1), (-1, 1), (7, 1)):
+        with pytest.raises(ValueError, match=f"^row {row} out of range 1..6$"):
+            arr.cell(row, col)
+    for col in (0, -1, 14):
+        with pytest.raises(ValueError,
+                           match=f"^column {col} out of range 1..13$"):
+            arr.cell(1, col)
+        with pytest.raises(ValueError,
+                           match=f"^column {col} out of range 1..13$"):
+            arr.column(col)
+
+
 def test_canonical_array_verdict():
     report = check_array(build_canonical_array())
     assert all(report.row_commuting)
@@ -361,35 +376,71 @@ def test_five_qubit_size4_matches_pair_bucket_oracle(five, five_group):
         assert _size4_instances(res, ws) == expected
 
 
-def test_search_rejects_codewords_that_contradict_the_group(steane, five,
-                                                            monkeypatch):
+def test_check_rejects_codewords_that_contradict_the_group(steane, five,
+                                                           monkeypatch):
     # with the codewords swapped, the first element whose sign differs
     # between them is declared with the wrong eigenvalue on codeword 0
-    for code, max_subset in ((steane, 4), (five, 6)):
+    for code in (steane, five):
         swapped = replace(code)
         monkeypatch.setitem(vars(swapped), "codeword",
                             lambda w, code=code: code.codeword(1 - w))
         first = next(e.op for e in code.group().non_identity()
                      if e.sign0 != e.sign1)
         with pytest.raises(ValueError, match=f"^{first} is not a"):
-            search_parity_contradictions(swapped, max_subset)
+            check_parity_contradiction(parity_instance(swapped, [first]), 0)
+        assert verify_stabilizes(swapped.group(), swapped.codeword(0),
+                                 swapped.codeword(1))
 
 
-def test_search_checks_each_element_sign_once_per_codeword(steane,
-                                                           monkeypatch):
-    calls = []
+def test_eigensigns_are_checked_only_for_the_printed_examples(steane, capsys,
+                                                              monkeypatch):
+    """The search replays no eigensign.  steane-search confirms each
+    printed example (three per codeword) with check_parity_contradiction,
+    one eigensign per member and codeword."""
+    calls, checking = [], []
 
     def counting_eigensign(op, state):
-        calls.append(op)
+        calls.append(bool(checking))
         return eigensign(op, state)
 
-    monkeypatch.setattr(paradoxes, "eigensign", counting_eigensign)
-    group = steane.group()
+    def tracked_check(inst, which_state):
+        checking.append(which_state)
+        try:
+            return check(inst, which_state)
+        finally:
+            checking.pop()
+
+    for module in (paradoxes, stabilizer):
+        monkeypatch.setattr(module, "eigensign", counting_eigensign)
+    check = cli.check_parity_contradiction
+    monkeypatch.setattr(cli, "check_parity_contradiction", tracked_check)
     res = search_parity_contradictions(steane, 10)
     assert len(res.instances) == 2016
-    assert len(calls) == 254
-    assert sorted(map(str, calls)) == \
-        sorted(2 * [str(e.op) for e in group.non_identity()])
+    assert calls == []
+
+    for state, count in (("both", 3 * 4 * 2), ("0", 3 * 4)):
+        calls.clear()
+        assert cli.main(["steane-search", "--max", "10", "--state", state,
+                         "--format", "json"]) == 0
+        capsys.readouterr()
+        assert len(calls) == count and all(calls)
+
+
+@pytest.mark.parametrize("name, max_subset, count",
+                         [("steane", 4, 2016), ("five", 6, 812),
+                          ("mermin", 7, 2)])
+def test_every_search_instance_passes_the_parity_check(name, max_subset,
+                                                       count):
+    """The search replays no eigensign, so its instances are confirmed
+    here, on both codewords, by eigensign and the exact operator product."""
+    code = code_by_name(name)
+    res = search_parity_contradictions(code, max_subset)
+    assert len(res.instances) == count
+    for inst in res.instances:
+        for ws in (0, 1):
+            report = check_parity_contradiction(inst, ws)
+            assert report.contradiction
+            assert report.operator_product == "-" + "I" * code.n
 
 
 def test_steane_budget_is_spent_by_whole_tiers(steane):
