@@ -13,7 +13,6 @@ import functools
 import json
 import sys
 from collections import Counter
-from dataclasses import asdict
 
 from .codes import code_by_name, five_qubit_code, steane_code, CODE_NAMES
 from .errors import BudgetExceededError
@@ -188,7 +187,7 @@ def _cmd_reality(args) -> Report:
 def _cmd_pentagon(args) -> Report:
     code = five_qubit_code()
     inst = canonical_pentagon_instance(code)
-    per_state = {f"codeword{ws}": asdict(check_parity_contradiction(inst, ws))
+    per_state = {f"codeword{ws}": check_parity_contradiction(inst, ws)._asdict()
                  for ws in (0, 1)}
     confirmed = all(rep["contradiction"] for rep in per_state.values())
     details = {"pentagon": pentagon_description(code), "instances": per_state}
@@ -320,9 +319,9 @@ def _cmd_steane_search(args) -> Report:
 def _cmd_selftest(args) -> Report:
     results = run_all(seed=args.seed)
     ok = all(r.ok for r in results)
-    details = {"seed": args.seed, "suites": [asdict(r) for r in results]}
+    details = {"seed": args.seed, "suites": [r._asdict() for r in results]}
     return Report("selftest", VERDICT_PASS if ok else VERDICT_FAIL,
-                  details=details)
+                  code=None, details=details)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ which check each derived codeword against them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .pauli import PauliString, identity, parse, single_site
@@ -24,15 +23,40 @@ __all__ = ["CodeDefinition", "five_qubit_code", "mermin_code", "steane_code",
            "code_by_name", "CODE_NAMES", "single_qubit_errors"]
 
 
-@dataclass(frozen=True)
 class CodeDefinition:
-    name: str
-    n: int
-    generators: tuple[StabilizerElement, ...]
-    expected_group_order: int
-    expected_stable_order: int      # size of the sign-stable subgroup
-    correctable: tuple[PauliString, ...]   # error set the code claims to handle
-    must_fail: tuple[PauliString, ...]     # errors the code claims NOT to handle
+    """A code's signed generators and the structure claimed for it.
+
+    Read-only after construction.  The closed group and the codewords are
+    derived on first use and cached in the instance __dict__, so a copy
+    made with _replace derives its own.
+    """
+
+    _fields = ("name", "n", "generators", "expected_group_order",
+               "expected_stable_order", "correctable", "must_fail")
+
+    def __init__(self, name: str, n: int,
+                 generators: tuple[StabilizerElement, ...],
+                 expected_group_order: int,
+                 expected_stable_order: int,     # size of the sign-stable subgroup
+                 correctable: tuple[PauliString, ...],  # errors the code handles
+                 must_fail: tuple[PauliString, ...]):   # errors it does NOT handle
+        self.__dict__.update(
+            name=name, n=n, generators=generators,
+            expected_group_order=expected_group_order,
+            expected_stable_order=expected_stable_order,
+            correctable=correctable, must_fail=must_fail)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CodeDefinition is read-only")
+
+    def _replace(self, **changes) -> "CodeDefinition":
+        """A new definition with the given fields changed; nothing derived
+        is carried over."""
+        return CodeDefinition(**{**{f: getattr(self, f) for f in self._fields},
+                                 **changes})
+
+    def __repr__(self) -> str:
+        return f"CodeDefinition(name={self.name!r}, n={self.n})"
 
     def group(self) -> StabilizerGroup:
         """The closure of this definition's generators, built once."""

@@ -27,7 +27,7 @@ assignment is two masks, the true vertices and the false ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .codes import five_qubit_code, single_qubit_errors
 from .errors import BudgetExceededError
@@ -49,8 +49,7 @@ __all__ = [
 _DIM = 32
 
 
-@dataclass(frozen=True)
-class KSVertex:
+class KSVertex(NamedTuple):
     """One projector of the set, tagged with how it was built.  A vertex's
     id is its position in the vertex list.
 
@@ -351,8 +350,7 @@ def canonical_contexts(graph: OrthogonalityGraph) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ColorabilityVerdict:
+class ColorabilityVerdict(NamedTuple):
     satisfiable: bool
     true: int  # mask of the true vertices; 0 when UNSAT
     decisions: int

@@ -14,8 +14,8 @@ computed as an independent cross-check on the sign data.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .codes import CodeDefinition
 from .errors import BudgetExceededError, NonHermitianError
@@ -40,7 +40,6 @@ __all__ = [
     "ArrayReport",
     "check_array",
     "build_canonical_array",
-    "mermin_peres_square",
     "ParitySearchResult",
     "search_parity_contradictions",
 ]
@@ -51,8 +50,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Determination:
+class Determination(NamedTuple):
     """A recipe fixing one single-qubit observable from the other qubits.
 
     The underlying group element factors as (target letter at the target
@@ -108,8 +106,7 @@ def _sitewise_compatible(a: PauliString, b: PauliString) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParityInstance:
+class ParityInstance(NamedTuple):
     """Elements of code's group; a codeword picks the sign read of each."""
 
     code: CodeDefinition
@@ -127,8 +124,7 @@ class ParityInstance:
         return [f"{e.sign(which_state):+d} {e.op}" for e in self.members]
 
 
-@dataclass
-class ParityReport:
+class ParityReport(NamedTuple):
     operators: list[str]
     symbol_multiplicities: dict
     all_multiplicities_even: bool
@@ -268,30 +264,37 @@ def pentagon_description(code: CodeDefinition) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class OperatorArray:
-    """Grid of Hermitian operators with declared row/column product signs."""
+    """Grid of Hermitian operators with declared row/column product signs;
+    checked when built and read-only after."""
 
-    rows: tuple[tuple[PauliString, ...], ...]
-    declared_row_signs: tuple[int, ...]
-    declared_col_signs: tuple[int, ...]
+    __slots__ = ("rows", "declared_row_signs", "declared_col_signs")
 
-    def __post_init__(self):
-        if not self.rows:
+    def __init__(self, rows: tuple[tuple[PauliString, ...], ...],
+                 declared_row_signs: tuple[int, ...],
+                 declared_col_signs: tuple[int, ...]):
+        if not rows:
             raise ValueError("operator array has no rows")
-        if len({len(r) for r in self.rows}) != 1:
+        if len({len(r) for r in rows}) != 1:
             raise ValueError("ragged operator array")
-        if not self.rows[0]:
+        if not rows[0]:
             raise ValueError("operator array has no columns")
-        if (len(self.declared_row_signs), len(self.declared_col_signs)) != self.shape:
+        shape = len(rows), len(rows[0])
+        if (len(declared_row_signs), len(declared_col_signs)) != shape:
             raise ValueError(
-                f"declared signs for {len(self.declared_row_signs)} rows and "
-                f"{len(self.declared_col_signs)} columns; the array is "
-                f"{self.shape[0]}x{self.shape[1]}")
-        for row in self.rows:
+                f"declared signs for {len(declared_row_signs)} rows and "
+                f"{len(declared_col_signs)} columns; the array is "
+                f"{shape[0]}x{shape[1]}")
+        for row in rows:
             for cell in row:
                 if not cell.is_hermitian():
                     raise NonHermitianError(f"array cell {cell} is not Hermitian")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "declared_row_signs", declared_row_signs)
+        object.__setattr__(self, "declared_col_signs", declared_col_signs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("OperatorArray is immutable")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -310,8 +313,7 @@ class OperatorArray:
         return tuple(row[col - 1] for row in self.rows)
 
 
-@dataclass
-class ArrayReport:
+class ArrayReport(NamedTuple):
     row_commuting: list[bool]
     row_products: list[str]
     row_signs_match: bool
@@ -392,25 +394,12 @@ def build_canonical_array() -> OperatorArray:
     )
 
 
-def mermin_peres_square() -> OperatorArray:
-    """The classic two-qubit 3x3 square; a regression instance of the same
-    multiplicative argument."""
-    grid = (("XI", "IX", "XX"),
-            ("IZ", "ZI", "ZZ"),
-            ("XZ", "ZX", "YY"))
-    rows = tuple(tuple(from_letters(cell) for cell in row) for row in grid)
-    return OperatorArray(rows=rows,
-                         declared_row_signs=(+1, +1, +1),
-                         declared_col_signs=(+1, +1, -1))
-
-
 # ---------------------------------------------------------------------------
 # automated parity-contradiction search
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ParitySearchResult:
+class ParitySearchResult(NamedTuple):
     instances: list[ParityInstance]  # smallest first, then by element index
     complete_to_size: int
     nodes_used: int

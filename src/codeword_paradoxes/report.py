@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import __version__
 
@@ -20,12 +20,11 @@ VERDICT_FAIL = "fail"
 VERDICT_CONTRADICTION = "contradiction-confirmed"
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     command: str
     verdict: str
-    code: str | None = None
-    details: dict = field(default_factory=dict)
+    code: str | None
+    details: dict
 
     def to_json(self) -> str:
         fields = {"command": self.command, "verdict": self.verdict,

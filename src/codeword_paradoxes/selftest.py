@@ -8,7 +8,7 @@ verification elsewhere is deterministic and seedless.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import dense
 from .codes import five_qubit_code
@@ -27,8 +27,7 @@ APPLY_COMPOSE_TRIALS = 200
 ALGEBRA_LAWS_TRIALS = 300
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     trials: int
     ok: bool

@@ -15,7 +15,7 @@ tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import NonCommutingGeneratorsError, NonHermitianError, SignConflictError
 from .pauli import PauliString, identity
@@ -39,20 +39,36 @@ def codeword_index(which_state: int) -> int:
     return which_state
 
 
-@dataclass(frozen=True)
 class StabilizerElement:
-    """Bare Hermitian operator plus its eigenvalue on each codeword."""
+    """Bare Hermitian operator plus its eigenvalue on each codeword; an
+    immutable value, equal and hashed by its three fields."""
 
-    op: PauliString
-    sign0: int
-    sign1: int
+    __slots__ = ("op", "sign0", "sign1")
 
-    def __post_init__(self):
-        if self.op.phase_exp != 0:
+    def __init__(self, op: PauliString, sign0: int, sign1: int):
+        if op.phase_exp != 0:
             raise NonHermitianError(
-                f"stabilizer elements store the bare operator; got {self.op}")
-        if self.sign0 not in (+1, -1) or self.sign1 not in (+1, -1):
+                f"stabilizer elements store the bare operator; got {op}")
+        if sign0 not in (+1, -1) or sign1 not in (+1, -1):
             raise ValueError("signs must be +1 or -1")
+        _set_op(self, op)
+        _set_sign0(self, sign0)
+        _set_sign1(self, sign1)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("StabilizerElement is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StabilizerElement):
+            return NotImplemented
+        return (self.op, self.sign0, self.sign1) == (other.op, other.sign0, other.sign1)
+
+    def __hash__(self) -> int:
+        return hash((self.op, self.sign0, self.sign1))
+
+    def __repr__(self) -> str:
+        return (f"StabilizerElement(op={self.op!r}, sign0={self.sign0}, "
+                f"sign1={self.sign1})")
 
     @property
     def sign_stable(self) -> bool:
@@ -63,6 +79,11 @@ class StabilizerElement:
 
     def __str__(self) -> str:
         return f"{self.sign0:+d} {self.sign1:+d} {self.op}"
+
+
+_set_op = StabilizerElement.op.__set__
+_set_sign0 = StabilizerElement.sign0.__set__
+_set_sign1 = StabilizerElement.sign1.__set__
 
 
 class StabilizerGroup:
@@ -174,8 +195,7 @@ def invariant_subgroup(group: StabilizerGroup) -> StabilizerGroup:
     return closed
 
 
-@dataclass
-class KnillLaflammeReport:
+class KnillLaflammeReport(NamedTuple):
     """Pairwise error-correctability conditions, checked exactly.
 
     For every error pair (Ea, Eb): <0|Ea·Eb|1> must vanish and the two
@@ -183,7 +203,7 @@ class KnillLaflammeReport:
     """
 
     pairs_checked: int
-    failures: list[dict] = field(default_factory=list)
+    failures: list[dict]
 
     @property
     def ok(self) -> bool:
@@ -202,20 +222,20 @@ def knill_laflamme_check(v0: StateVector, v1: StateVector,
     errors = list(errors)
     left = [(apply(a, v0), apply(a, v1)) for a in map(_adjoint, errors)]
     right = [(apply(e, v0), apply(e, v1)) for e in errors]
-    report = KnillLaflammeReport(pairs_checked=len(errors) ** 2)
+    failures = []
     for ea, (l0, l1) in zip(errors, left):
         for eb, (r0, r1) in zip(errors, right):
             off = inner(l0, r1)
             d0 = inner(l0, r0)
             d1 = inner(l1, r1)
             if not off.is_zero() or d0 != d1:
-                report.failures.append({
+                failures.append({
                     "pair": (str(ea), str(eb)),
                     "off_diagonal": str(off),
                     "diag0": str(d0),
                     "diag1": str(d1),
                 })
-    return report
+    return KnillLaflammeReport(len(errors) ** 2, failures)
 
 
 def _adjoint(p: PauliString) -> PauliString:

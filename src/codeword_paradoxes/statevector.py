@@ -33,8 +33,8 @@ class StateVector:
         support = {j: (re, im) for j, (re, im) in support.items() if re or im}
         if any(not 0 <= j < 1 << n for j in support):
             raise ValueError(f"basis index out of range for {n} qubits")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "support", support)
+        _set_n(self, n)
+        _set_support(self, support)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("StateVector is immutable")
@@ -45,8 +45,7 @@ class StateVector:
         return self.n == other.n and self.support == other.support
 
     def __neg__(self) -> "StateVector":
-        return StateVector(self.n, {j: (-re, -im)
-                                    for j, (re, im) in self.support.items()})
+        return _raw(self.n, {j: (-re, -im) for j, (re, im) in self.support.items()})
 
     def phase_canonical(self) -> "StateVector":
         """Rotate by a power of i so the first nonzero amplitude is positive real.
@@ -62,11 +61,29 @@ class StateVector:
         if re and im:
             raise ValueError("leading amplitude is not on a quarter-turn axis")
         t = 2 if re else (3 if im > 0 else 1)     # -1, +i, -i to +1
-        return StateVector(self.n, {j: _times_i_power(a, t)
-                                    for j, a in self.support.items()})
+        return _raw(self.n, {j: _times_i_power(a, t)
+                             for j, a in self.support.items()})
 
     def __repr__(self) -> str:
         return f"StateVector({self.n}, {dict(sorted(self.support.items()))})"
+
+
+_set_n = StateVector.n.__set__
+_set_support = StateVector.support.__set__
+
+
+def _raw(n: int, support: dict) -> StateVector:
+    """A StateVector that takes ownership of support, without the checks.
+
+    Only for a support built fresh from a valid vector's by a map that
+    permutes the kets j -> j ^ x (x < 2**n) and multiplies each amplitude
+    by a power of i: the indices stay in 0..2**n-1, and a unit times a
+    nonzero Gaussian integer is nonzero, so there is no zero to drop.
+    """
+    v = object.__new__(StateVector)
+    _set_n(v, n)
+    _set_support(v, support)
+    return v
 
 
 def _times_i_power(a: tuple[int, int], t: int) -> tuple[int, int]:
@@ -90,11 +107,12 @@ def apply(p: PauliString, v: StateVector) -> StateVector:
     """Exact matrix-vector product p·v.
 
     X permutes basis indices, Z flips signs on set bits, Y does both with an
-    i factor; the global i**phase_exp rides along.
+    i factor; the global i**phase_exp rides along.  That maps the support
+    to a support of the same size, so the image is built raw (see _raw).
     """
     _same_n(p, v)
     base_phase = p.phase_exp + (p.x & p.z).bit_count()
-    return StateVector(v.n, {
+    return _raw(v.n, {
         j ^ p.x: _times_i_power(a, base_phase + 2 * (j & p.z).bit_count())
         for j, a in v.support.items()})
 

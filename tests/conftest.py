@@ -9,6 +9,8 @@ from codeword_paradoxes.codes import five_qubit_code, mermin_code, steane_code
 from codeword_paradoxes.kochen_specker import (build_ks_set,
                                                build_orthogonality_graph,
                                                enumerate_contexts)
+from codeword_paradoxes.paradoxes import OperatorArray
+from codeword_paradoxes.pauli import from_letters
 from codeword_paradoxes.statevector import StateVector
 
 # The paper's ket listings of each code's |0_L>.  The five-qubit word has
@@ -68,6 +70,19 @@ def mermin():
 @pytest.fixture(scope="session")
 def steane():
     return steane_code()
+
+
+@pytest.fixture(scope="session")
+def mermin_peres_square():
+    """The classic two-qubit 3x3 square, a small instance of the operator
+    array's multiplicative argument: one column multiplies to -I."""
+    grid = (("XI", "IX", "XX"),
+            ("IZ", "ZI", "ZZ"),
+            ("XZ", "ZX", "YY"))
+    rows = tuple(tuple(from_letters(cell) for cell in row) for row in grid)
+    return OperatorArray(rows=rows,
+                         declared_row_signs=(+1, +1, +1),
+                         declared_col_signs=(+1, +1, -1))
 
 
 @pytest.fixture(scope="session")

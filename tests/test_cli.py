@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -112,8 +111,8 @@ def test_array(capsys):
 
 def test_falsified_claim_exits_1(capsys, monkeypatch):
     check_array = cli.check_array
-    monkeypatch.setattr(cli, "check_array", lambda arr: replace(
-        check_array(arr), impossibility=False))
+    monkeypatch.setattr(cli, "check_array", lambda arr:
+                        check_array(arr)._replace(impossibility=False))
     code, payload = run_json(capsys, "array")
     assert code == 1
     assert payload["verdict"] == "fail"
@@ -123,7 +122,7 @@ def test_falsified_claim_exits_1(capsys, monkeypatch):
 def test_unconfirmed_steane_example_exits_1(capsys, monkeypatch):
     check = cli.check_parity_contradiction
     monkeypatch.setattr(cli, "check_parity_contradiction", lambda inst, ws:
-                        replace(check(inst, ws), contradiction=False))
+                        check(inst, ws)._replace(contradiction=False))
     code, payload = run_json(capsys, "steane-search", "--max", "4")
     assert code == 1
     assert payload["verdict"] == "fail"

@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import pytest
 
@@ -124,17 +123,30 @@ def test_codeword_takes_only_0_or_1(five, which_state):
 
 def test_group_closes_its_own_generators(five):
     # the closure belongs to the definition, not to the name it is filed under
-    two = replace(five, generators=five.generators[:2])
+    two = five._replace(generators=five.generators[:2])
     assert len(two.group()) == 4
     assert {e.op for e in two.generators} <= {e.op for e in two.group()}
-    custom = replace(five, name="custom")
+    custom = five._replace(name="custom")
     assert [str(e) for e in custom.group()] == [str(e) for e in five.group()]
     assert five.group() is five.group()
 
 
+def test_a_copy_derives_its_own_group_and_codewords(five):
+    five.codeword(0)
+    copy = five._replace()
+    assert "_group" not in vars(copy) and "_codewords" not in vars(copy)
+    assert copy.group() is not five.group()
+    assert [str(e) for e in copy.group()] == [str(e) for e in five.group()]
+    assert copy.codeword(1) == five.codeword(1)
+    assert [copy.name, copy.n, copy.correctable] == [five.name, five.n,
+                                                     five.correctable]
+    with pytest.raises(TypeError):
+        five._replace(codeword0=None)
+
+
 def test_codeword_needs_a_full_group(five):
     # four elements on five qubits fix an 8-dimensional space, not one vector
-    two = replace(five, generators=five.generators[:2])
+    two = five._replace(generators=five.generators[:2])
     for which_state in (0, 1):
         with pytest.raises(ValueError, match="fix a space of dimension 8 "):
             two.codeword(which_state)

@@ -1,17 +1,24 @@
 """Package-wide contracts: every exported name resolves, the package imports
-nothing outside the standard library, its modules keep their import
-boundaries, and the README's library example runs as written."""
+nothing outside the standard library, nor dataclasses, its modules keep their
+import boundaries, its read-only records refuse assignment, and the README's
+library example runs as written."""
 
 import ast
 import importlib
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import codeword_paradoxes
+from codeword_paradoxes.codes import five_qubit_code
+from codeword_paradoxes.kochen_specker import KSVertex
+from codeword_paradoxes.paradoxes import (build_canonical_array,
+                                          canonical_pentagon_instance,
+                                          find_determinations)
 
 PACKAGE = Path(codeword_paradoxes.__file__).parent
 
@@ -83,6 +90,53 @@ def test_package_imports_only_the_standard_library():
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert len(sources) > 10
     assert outside == []
+
+
+def test_package_does_not_import_dataclasses():
+    # every CLI call imports the package; dataclasses would bring inspect,
+    # ast, dis and tokenize with it, which no command needs
+    sources = sorted(PACKAGE.glob("*.py"))
+    users = [path.name for path in sources
+             if _imports_from(path.stem, "dataclasses")]
+    assert len(sources) > 10
+    assert users == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); "
+              "import codeword_paradoxes.cli; "
+              "print(codeword_paradoxes.cli.__file__); "
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", script, str(PACKAGE.parent)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == [str(PACKAGE / "cli.py"), "[]"]
+
+
+# (record type, a function that makes one, one of its fields) for each
+# record that was a frozen dataclass.
+READ_ONLY_RECORDS = [
+    ("CodeDefinition", five_qubit_code, "name"),
+    ("StabilizerElement", lambda: five_qubit_code().generators[0], "sign0"),
+    ("Determination",
+     lambda: find_determinations(five_qubit_code().group(), 1, "X")[0],
+     "predicted_product"),
+    ("ParityInstance", lambda: canonical_pentagon_instance(five_qubit_code()),
+     "members"),
+    ("OperatorArray", build_canonical_array, "rows"),
+    ("KSVertex", lambda: KSVertex(("classical", "00000"), ((1,) + (0,) * 31,)),
+     "scale_exp"),
+]
+
+
+@pytest.mark.parametrize("name, build, field", READ_ONLY_RECORDS,
+                         ids=[name for name, _, _ in READ_ONLY_RECORDS])
+def test_read_only_records_refuse_assignment(name, build, field):
+    record = build()
+    assert type(record).__name__ == name
+    value = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, value)
+    assert getattr(record, field) is value
 
 
 @pytest.mark.parametrize("module, source, allowed", IMPORT_BOUNDARIES,

@@ -1,6 +1,5 @@
 import random
 from collections import Counter, defaultdict
-from dataclasses import replace
 from functools import reduce
 from itertools import combinations, product
 from operator import xor
@@ -9,7 +8,7 @@ import pytest
 
 from codeword_paradoxes import cli, paradoxes, stabilizer
 from codeword_paradoxes.codes import code_by_name
-from codeword_paradoxes.errors import BudgetExceededError
+from codeword_paradoxes.errors import BudgetExceededError, NonHermitianError
 from codeword_paradoxes.paradoxes import (OperatorArray, ParityInstance,
                                           build_canonical_array,
                                           canonical_pentagon_instance,
@@ -17,7 +16,6 @@ from codeword_paradoxes.paradoxes import (OperatorArray, ParityInstance,
                                           check_parity_contradiction,
                                           compatible_pairs,
                                           find_determinations,
-                                          mermin_peres_square,
                                           parity_instance,
                                           pentagon_description,
                                           search_parity_contradictions)
@@ -232,8 +230,8 @@ def test_array_last_column_is_the_pentagon_instance(five):
     assert column_ops == instance_ops
 
 
-def test_mermin_peres_square():
-    report = check_array(mermin_peres_square())
+def test_mermin_peres_square(mermin_peres_square):
+    report = check_array(mermin_peres_square)
     assert report.row_products == ["II", "II", "II"]
     assert report.col_products == ["II", "II", "-II"]
     assert all(report.row_commuting) and all(report.col_commuting)
@@ -250,9 +248,16 @@ def test_trivial_array_has_no_contradiction():
 
 
 def test_array_rejects_non_hermitian_cells():
-    with pytest.raises(Exception):
+    with pytest.raises(NonHermitianError, match="^array cell iZ is not Hermitian$"):
         OperatorArray(rows=((parse("iZ"),),),
                       declared_row_signs=(+1,),
+                      declared_col_signs=(+1,))
+
+
+def test_array_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="^ragged operator array$"):
+        OperatorArray(rows=((parse("Z"),), (parse("Z"), parse("X"))),
+                      declared_row_signs=(+1, +1),
                       declared_col_signs=(+1,))
 
 
@@ -264,8 +269,12 @@ def test_array_rejects_declared_signs_off_its_shape():
                 {"declared_col_signs": arr.declared_col_signs + (+1,)},
                 {"declared_row_signs": (+1,) * 5},
                 {"declared_row_signs": (+1,) * 7}):
-        with pytest.raises(ValueError, match="declared signs"):
-            replace(arr, **bad)
+        with pytest.raises(ValueError, match=r"^declared signs for \d+ rows "
+                                             r"and \d+ columns; the array is 6x13$"):
+            OperatorArray(**{"rows": arr.rows,
+                             "declared_row_signs": arr.declared_row_signs,
+                             "declared_col_signs": arr.declared_col_signs,
+                             **bad})
     with pytest.raises(ValueError, match="no columns"):
         OperatorArray(rows=((), ()), declared_row_signs=(+1, +1),
                       declared_col_signs=())
@@ -381,7 +390,7 @@ def test_check_rejects_codewords_that_contradict_the_group(steane, five,
     # with the codewords swapped, the first element whose sign differs
     # between them is declared with the wrong eigenvalue on codeword 0
     for code in (steane, five):
-        swapped = replace(code)
+        swapped = code._replace()
         monkeypatch.setitem(vars(swapped), "codeword",
                             lambda w, code=code: code.codeword(1 - w))
         first = next(e.op for e in code.group().non_identity()

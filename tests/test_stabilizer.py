@@ -3,7 +3,7 @@ import pytest
 from codeword_paradoxes import stabilizer
 from codeword_paradoxes.codes import CODE_NAMES, code_by_name, single_qubit_errors
 from codeword_paradoxes.errors import (NonCommutingGeneratorsError,
-                                       SignConflictError)
+                                       NonHermitianError, SignConflictError)
 from codeword_paradoxes.pauli import parse, single_site
 from codeword_paradoxes.stabilizer import (StabilizerElement, StabilizerGroup,
                                            close, invariant_subgroup,
@@ -83,6 +83,24 @@ def test_element_sign_takes_only_codeword_0_or_1():
     for which_state in (-1, 2, 5):
         with pytest.raises(ValueError, match="which_state must be 0 or 1"):
             e.sign(which_state)
+
+
+def test_element_refuses_a_phase_and_signs_other_than_plus_minus_one():
+    with pytest.raises(NonHermitianError,
+                       match="^stabilizer elements store the bare operator; got -ZZ$"):
+        StabilizerElement(parse("-ZZ"), +1, +1)
+    for signs in ((0, +1), (+1, 2), (-2, -1)):
+        with pytest.raises(ValueError, match=r"^signs must be \+1 or -1$"):
+            StabilizerElement(parse("ZZ"), *signs)
+
+
+def test_elements_are_values(five_group):
+    found = five_group.find(parse("XZIZX"))
+    built = StabilizerElement(parse("XZIZX"), found.sign0, found.sign1)
+    assert built == found and hash(built) == hash(found)
+    assert len({built, found}) == 1
+    assert built != StabilizerElement(parse("XZIZX"), -found.sign0, found.sign1)
+    assert repr(built) == "StabilizerElement(op=PauliString('XZIZX'), sign0=1, sign1=1)"
 
 
 @pytest.mark.parametrize("name", ["five", "mermin", "steane"])

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from codeword_paradoxes import dense
+from codeword_paradoxes.codes import single_qubit_errors
 from codeword_paradoxes.dyadic import Dyadic, ZERO
 from codeword_paradoxes.errors import DimensionMismatchError, NonHermitianError
 from codeword_paradoxes.pauli import from_letters, identity, parse, single_site
@@ -75,6 +76,24 @@ def test_apply_composition_small_n():
             p, q = random_pauli(rng, n), random_pauli(rng, n)
             v = random_state(rng, n)
             assert apply(p, apply(q, v)) == apply(p * q, v)
+
+
+def test_raw_images_equal_checked_ones(five):
+    # apply, negation and phase_canonical skip the constructor's checks;
+    # rebuilding each result through them must change nothing
+    rng = random.Random(31)
+    for n in (1, 2, 3, 5, 7):
+        for _ in range(25):
+            p, v = random_pauli(rng, n), random_state(rng, n)
+            for w in (apply(p, v), -v):
+                assert w == StateVector(n, w.support)
+                assert w.support is not v.support
+                assert len(w.support) == len(v.support)
+    for p in single_qubit_errors(5):
+        v = apply(p, five.codeword(1))
+        w = v.phase_canonical()
+        assert w == StateVector(5, w.support)
+        assert len(w.support) == len(v.support) == 16
 
 
 def test_eigensign_table_entries(five):
