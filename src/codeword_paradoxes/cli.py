@@ -13,6 +13,7 @@ import functools
 import json
 import sys
 from collections import Counter
+from json.encoder import encode_basestring_ascii
 
 from .codes import code_by_name, five_qubit_code, steane_code, CODE_NAMES
 from .errors import BudgetExceededError
@@ -262,28 +263,50 @@ def _amplitude_text(x: int, exp: int) -> str:
     return f"{x}/2^{exp}" if exp else str(x)
 
 
+def _json_array(items: list[str], indent: str) -> str:
+    """Already-encoded items as the JSON array that json.dump(...,
+    indent=2) writes for them when the array opens at indentation
+    indent."""
+    if not items:
+        return "[]"
+    sep = "\n  " + indent
+    return f"[{sep}{(',' + sep).join(items)}\n{indent}]"
+
+
+def _vertex_json(i: int, v) -> str:
+    """Vertex i as its object in the dump, keys sorted, at indentation 4."""
+    text = encode_basestring_ascii
+    vectors = [_json_array([_json_array([text(format(j, "05b")),
+                                         text(_amplitude_text(x, v.scale_exp))],
+                                        " " * 10)
+                            for j, x in enumerate(iv) if x], " " * 8)
+               for iv in v.ivecs]
+    provenance = [text(p) if isinstance(p, str) else str(p)
+                  for p in v.provenance]
+    return (f'{{\n      "id": {i},\n      "kind": {text(v.kind)},\n'
+            f'      "label": {text(v.label())},\n'
+            f'      "provenance": {_json_array(provenance, " " * 6)},\n'
+            f'      "rank": {v.rank},\n'
+            f'      "spanning_vectors": {_json_array(vectors, " " * 6)}\n    }}')
+
+
 def _dump_ks_set(path: str, graph, contexts) -> None:
-    payload = {
-        "vertices": [
-            {
-                "id": i,
-                "rank": v.rank,
-                "kind": v.kind,
-                "label": v.label(),
-                "provenance": list(v.provenance),
-                "spanning_vectors": [
-                    [(format(j, "05b"), _amplitude_text(x, v.scale_exp))
-                     for j, x in enumerate(iv) if x]
-                    for iv in v.ivecs],
-            }
-            for i, v in enumerate(graph.vertices)
-        ],
-        "edges": graph.edges(),
-        "contexts": [bit_indices(c) for c in contexts],
-    }
+    """Write the vertices, edges and contexts as the exact text of
+    json.dump(payload, sort_keys=True, indent=2) plus a newline, one
+    section at a time.  That encoder indents in pure Python; here only the
+    strings are encoded, by its C escaper, and the layout is written
+    directly."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write('{\n  "contexts": ')
+        fh.write(_json_array([_json_array([str(v) for v in bit_indices(c)],
+                                          " " * 4) for c in contexts], "  "))
+        fh.write(',\n  "edges": ')
+        fh.write(_json_array([f"[\n      {u},\n      {v}\n    ]"
+                              for u, v in graph.edges()], "  "))
+        fh.write(',\n  "vertices": ')
+        fh.write(_json_array([_vertex_json(i, v)
+                              for i, v in enumerate(graph.vertices)], "  "))
+        fh.write("\n}\n")
 
 
 def _cmd_steane_search(args) -> Report:

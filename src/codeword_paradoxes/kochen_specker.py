@@ -3,8 +3,10 @@
 The projector set has three families: the 32 computational-basis kets, the
 two codewords with their 30 single-Pauli mutations, and 40 rank-4 subspaces
 (five operator-array rows, eight sign patterns each).  Spanning vectors are
-kept as unnormalized integer vectors (mutations are scaled by 4), so all
-orthogonality and identity-resolution arithmetic is plain integer work.
+kept as unnormalized integer vectors whose every entry is 0 or ±1 (mutations
+are scaled by 4).  The graph stores each one as two bit masks, its support
+and its negative entries, so all orthogonality and identity-resolution
+arithmetic is bit counting.
 
 Context enumeration is exhaustive by construction: the search always
 branches on a specific uncovered basis direction, so every resolution of
@@ -58,9 +60,10 @@ class KSVertex(NamedTuple):
       ("mutation", codeword_index, pauli_text)
       ("row", row_index, m, n, z_sign)
     and determines the projector uniquely.  ivecs is the only stored form:
-    mutually orthogonal integer spanning vectors equal to the amplitudes
-    times 2**scale_exp (scale_exp is 2 for mutation vectors, whose sixteen
-    nonzero amplitudes are ±1/4 at unit norm, and 0 otherwise).
+    mutually orthogonal integer spanning vectors, every entry 0 or ±1,
+    equal to the amplitudes times 2**scale_exp (scale_exp is 2 for mutation
+    vectors, whose sixteen nonzero amplitudes are ±1/4 at unit norm, and 0
+    otherwise).
     """
 
     provenance: tuple
@@ -174,27 +177,35 @@ class OrthogonalityGraph:
     from the vertices alone: adj[i] is the mask of the vertices whose
     spanning vectors are all orthogonal to those of vertex i.
 
-    Two vectors with disjoint supports are orthogonal without a dot
-    product, so each vector carries its nonzero-coordinate mask and only
-    pairs whose supports meet reach _ivec_dot.
+    Every spanning entry is 0 or ±1, so sign_masks[i] holds vertex i's
+    spanning vectors as (support, negative entries) mask pairs, and a dot
+    product is a bit count (see _orthogonal); vectors whose supports do not
+    meet pass it.  Raises ValueError naming the vertex for a spanning
+    vector that is not 32 entries of 0 or ±1.
     """
 
     def __init__(self, vertices: list[KSVertex]):
+        sign_masks = []
         for i, v in enumerate(vertices):
             if any(len(u) != _DIM for u in v.ivecs):
                 raise ValueError(f"vertex {i}: spanning vectors must have "
                                  f"{_DIM} entries")
+            if not {a for u in v.ivecs for a in u} <= {-1, 0, 1}:
+                raise ValueError(f"vertex {i}: spanning vector entries must "
+                                 "be 0, 1 or -1")
+            sign_masks.append([
+                (sum(1 << k for k, a in enumerate(u) if a),
+                 sum(1 << k for k, a in enumerate(u) if a < 0))
+                for u in v.ivecs])
         nv = len(vertices)
-        spans = [[(sum(1 << k for k, a in enumerate(u) if a), u)
-                  for u in v.ivecs] for v in vertices]
         adj = [0] * nv
         for i in range(nv):
             for j in range(i + 1, nv):
-                if all(su & sv == 0 or _ivec_dot(u, v) == 0
-                       for su, u in spans[i] for sv, v in spans[j]):
+                if _orthogonal(sign_masks[i], sign_masks[j]):
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
         self.vertices = vertices
+        self.sign_masks = sign_masks
         self.adj = adj
         self.edge_count = sum(m.bit_count() for m in adj) // 2
 
@@ -202,12 +213,21 @@ class OrthogonalityGraph:
         return len(self.vertices)
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(len(self.vertices))
-                for v in bit_indices(self.adj[u]) if v > u]
+        return [(u, u + 1 + k) for u, m in enumerate(self.adj)
+                for k in bit_indices(m >> (u + 1))]
 
 
-def _ivec_dot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
-    return sum(a * b for a, b in zip(u, v) if a and b)
+def _orthogonal(p: list[tuple[int, int]], q: list[tuple[int, int]]) -> bool:
+    """Whether every vector of p is orthogonal to every vector of q, each a
+    (support, negative entries) mask pair of a 0/±1 vector.  On the shared
+    support c the entries agree in sign or differ, so the dot product is
+    |c| - 2·|c ∧ (nu ⊕ nw)|."""
+    for su, nu in p:
+        for sw, nw in q:
+            c = su & sw
+            if 2 * (c & (nu ^ nw)).bit_count() != c.bit_count():
+                return False
+    return True
 
 
 def build_orthogonality_graph(vertices: list[KSVertex]) -> OrthogonalityGraph:
@@ -227,11 +247,11 @@ _FIELD_MASK = (1 << _FIELD_BITS) - 1
 _TARGET = sum(16 << (_FIELD_BITS * j) for j in range(_DIM))  # 16·diag(I)
 
 
-def _cover_tables(vertices: list[KSVertex]
+def _cover_tables(sign_masks: list[list[tuple[int, int]]]
                   ) -> tuple[list[int], list[list[tuple[int, int]]], list[int]]:
-    """Packed-integer tables for exact-cover reasoning, scale 16: returns
-    (covers, entries, deltas), the first two indexed by basis ket, the last
-    by vertex id.
+    """Packed-integer tables for exact-cover reasoning, scale 16, from a
+    graph's sign_masks: returns (covers, entries, deltas), the first two
+    indexed by basis ket, the last by vertex id.
 
     deltas[i] is 16 times the diagonal of vertex i's projector, one 8-bit
     field per basis ket inside one integer.  covers[j] is the bitmask of
@@ -248,22 +268,24 @@ def _cover_tables(vertices: list[KSVertex]
     16.  Packed fields never exceed 16, so addition never carries.  The
     premises are checked here: each vertex's spanning vectors must be
     mutually orthogonal with one nonzero norm that divides 16, so that 16
-    times the projector is the scaled sum of their outer products.
+    times the projector is the scaled sum of their outer products.  A 0/±1
+    vector's norm is its support's size, and its outer product puts 1 on
+    the diagonal at each support bit.
     """
     deltas: list[int] = []
-    for i, v in enumerate(vertices):
-        norms = {_ivec_dot(s, s) for s in v.ivecs}
+    for i, masks in enumerate(sign_masks):
+        norms = {support.bit_count() for support, _ in masks}
         norm = norms.pop() if len(norms) == 1 else 0
         if not norm or 16 % norm:
             raise ValueError(f"vertex {i}: spanning norms must be a "
                              "uniform nonzero divisor of 16")
-        if any(_ivec_dot(s, t) for k, s in enumerate(v.ivecs)
-               for t in v.ivecs[k + 1:]):
+        if not all(_orthogonal(masks[k:k + 1], masks[k + 1:])
+                   for k in range(len(masks))):
             raise ValueError(f"vertex {i}: spanning vectors must be "
                              "mutually orthogonal")
         scale = 16 // norm
-        deltas.append(sum(sj * sj * scale << (_FIELD_BITS * j)
-                          for s in v.ivecs for j, sj in enumerate(s) if sj))
+        deltas.append(sum(scale << (_FIELD_BITS * j) for support, _ in masks
+                          for j in bit_indices(support)))
     covers: list[int] = []
     entries: list[list[tuple[int, int]]] = []
     for j in range(_DIM):
@@ -296,7 +318,7 @@ def enumerate_contexts(graph: OrthogonalityGraph,
     first shortfall.  Raises BudgetExceededError before returning any
     partial enumeration.
     """
-    covers, entries, deltas = _cover_tables(graph.vertices)
+    covers, entries, deltas = _cover_tables(graph.sign_masks)
     ranks = [v.rank for v in graph.vertices]
     adj = graph.adj
     results: list[int] = []

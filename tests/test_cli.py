@@ -10,6 +10,9 @@ import codeword_paradoxes
 from codeword_paradoxes import cli
 from codeword_paradoxes.cli import main
 from codeword_paradoxes.dyadic import Dyadic
+from codeword_paradoxes.kochen_specker import (bit_indices,
+                                               build_orthogonality_graph,
+                                               enumerate_contexts)
 from codeword_paradoxes.report import REPORT_DIR_ENV
 
 
@@ -181,6 +184,58 @@ def test_dump_writes_amplitudes_from_the_integer_vectors(ks_dump_run):
     for x in (-3, -1, 1, 5):
         for exp in (0, 1, 2):
             assert cli._amplitude_text(x, exp) == str(Dyadic(x, 0, exp))
+
+
+def _dump_payload(graph, contexts):
+    """The dump's content as json.dump(payload, sort_keys=True, indent=2)
+    serialises it: the oracle for the dump writer.  Edges are read off the
+    adjacency masks, each pair once."""
+    return {
+        "vertices": [
+            {
+                "id": i,
+                "rank": v.rank,
+                "kind": v.kind,
+                "label": v.label(),
+                "provenance": list(v.provenance),
+                "spanning_vectors": [
+                    [(format(j, "05b"), cli._amplitude_text(x, v.scale_exp))
+                     for j, x in enumerate(iv) if x]
+                    for iv in v.ivecs],
+            }
+            for i, v in enumerate(graph.vertices)
+        ],
+        "edges": [(u, v) for u in range(len(graph))
+                  for v in bit_indices(graph.adj[u]) if v > u],
+        "contexts": [bit_indices(c) for c in contexts],
+    }
+
+
+@pytest.mark.parametrize("ids, has_edges, has_contexts", [
+    (None, True, True),
+    ([0], False, False),
+    ([40], False, False),
+    ([100], False, False),
+    ([0, 1], True, False),
+    (list(range(32)), True, True),
+    (list(range(32, 104)), True, True),
+], ids=["full", "one-ket", "one-mutation", "one-row", "two-kets",
+        "kets", "mutations-and-rows"])
+def test_dump_writer_matches_the_json_module(ks_vertices, ks_graph,
+                                             ks_contexts, tmp_path, ids,
+                                             has_edges, has_contexts):
+    if ids is None:
+        graph, contexts = ks_graph, ks_contexts
+    else:
+        graph = build_orthogonality_graph([ks_vertices[i] for i in ids])
+        contexts = enumerate_contexts(graph)
+    payload = _dump_payload(graph, contexts)
+    assert (bool(payload["edges"]), bool(contexts)) == (has_edges,
+                                                        has_contexts)
+    path = tmp_path / "dump.json"
+    cli._dump_ks_set(str(path), graph, contexts)
+    expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert path.read_bytes() == expected.encode("ascii")
 
 
 def test_steane_search(capsys):

@@ -235,7 +235,7 @@ def test_graph_is_symmetric_irreflexive_and_reproducible(ks_graph, ks_vertices):
 
 
 def test_graph_matches_every_spanning_dot_product(ks_graph, ks_vertices):
-    """The support prefilter only skips dot products that are zero."""
+    """The sign-mask test agrees with every integer dot product."""
     def orthogonal_by_dots(p, q):
         return all(sum(a * b for a, b in zip(u, v)) == 0
                    for u in p.ivecs for v in q.ivecs)
@@ -244,6 +244,34 @@ def test_graph_matches_every_spanning_dot_product(ks_graph, ks_vertices):
         for j in range(i + 1, len(ks_vertices)):
             assert bool(ks_graph.adj[i] >> j & 1) == \
                 orthogonal_by_dots(p, ks_vertices[j])
+
+
+def test_graph_matches_dot_products_of_random_sign_vectors():
+    # 0/±1 vectors on a few nearby coordinates, so that supports meet
+    # often and a shared support cancels about as often as it does not
+    rng = random.Random(24)
+
+    def vector():
+        lo = rng.randrange(24)
+        coords = rng.sample(range(lo, lo + 8), rng.randint(1, 6))
+        return tuple(rng.choice((-1, 1)) if k in coords else 0
+                     for k in range(32))
+
+    vertices = [KSVertex(("classical", f"random{i}"),
+                         tuple(vector() for _ in range(rng.randint(1, 3))))
+                for i in range(60)]
+    adj = build_orthogonality_graph(vertices).adj
+    meeting = {True: 0, False: 0}
+    for i, p in enumerate(vertices):
+        for j in range(i + 1, len(vertices)):
+            q = vertices[j]
+            dots = [sum(a * b for a, b in zip(u, w))
+                    for u in p.ivecs for w in q.ivecs]
+            assert bool(adj[i] >> j & 1) == (not any(dots)), (i, j)
+            if any(a and b for u in p.ivecs for w in q.ivecs
+                   for a, b in zip(u, w)):
+                meeting[not any(dots)] += 1
+    assert min(meeting.values()) >= 50, meeting
 
 
 def test_graph_edges_match_exact_projector_orthogonality(ks_graph):
@@ -492,6 +520,15 @@ def test_graph_rejects_spanning_vectors_of_the_wrong_length(ks_vertices):
         with pytest.raises(ValueError, match="vertex 1: spanning vectors "
                                              "must have 32 entries"):
             build_orthogonality_graph([ks_vertices[0], bad])
+
+
+@pytest.mark.parametrize("entry", [2, -2])
+def test_graph_rejects_spanning_entries_other_than_0_and_unit(ks_vertices,
+                                                              entry):
+    bad = KSVertex(("classical", "big"), ((entry,) + (0,) * 31,))
+    with pytest.raises(ValueError, match="vertex 1: spanning vector entries "
+                                         "must be 0, 1 or -1"):
+        build_orthogonality_graph([ks_vertices[0], bad])
 
 
 def _counts(verdict):
