@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from collections import Counter
 from json.encoder import encode_basestring_ascii
@@ -217,6 +218,22 @@ def _cmd_array(args) -> Report:
 
 
 def _cmd_ks(args) -> Report:
+    path = args.dump_set
+    # opened once before the proof, so that an unwritable path fails at once;
+    # "a" leaves an existing file as it was, and a proof that stops early
+    # removes the empty file that this run created
+    created = bool(path) and not os.path.exists(path)
+    if path:
+        open(path, "a", encoding="utf-8").close()
+    try:
+        return _ks_proof(args)
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
+
+
+def _ks_proof(args) -> Report:
     vertices = build_ks_set()
     graph = build_orthogonality_graph(vertices)
     contexts = enumerate_contexts(graph, node_budget=args.budget)

@@ -9,9 +9,11 @@ A matrix is square, and its size is its number of rows.  Row i is a tuple
 of (column, entry) pairs holding only the nonzero entries, in increasing
 column order.  Every function returns this one form, so matrices compare
 by plain tuple equality and two of different sizes are unequal.  No memo
-of built matrices is kept: it would hold the few hundred Pauli matrices
-that `selftest` meets for the rest of the process, for a saving in one
-command.
+of built matrices is kept here: it would hold the few hundred Pauli
+matrices that `selftest` meets for the rest of the process.  Instead
+`selftest.dense_oracle_suite` keeps a table local to one suite call, which
+builds each distinct phased string's matrix once, by `pauli_matrix`, and
+is freed when the suite returns, so no matrix outlives the call.
 """
 
 from __future__ import annotations
@@ -62,9 +64,18 @@ def _row(acc: dict[int, Dyadic]) -> Row:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Row i of a·b as the sum of a[i][k] · (row k of b) over stored a[i][k]."""
+    """Row i of a·b as the sum of a[i][k] · (row k of b) over stored a[i][k].
+
+    A row of a with one stored entry x at column k, as every row of a Pauli
+    matrix has, yields x times row k of b directly: that row is sorted, and
+    a product of nonzero entries is never zero, so nothing is summed or
+    dropped."""
     rows = []
     for row_a in a:
+        if len(row_a) == 1:
+            (k, x), = row_a
+            rows.append(tuple((j, x * y) for j, y in b[k]))
+            continue
         acc: dict[int, Dyadic] = {}
         for k, x in row_a:
             for j, y in b[k]:

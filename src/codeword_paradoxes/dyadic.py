@@ -13,7 +13,8 @@ shifting out the trailing zero bits common to re and im (those of re | im),
 at most exp of them.  Negation and conjugation skip that step and build
 their result raw: each maps (re, im) to (±re, ±im) at the same exp, and a
 sign does not change which parts are odd, so a value in lowest terms stays
-in them.
+in them.  So do a sum and a product of two values at exp == 0, whose result
+is at exp == 0 and so already in lowest terms.
 
 The canonical text form is ``a/2^k + b/2^k i`` (terms with zero numerator
 are dropped, ``0`` for the zero value).
@@ -56,6 +57,8 @@ class Dyadic:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: "Dyadic") -> "Dyadic":
+        if not (self.exp or other.exp):
+            return _raw(self.re + other.re, self.im + other.im, 0)
         if self.exp >= other.exp:
             shift = self.exp - other.exp
             return Dyadic(self.re + (other.re << shift),
@@ -68,9 +71,11 @@ class Dyadic:
         return _raw(-self.re, -self.im, self.exp)
 
     def __mul__(self, other: "Dyadic") -> "Dyadic":
-        return Dyadic(self.re * other.re - self.im * other.im,
-                      self.re * other.im + self.im * other.re,
-                      self.exp + other.exp)
+        re = self.re * other.re - self.im * other.im
+        im = self.re * other.im + self.im * other.re
+        if not (self.exp or other.exp):
+            return _raw(re, im, 0)
+        return Dyadic(re, im, self.exp + other.exp)
 
     def conj(self) -> "Dyadic":
         return _raw(self.re, -self.im, self.exp)

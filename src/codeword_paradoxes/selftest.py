@@ -56,14 +56,27 @@ def dense_amplitudes(v: StateVector) -> list[Dyadic]:
 
 def dense_oracle_suite(rng: random.Random) -> SuiteResult:
     """Multiplication, commutation and eigen-action against dense matrices,
-    on random pairs at n <= 3."""
+    on random pairs at n <= 3.
+
+    Each distinct phased string's matrix is built once per call, by
+    dense.pauli_matrix, into a table that is freed on return: at n <= 3
+    there are only 336 of them, where the trials ask for 3000."""
+    built: dict[tuple[int, int, int, int], dense.Matrix] = {}
+
+    def matrix(p: PauliString) -> dense.Matrix:
+        key = (p.n, p.phase_exp, p.x, p.z)
+        m = built.get(key)
+        if m is None:
+            m = built[key] = dense.pauli_matrix(p)
+        return m
+
     for t in range(DENSE_ORACLE_TRIALS):
         n = rng.randint(1, 3)
         a = random_pauli(rng, n)
         b = random_pauli(rng, n)
-        ma, mb = dense.pauli_matrix(a), dense.pauli_matrix(b)
+        ma, mb = matrix(a), matrix(b)
         mab = dense.mat_mul(ma, mb)
-        if not dense.mat_eq(dense.pauli_matrix(a * b), mab):
+        if not dense.mat_eq(matrix(a * b), mab):
             return SuiteResult("dense-oracle", t + 1, False,
                                f"product mismatch for {a}, {b}")
         if a.commutes_with(b) != dense.mat_eq(mab, dense.mat_mul(mb, ma)):

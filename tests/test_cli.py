@@ -308,12 +308,27 @@ def test_report_dir_env(capsys, tmp_path, monkeypatch):
     assert written["verdict"] == "contradiction-confirmed"
 
 
-def test_unwritable_dump_path_is_usage_error(capsys, tmp_path):
+def test_unwritable_dump_path_is_usage_error(capsys, tmp_path, monkeypatch):
+    def no_proof():
+        raise AssertionError("the proof ran before the dump path was opened")
+
+    # the path is opened before any proof work
+    monkeypatch.setattr(cli, "build_ks_set", no_proof)
     code = main(["ks", "--dump-set", str(tmp_path / "missing" / "x.json")])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_exhausted_ks_budget_leaves_the_dump_path_as_it_was(capsys, tmp_path):
+    fresh = tmp_path / "fresh.json"
+    assert main(["ks", "--budget", "5", "--dump-set", str(fresh)]) == 3
+    assert not fresh.exists()
+    older = tmp_path / "older.json"
+    older.write_text("an older dump\n")
+    assert main(["ks", "--budget", "5", "--dump-set", str(older)]) == 3
+    assert older.read_text() == "an older dump\n"
 
 
 def test_report_dir_that_is_a_file_is_usage_error(capsys, tmp_path, monkeypatch):

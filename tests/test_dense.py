@@ -80,6 +80,36 @@ def test_kron_and_mat_mul_match_index_formulas(zero_share):
             mat_mul_by_index(a, c)
 
 
+# Few distinct entries, so that the sums in a product often cancel.
+UNITS = [ONE, -ONE, I_UNIT, -I_UNIT, Dyadic(1, 0, 1), Dyadic(-1, 0, 1)]
+
+
+def random_sparse(rng, size):
+    """A sparse-row matrix whose rows hold no entry, one, or several."""
+    rows = []
+    for _ in range(size):
+        count = rng.choice([0, 1, rng.randint(2, size + 1)])
+        cols = sorted(rng.sample(range(size), min(count, size)))
+        rows.append(tuple((j, rng.choice(UNITS)) for j in cols))
+    return tuple(rows)
+
+
+def test_mat_mul_matches_index_formula_on_mixed_rows():
+    rng = random.Random(11)
+    cancelled = one_entry_rows = 0
+    for _ in range(300):
+        size = rng.randint(1, 6)
+        a, b = random_sparse(rng, size), random_sparse(rng, size)
+        product = dense.mat_mul(a, b)
+        assert full(product) == mat_mul_by_index(full(a), full(b))
+        for row_a, row in zip(a, product):
+            reached = {j for k, _ in row_a for j, _ in b[k]}
+            cancelled += len(reached) - len(row)
+            one_entry_rows += len(row_a) == 1
+    # both paths ran, and the summing one dropped cancelled entries
+    assert cancelled > 0 and one_entry_rows > 0
+
+
 def _by_index_pauli_matrix(p):
     phase = ONE
     for _ in range(p.phase_exp):

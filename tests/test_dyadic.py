@@ -92,3 +92,38 @@ def test_equality_compares_all_three_fields():
     assert Dyadic(1, 1, 1) != Dyadic(1, -1, 1)
     assert Dyadic(3, 1) != Dyadic(1, 1)
     assert (Dyadic(1) == 1) is False
+
+
+GRID = range(-17, 18)
+
+
+def test_exponent_zero_sums_and_products_match_the_constructor():
+    """+ and * on two exp-0 operands build their result raw; it must be the
+    constructor's form, zero included."""
+    for a in GRID:
+        for b in GRID:
+            z = Dyadic(a, b)
+            for w in (ZERO, ONE, I_UNIT, Dyadic(-a, -b), Dyadic(b, a),
+                      Dyadic(3, -2)):
+                s, p = z + w, z * w
+                want_s = Dyadic(a + w.re, b + w.im)
+                want_p = Dyadic(a * w.re - b * w.im, a * w.im + b * w.re)
+                assert (s.re, s.im, s.exp) == (want_s.re, want_s.im, want_s.exp)
+                assert (p.re, p.im, p.exp) == (want_p.re, want_p.im, want_p.exp)
+    assert Dyadic(5, -3) + Dyadic(-5, 3) == ZERO
+    assert (Dyadic(5, -3) + Dyadic(-5, 3)).exp == 0
+
+
+def test_mixed_exponent_sums_and_products_still_normalise():
+    half = Dyadic(1, 0, 1)
+    assert half + half == ONE and (half + half).exp == 0
+    assert Dyadic(3) + Dyadic(1, 0, 1) == Dyadic(7, 0, 1)
+    assert Dyadic(2) * Dyadic(1, 0, 1) == ONE
+    assert (Dyadic(2) * Dyadic(1, 0, 1)).exp == 0
+    assert Dyadic(1, 1, 1) * Dyadic(1, -1, 1) == Dyadic(1, 0, 1)
+    for a in GRID:
+        for b in GRID:
+            z = Dyadic(a, b, 2)
+            assert z + Dyadic(1, 0, 2) == Dyadic(a + 1, b, 2)
+            assert z * Dyadic(2) == Dyadic(2 * a, 2 * b, 2)
+            assert (z * Dyadic(4)).exp == 0
