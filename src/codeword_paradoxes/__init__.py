@@ -5,8 +5,8 @@ small quantum codes and the chain of no-hidden-variables arguments they
 support: element-of-reality enumerations, parity contradictions, a
 multiplicative operator-array contradiction, and a 104-projector additive
 Kochen-Specker set with an exhaustive non-colorability search.  State
-amplitudes are Gaussian integers held on their support; Dyadic, the ring
-(a + b i)/2^k, is the dense oracle's number type and the type of an inner
+amplitudes and dense-oracle entries are Gaussian integers, integer
+(re, im) pairs; Dyadic, the ring (a + b i)/2^k, is the type of an inner
 product.
 """
 

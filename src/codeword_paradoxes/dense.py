@@ -5,6 +5,10 @@ matrices and multiplies them entry by entry.  Nothing here shares code with
 the symplectic fast paths in pauli/statevector, which is the point: the two
 routes must agree exactly, and tests check that they do.
 
+Every entry is a Gaussian integer, an integer (re, im) pair, and every
+product of two entries goes through `_mul`; vectors are lists of such
+pairs.  Nothing divides, so no entry needs a denominator.
+
 A matrix is square, and its size is its number of rows.  Row i is a tuple
 of (column, entry) pairs holding only the nonzero entries, in increasing
 column order.  Every function returns this one form, so matrices compare
@@ -18,7 +22,6 @@ is freed when the suite returns, so no matrix outlives the call.
 
 from __future__ import annotations
 
-from .dyadic import Dyadic, ZERO, ONE, MINUS_ONE, I_UNIT
 from .pauli import PauliString
 
 __all__ = [
@@ -31,15 +34,25 @@ __all__ = [
     "commutator_is_zero",
 ]
 
-Row = tuple[tuple[int, Dyadic], ...]
+Entry = tuple[int, int]
+Row = tuple[tuple[int, Entry], ...]
 Matrix = tuple[Row, ...]
 
+_ZERO: Entry = (0, 0)
+_POWERS_OF_I: tuple[Entry, ...] = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
 _LETTER_MATRIX: dict[str, Matrix] = {
-    "I": (((0, ONE),), ((1, ONE),)),
-    "X": (((1, ONE),), ((0, ONE),)),
-    "Y": (((1, -I_UNIT),), ((0, I_UNIT),)),
-    "Z": (((0, ONE),), ((1, MINUS_ONE),)),
+    "I": (((0, (1, 0)),), ((1, (1, 0)),)),
+    "X": (((1, (1, 0)),), ((0, (1, 0)),)),
+    "Y": (((1, (0, -1)),), ((0, (0, 1)),)),
+    "Z": (((0, (1, 0)),), ((1, (-1, 0)),)),
 }
+
+
+def _mul(a: Entry, b: Entry) -> Entry:
+    ar, ai = a
+    br, bi = b
+    return ar * br - ai * bi, ar * bi + ai * br
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -47,20 +60,25 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     at column j, w = len(b); a product of two nonzero entries is never zero."""
     w = len(b)
     return tuple(
-        tuple((i * w + j, x * y) for i, x in row_a for j, y in row_b)
+        tuple((i * w + j, _mul(x, y)) for i, x in row_a for j, y in row_b)
         for row_a in a for row_b in b)
 
 
 def pauli_matrix(p: PauliString) -> Matrix:
-    m: Matrix = (((0, (ONE, I_UNIT, MINUS_ONE, -I_UNIT)[p.phase_exp]),),)
+    m: Matrix = (((0, _POWERS_OF_I[p.phase_exp]),),)
     for letter in p.letters:
         m = kron(m, _LETTER_MATRIX[letter])
     return m
 
 
-def _row(acc: dict[int, Dyadic]) -> Row:
+def _row(acc: dict[int, Entry]) -> Row:
     """The sparse row of column sums: cancelled entries dropped, columns sorted."""
-    return tuple((j, acc[j]) for j in sorted(acc) if not acc[j].is_zero())
+    return tuple((j, acc[j]) for j in sorted(acc) if acc[j] != _ZERO)
+
+
+def _add_into(acc: dict[int, Entry], j: int, x: Entry) -> None:
+    re, im = acc.get(j, _ZERO)
+    acc[j] = re + x[0], im + x[1]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -74,20 +92,28 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     for row_a in a:
         if len(row_a) == 1:
             (k, x), = row_a
-            rows.append(tuple((j, x * y) for j, y in b[k]))
+            rows.append(tuple((j, _mul(x, y)) for j, y in b[k]))
             continue
-        acc: dict[int, Dyadic] = {}
+        acc: dict[int, Entry] = {}
         for k, x in row_a:
             for j, y in b[k]:
-                acc[j] = acc.get(j, ZERO) + x * y
+                _add_into(acc, j, _mul(x, y))
         rows.append(_row(acc))
     return tuple(rows)
 
 
-def mat_vec(a: Matrix, v: list[Dyadic]) -> list[Dyadic]:
+def mat_vec(a: Matrix, v: list[Entry]) -> list[Entry]:
     if len(v) != len(a):
         raise ValueError(f"vector of length {len(v)} for a matrix of size {len(a)}")
-    return [sum((x * v[k] for k, x in row), ZERO) for row in a]
+    out = []
+    for row in a:
+        re = im = 0
+        for k, x in row:
+            pr, pi = _mul(x, v[k])
+            re += pr
+            im += pi
+        out.append((re, im))
+    return out
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
@@ -99,23 +125,21 @@ def commutator_is_zero(a: Matrix, b: Matrix) -> bool:
 
 
 def projector_matrix(vectors) -> Matrix:
-    """Sum of |s><s| / <s|s> over the spanning vectors, as an exact matrix.
+    """Sum of the outer products |s><s| over the spanning vectors.
 
-    Each vector is a sequence of Dyadic amplitudes; its norm <s|s> must be a
-    power of two so that the division stays in the ring.  The sum is the
-    orthogonal projector onto their span only when the vectors are pairwise
-    orthogonal, which callers check separately.  The vectors must be at
-    least one and all of one length (ValueError otherwise).
+    Each vector is a sequence of (re, im) amplitudes; |s><s| puts s_i times
+    the conjugate of s_j at (i, j).  Nothing is divided by a norm: for
+    pairwise orthogonal vectors of one norm m, which callers check
+    separately, the sum is m times the orthogonal projector onto their
+    span.  The vectors must be at least one and all of one length
+    (ValueError otherwise).
     """
     if len({len(s) for s in vectors}) != 1:
         raise ValueError("spanning vectors must be nonempty and of one length")
-    acc: list[dict[int, Dyadic]] = [{} for _ in vectors[0]]
+    acc: list[dict[int, Entry]] = [{} for _ in vectors[0]]
     for s in vectors:
-        support = [(i, x) for i, x in enumerate(s) if not x.is_zero()]
-        m = sum((x.conj() * x for _, x in support), ZERO).as_pow2()
-        if m is None:
-            raise ValueError("spanning norm is not a power of two")
+        support = [(i, x) for i, x in enumerate(s) if x != _ZERO]
         for i, x in support:
-            for j, y in support:
-                acc[i][j] = acc[i].get(j, ZERO) + (x * y.conj()).half_power(m)
+            for j, (re, im) in support:
+                _add_into(acc[i], j, _mul(x, (re, -im)))
     return tuple(_row(r) for r in acc)

@@ -1,10 +1,11 @@
 """Exact complex numbers with power-of-two denominators.
 
-(a + b*i) / 2**k with integers a, b, k >= 0 is the number type of the dense
-oracle (`dense`), whose projectors divide by a power-of-two norm, and the
-type `statevector.inner` returns its integer sum in.  State vectors
-themselves hold Gaussian integers.  Staying inside this ring keeps every
-comparison exact; there is no epsilon anywhere.
+(a + b*i) / 2**k with integers a, b, k >= 0 is the type that
+`statevector.inner` returns its integer sum in, its only production use;
+state vectors and the dense oracle's matrices hold Gaussian integers as
+integer (re, im) pairs.  Tests use the ring's division by powers of two
+as a reference.  Staying inside this ring keeps every comparison exact;
+there is no epsilon anywhere.
 
 Every value is kept in lowest terms: exp == 0, or at least one of re, im
 is odd; zero is (0, 0, 0).  The form is unique, so equality and hashing

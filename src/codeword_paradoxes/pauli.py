@@ -32,6 +32,15 @@ LETTERS = ("I", "X", "Y", "Z")
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
 
+# The letters of two sites, then of four, leftmost site first, indexed by
+# (x bits << 2) | z bits, then (x bits << 4) | z bits, of those sites.
+_PAIR_TEXT = [_BITS_TO_LETTER[(x >> 1, z >> 1)]
+              + _BITS_TO_LETTER[(x & 1, z & 1)]
+              for x in range(4) for z in range(4)]
+_QUAD_TEXT = tuple(_PAIR_TEXT[(x >> 2) << 2 | z >> 2]
+                   + _PAIR_TEXT[(x & 3) << 2 | z & 3]
+                   for x in range(16) for z in range(16))
+
 _TEXT_RE = re.compile(r"^([+-])?(i)?([IXYZ]+)$")
 
 
@@ -63,9 +72,7 @@ class PauliString:
 
     @property
     def letters(self) -> tuple[str, ...]:
-        x, z = self.x, self.z
-        return tuple(_BITS_TO_LETTER[(x >> b & 1, z >> b & 1)]
-                     for b in range(self.n - 1, -1, -1))
+        return tuple(_text(self.n, self.x, self.z))
 
     @property
     def weight(self) -> int:
@@ -143,10 +150,25 @@ class PauliString:
 
     def __str__(self) -> str:
         prefix = ("", "i", "-", "-i")[self.phase_exp]
-        return prefix + "".join(self.letters)
+        return prefix + _text(self.n, self.x, self.z)
 
     def __repr__(self) -> str:
         return f"PauliString({str(self)!r})"
+
+
+def _text(n: int, x: int, z: int) -> str:
+    """The letters of an n-site string, four sites per table lookup.
+
+    The sites are read in chunks of four from the left, the first chunk
+    starting pad sites before site 1 so that the last one ends at site n;
+    the bits above site 1 are zero, so the pad reads as I and is cut off."""
+    pad = -n & 3
+    s = n + pad - 4
+    text = _QUAD_TEXT[(x >> s & 15) << 4 | z >> s & 15][pad:]
+    while s:
+        s -= 4
+        text += _QUAD_TEXT[(x >> s & 15) << 4 | z >> s & 15]
+    return text
 
 
 _set_n = PauliString.n.__set__

@@ -1,6 +1,10 @@
 """Randomized property suites cross-checking the fast paths against the
 dense-matrix oracle.
 
+The oracle's entries and vectors are Gaussian integers, integer (re, im)
+pairs, as state amplitudes are: a state reaches the oracle as the list of
+its amplitudes over every ket (`dense_amplitudes`), with no conversion.
+
 These are the only sampled (seeded) checks in the package; every physics
 verification elsewhere is deterministic and seedless.
 """
@@ -12,7 +16,6 @@ from typing import NamedTuple
 
 from . import dense
 from .codes import five_qubit_code
-from .dyadic import Dyadic
 from .pauli import PauliString, from_letters, identity
 from .paradoxes import canonical_pentagon_instance, search_parity_contradictions
 from .statevector import StateVector, apply
@@ -49,9 +52,10 @@ def random_state(rng: random.Random, n: int) -> StateVector:
                            for j, (a, b, e) in enumerate(draws)})
 
 
-def dense_amplitudes(v: StateVector) -> list[Dyadic]:
-    """v's amplitudes over all 2**n kets, as the dense oracle's numbers."""
-    return [Dyadic(*v.support.get(j, (0, 0))) for j in range(1 << v.n)]
+def dense_amplitudes(v: StateVector) -> list[tuple[int, int]]:
+    """v's amplitudes over all 2**n kets, zeros included, as the dense
+    oracle's (re, im) vector."""
+    return [v.support.get(j, (0, 0)) for j in range(1 << v.n)]
 
 
 def dense_oracle_suite(rng: random.Random) -> SuiteResult:

@@ -53,17 +53,27 @@ def criterion(number: int, limit_s: float, title: str):
                 f"criterion {number} exceeded its {limit_s}s budget: {elapsed:.2f}s")
 
 
+SIXTEEN_I = tuple(((j, (16, 0)),) for j in range(32))   # dense 16·I
+
+
+def _norm16(s):
+    """s's dense amplitudes scaled by 4, 2 or 1 from norm 1, 4 or 16 to 16."""
+    amps = dense_amplitudes(s)
+    factor = {1: 4, 4: 2, 16: 1}[sum(re * re + im * im for re, im in amps)]
+    return [(factor * re, factor * im) for re, im in amps]
+
+
 def _resolves_identity(vertices) -> bool:
     """The vertices' spanning vectors number 32, are pairwise orthogonal, and
-    their dense projector sum (the sum of the projectors, by that
-    orthogonality) is exactly the identity."""
+    the outer products of the vectors scaled to norm 16 (16 times the sum
+    of the projectors, by that orthogonality) sum to exactly 16 times the
+    identity."""
     vecs = [s for v in vertices for s in _states(v)]
     return (len(vecs) == 32
             and all(inner(u, w).is_zero() for i, u in enumerate(vecs)
                     for w in vecs[i + 1:])
-            and dense.mat_eq(dense.projector_matrix([dense_amplitudes(s)
-                                                     for s in vecs]),
-                             dense.pauli_matrix(identity(5))))
+            and dense.mat_eq(dense.projector_matrix([_norm16(s) for s in vecs]),
+                             SIXTEEN_I))
 
 
 def _states(v):

@@ -1,5 +1,7 @@
 """The dense oracle's sparse-row kron and mat_mul against the index
-formulas on full matrices, and the canonical form mat_eq relies on."""
+formulas on full matrices, and the canonical form mat_eq relies on.  The
+oracle's entries are integer (re, im) pairs; the index formulas multiply
+and add them as Dyadic values, so they share no arithmetic with it."""
 
 import random
 from itertools import product
@@ -7,13 +9,32 @@ from itertools import product
 import pytest
 
 from codeword_paradoxes import dense
-from codeword_paradoxes.dyadic import I_UNIT, ONE, ZERO, Dyadic
+from codeword_paradoxes.dyadic import Dyadic
 from codeword_paradoxes.pauli import from_letters
+
+ZERO, ONE, I_UNIT = (0, 0), (1, 0), (0, 1)
+
+
+def times(x, y):
+    """The pair x·y, multiplied as Dyadic values."""
+    product = Dyadic(*x) * Dyadic(*y)
+    assert product.exp == 0
+    return product.re, product.im
+
+
+def plus(x, y):
+    total = Dyadic(*x) + Dyadic(*y)
+    return total.re, total.im
+
+
+def conj(x):
+    c = Dyadic(*x).conj()
+    return c.re, c.im
 
 
 def sparse(m):
     """A full tuple-of-tuples matrix in the oracle's sparse-row form."""
-    return tuple(tuple((j, x) for j, x in enumerate(row) if not x.is_zero())
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x != ZERO)
                  for row in m)
 
 
@@ -36,13 +57,15 @@ def assert_canonical(m):
         cols = [j for j, _ in row]
         assert all(0 <= j < len(m) for j in cols)
         assert all(j < k for j, k in zip(cols, cols[1:]))
-        assert not any(x.is_zero() for _, x in row)
+        assert not any(x == ZERO for _, x in row)
+        assert all(type(x) is tuple and len(x) == 2 for _, x in row)
 
 
 def kron_by_index(a, b):
     ra, rb = len(a), len(b)
     return tuple(
-        tuple(a[i // rb][j // rb] * b[i % rb][j % rb] for j in range(ra * rb))
+        tuple(times(a[i // rb][j // rb], b[i % rb][j % rb])
+              for j in range(ra * rb))
         for i in range(ra * rb))
 
 
@@ -53,7 +76,7 @@ def mat_mul_by_index(a, b):
         for col in zip(*b):
             total = ZERO
             for x, y in zip(row, col):
-                total = total + x * y
+                total = plus(total, times(x, y))
             out.append(total)
         rows.append(tuple(out))
     return tuple(rows)
@@ -62,7 +85,7 @@ def mat_mul_by_index(a, b):
 def random_matrix(rng, size, zero_share):
     return tuple(
         tuple(ZERO if rng.random() < zero_share else
-              Dyadic(rng.randint(-4, 4), rng.randint(-4, 4), rng.randrange(3))
+              (rng.randint(-4, 4), rng.randint(-4, 4))
               for _ in range(size))
         for _ in range(size))
 
@@ -74,6 +97,10 @@ def test_kron_and_mat_mul_match_index_formulas(zero_share):
         a = random_matrix(rng, rng.randint(1, 4), zero_share)
         b = random_matrix(rng, rng.randint(1, 4), zero_share)
         assert full(dense.kron(sparse(a), sparse(b))) == kron_by_index(a, b)
+        v = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in a]
+        column = tuple((x,) for x in v)
+        assert dense.mat_vec(sparse(a), v) == \
+            [x for x, in mat_mul_by_index(a, column)]
         c = random_matrix(rng, len(a), zero_share)
         # the sums of mat_mul may cancel to zero
         assert full(dense.mat_mul(sparse(a), sparse(c))) == \
@@ -81,7 +108,7 @@ def test_kron_and_mat_mul_match_index_formulas(zero_share):
 
 
 # Few distinct entries, so that the sums in a product often cancel.
-UNITS = [ONE, -ONE, I_UNIT, -I_UNIT, Dyadic(1, 0, 1), Dyadic(-1, 0, 1)]
+UNITS = [ONE, (-1, 0), I_UNIT, (0, -1), (2, 0), (-2, 0), (1, 1)]
 
 
 def random_sparse(rng, size):
@@ -113,7 +140,7 @@ def test_mat_mul_matches_index_formula_on_mixed_rows():
 def _by_index_pauli_matrix(p):
     phase = ONE
     for _ in range(p.phase_exp):
-        phase = phase * I_UNIT
+        phase = times(phase, I_UNIT)
     m = ((phase,),)
     for letter in p.letters:
         m = kron_by_index(m, full(dense._LETTER_MATRIX[letter]))
@@ -134,18 +161,30 @@ def test_every_pauli_matrix_matches_index_formulas(n):
                     mat_mul_by_index(full(mats[p]), full(mats[q]))
 
 
-def test_projector_matrix_divides_by_each_norm():
-    half = Dyadic(1, 0, 1)
+def test_projector_matrix_sums_outer_products():
+    two = (2, 0)
     # the off-diagonal entries of the two outer products cancel
-    m = dense.projector_matrix([(ONE, ONE), (ONE, Dyadic(-1))])
-    assert full(m) == ((ONE, ZERO), (ZERO, ONE))
-    assert full(dense.projector_matrix([(ONE, ONE)])) == \
-        ((half, half), (half, half))
+    m = dense.projector_matrix([(ONE, ONE), (ONE, (-1, 0))])
+    assert full(m) == ((two, ZERO), (ZERO, two))
+    # nothing is divided by the norm
+    assert full(dense.projector_matrix([(ONE, ONE)])) == ((ONE, ONE), (ONE, ONE))
     # |s><s| puts s_i times the conjugate of s_j at (i, j)
     assert full(dense.projector_matrix([(ONE, I_UNIT)])) == \
-        ((half, -half * I_UNIT), (half * I_UNIT, half))
-    with pytest.raises(ValueError, match="not a power of two"):
-        dense.projector_matrix([(ONE, ONE, ONE, ZERO)])
+        ((ONE, (0, -1)), (I_UNIT, ONE))
+    rng = random.Random(5)
+    for _ in range(50):
+        size = rng.randint(1, 5)
+        vectors = [tuple(ZERO if rng.random() < 0.3 else
+                         (rng.randint(-3, 3), rng.randint(-3, 3))
+                         for _ in range(size))
+                   for _ in range(rng.randint(1, 3))]
+        want = [[ZERO] * size for _ in range(size)]
+        for v in vectors:
+            for i in range(size):
+                for j in range(size):
+                    want[i][j] = plus(want[i][j], times(v[i], conj(v[j])))
+        assert full(dense.projector_matrix(vectors)) == \
+            tuple(map(tuple, want))
 
 
 def test_mat_eq_compares_shapes():

@@ -20,7 +20,7 @@ from codeword_paradoxes.statevector import StateVector, apply, eigensign, inner
 EDGE_COUNT = 3084        # frozen from the first exhaustive pairwise run
 CONTEXT_COUNT = 39       # frozen from the first exhaustive enumeration
 CONTEXT_NODES = 4581     # search nodes of that enumeration, pinned exactly
-IDENTITY_MATRIX = dense.pauli_matrix(identity(5))
+SIXTEEN_I = tuple(((j, (16, 0)),) for j in range(32))   # dense 16·I
 
 
 def _family(vertices, kind):
@@ -41,21 +41,30 @@ def _spanning(vertices):
     return [s for v in vertices for s in _states(v)]
 
 
+def _norm16(s):
+    """s's dense amplitudes scaled to norm 16.  Spanning vectors have norm
+    1, 4 or 16 and are scaled by 4, 2 or 1, so the outer products of a
+    vertex's scaled vectors sum to 16 times its projector."""
+    amps = dense_amplitudes(s)
+    factor = {1: 4, 4: 2, 16: 1}[sum(re * re + im * im for re, im in amps)]
+    return [(factor * re, factor * im) for re, im in amps]
+
+
 def _orthogonal(p, q):
     return all(inner(u, w).is_zero() for u in _states(p) for w in _states(q))
 
 
 def _assert_resolves_identity(vectors):
-    """32 pairwise orthogonal vectors whose dense projector sum is exactly
-    the identity; by their orthogonality that sum is the sum of the
-    vertices' projectors."""
+    """32 pairwise orthogonal vectors whose outer products, each vector
+    scaled to norm 16, sum to exactly 16 times the identity; by their
+    orthogonality that sum is 16 times the sum of the vertices'
+    projectors."""
     assert len(vectors) == 32
     for i, u in enumerate(vectors):
         for w in vectors[i + 1:]:
             assert inner(u, w).is_zero()
-    assert dense.mat_eq(dense.projector_matrix([dense_amplitudes(v)
-                                                for v in vectors]),
-                        IDENTITY_MATRIX)
+    assert dense.mat_eq(dense.projector_matrix([_norm16(v) for v in vectors]),
+                        SIXTEEN_I)
 
 
 def _row_family(vertices, r, **conds):
@@ -148,18 +157,28 @@ def test_row_families_resolve_identity(ks_vertices):
         _assert_resolves_identity(_spanning(family))
 
 
+def _times(k, m):
+    """k times the dense matrix m, entry by entry."""
+    return tuple(tuple((j, (k * re, k * im)) for j, (re, im) in row)
+                 for row in m)
+
+
 def test_rank4_projector_matrix_properties(ks_vertices):
     v = _row_family(ks_vertices, 3, m=+1, n=+1, s=+1)[0]
-    m = dense.projector_matrix([dense_amplitudes(s) for s in _states(v)])
-    assert dense.mat_eq(dense.mat_mul(m, m), m)
+    # m is 16 times the projector, so its square is 16 m
+    m = dense.projector_matrix([_norm16(s) for s in _states(v)])
+    assert dense.mat_eq(dense.mat_mul(m, m), _times(16, m))
+    # its trace is 16 times the rank
+    assert sum(x[0] for i, row in enumerate(m) for j, x in row if i == j) == 64
     # Hermitian: each stored (i, j) has its conjugate stored at (j, i)
     entries = {(i, j): x for i, row in enumerate(m) for j, x in row}
-    assert all(entries.get((j, i)) == x.conj() for (i, j), x in entries.items())
+    assert all(entries.get((j, i)) == (re, -im)
+               for (i, j), (re, im) in entries.items())
 
 
 def test_rank4_acts_as_identity_on_untouched_qubits(ks_vertices):
     v = _row_family(ks_vertices, 3, m=+1, n=-1, s=-1)[0]
-    p = dense.projector_matrix([dense_amplitudes(s) for s in _states(v)])
+    p = dense.projector_matrix([_norm16(s) for s in _states(v)])
     for op in (single_site(5, 4, "X"), single_site(5, 5, "Z"),
                single_site(5, 4, "Y")):
         assert dense.commutator_is_zero(p, dense.pauli_matrix(op))

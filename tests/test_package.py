@@ -24,10 +24,12 @@ PACKAGE = Path(codeword_paradoxes.__file__).parent
 
 # (module, module it must not import from, names it may still import).
 # The dense oracle checks the state-vector route, so it must not use it;
-# production amplitudes are Gaussian integers, so Dyadic stays with the
-# oracle, which selftest feeds, and with inner's return value.
+# production amplitudes and dense entries are Gaussian integers, so inner's
+# return value is the only production use of Dyadic left.
 IMPORT_BOUNDARIES = [
     ("dense", "statevector", ()),
+    ("dense", "dyadic", ()),
+    ("selftest", "dyadic", ()),
     ("codes", "dyadic", ()),
     ("stabilizer", "dyadic", ()),
     ("kochen_specker", "dyadic", ()),

@@ -185,6 +185,49 @@ def test_letter_and_letters_read_every_site():
             assert tuple(p.letter(k) for k in range(1, n + 1)) == ls
 
 
+_SITE_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+_PHASE_TEXT = {0: "", 1: "i", 2: "-", 3: "-i"}
+
+
+def _letters_by_site(p):
+    """Reference letters: one (x, z) bit pair per site, site 1 leftmost."""
+    return tuple(_SITE_LETTER[(p.x >> b & 1, p.z >> b & 1)]
+                 for b in range(p.n - 1, -1, -1))
+
+
+def _assert_text_matches_sites(p):
+    letters = _letters_by_site(p)
+    assert p.letters == letters
+    assert str(p) == _PHASE_TEXT[p.phase_exp] + "".join(letters)
+
+
+def test_text_matches_site_reference_for_every_string_to_four_qubits():
+    for n in range(1, 5):
+        for x, z, t in itertools.product(range(1 << n), range(1 << n), range(4)):
+            _assert_text_matches_sites(PauliString(n, t, x, z))
+
+
+def test_text_matches_site_reference_across_chunk_edges():
+    # n = 5..13 crosses the four-site chunk edges at 4, 8 and 12 and every
+    # ragged length between them
+    rng = random.Random(17)
+    for n in range(5, 14):
+        full = (1 << n) - 1
+        for x, z in [(0, 0), (full, 0), (0, full), (full, full)]:
+            _assert_text_matches_sites(PauliString(n, 0, x, z))
+        for _ in range(300):
+            _assert_text_matches_sites(PauliString(
+                n, rng.randrange(4), rng.getrandbits(n), rng.getrandbits(n)))
+
+
+def test_steane_group_order_follows_site_letters(steane):
+    elements = steane.group().elements
+    assert [e.op.key() for e in elements] == \
+        [(_letters_by_site(e.op), e.op.phase_exp) for e in elements]
+    assert elements == sorted(elements, key=lambda e: (_letters_by_site(e.op),
+                                                       e.op.phase_exp))
+
+
 def test_single_site():
     assert single_site(5, 2, "Z") == parse("IZIII")
     with pytest.raises(ValueError):

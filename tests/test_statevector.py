@@ -160,12 +160,18 @@ def test_classical_basis_resolves_identity():
 
 
 def test_projector_matrix_idempotent(five):
+    # the codewords have norm 16, so m is 16 times the code-space
+    # projector and its square is 16 m
     m = dense.projector_matrix([dense_amplitudes(five.codeword(0)),
                                 dense_amplitudes(five.codeword(1))])
-    assert dense.mat_eq(dense.mat_mul(m, m), m)
+    sixteen_m = tuple(tuple((j, (16 * re, 16 * im)) for j, (re, im) in row)
+                      for row in m)
+    assert dense.mat_eq(dense.mat_mul(m, m), sixteen_m)
+    assert sum(x[0] for i, row in enumerate(m) for j, x in row if i == j) == 32
     # Hermitian: each stored (i, j) has its conjugate stored at (j, i)
     entries = {(i, j): x for i, row in enumerate(m) for j, x in row}
-    assert all(entries.get((j, i)) == x.conj() for (i, j), x in entries.items())
+    assert all(entries.get((j, i)) == (re, -im)
+               for (i, j), (re, im) in entries.items())
 
 
 def test_phase_canonical():
@@ -184,7 +190,7 @@ def test_phase_canonical():
 def _inner_by_terms(u, v):
     total = ZERO
     for a, b in zip(dense_amplitudes(u), dense_amplitudes(v)):
-        total = total + a.conj() * b
+        total = total + Dyadic(*a).conj() * Dyadic(*b)
     return total
 
 
@@ -245,8 +251,8 @@ def test_random_state_is_four_times_the_drawn_dyadics(n):
     v = random_state(rng, n)
     draws = [(reference.randint(-4, 4), reference.randint(-4, 4),
               reference.randrange(3)) for _ in range(1 << n)]
-    assert dense_amplitudes(v) == [Dyadic(a, b, e) * Dyadic(4)
-                                   for a, b, e in draws]
+    assert [Dyadic(*x) for x in dense_amplitudes(v)] == \
+        [Dyadic(a, b, e) * Dyadic(4) for a, b, e in draws]
     assert v == StateVector(n, {j: (a << (2 - e), b << (2 - e))
                                 for j, (a, b, e) in enumerate(draws)})
     assert rng.getstate() == reference.getstate()
