@@ -6,8 +6,8 @@ support: element-of-reality enumerations, parity contradictions, a
 multiplicative operator-array contradiction, and a 104-projector additive
 Kochen-Specker set with an exhaustive non-colorability search.  State
 amplitudes and dense-oracle entries are Gaussian integers, integer
-(re, im) pairs; Dyadic, the ring (a + b i)/2^k, is the type of an inner
-product.
+(re, im) pairs; Dyadic, the Gaussian integer a + b i, is the type of an
+inner product.
 """
 
 __version__ = "0.1.0"

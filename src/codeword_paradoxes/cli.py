@@ -26,7 +26,6 @@ from .paradoxes import (build_canonical_array, canonical_pentagon_instance,
                         compatible_pairs, find_determinations,
                         pentagon_description, search_parity_contradictions)
 from .report import (Report, VERDICT_CONTRADICTION, VERDICT_FAIL, VERDICT_PASS)
-from .selftest import run_all
 from .stabilizer import invariant_subgroup, knill_laflamme_check, verify_stabilizes
 from .statevector import inner
 
@@ -357,6 +356,9 @@ def _cmd_steane_search(args) -> Report:
 
 
 def _cmd_selftest(args) -> Report:
+    # imported here: selftest pulls in the dense oracle, which no other
+    # command needs at start-up
+    from .selftest import run_all
     results = run_all(seed=args.seed)
     ok = all(r.ok for r in results)
     details = {"seed": args.seed, "suites": [r._asdict() for r in results]}

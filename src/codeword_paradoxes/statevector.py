@@ -36,7 +36,7 @@ class StateVector:
         _set_n(self, n)
         _set_support(self, support)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
+    def __setattr__(self, name, value):
         raise AttributeError("StateVector is immutable")
 
     def __eq__(self, other) -> bool:
@@ -152,8 +152,8 @@ def eigensign(p: PauliString, v: StateVector):
 
 
 def inner(u: StateVector, v: StateVector) -> Dyadic:
-    """<u|v>, conjugate-linear in the first argument, as a Dyadic with
-    exponent 0: the integer sum of conj(a)·b over the common support."""
+    """<u|v>, conjugate-linear in the first argument, as the Gaussian
+    integer Dyadic(re, im): the sum of conj(a)·b over the common support."""
     _same_n(u, v)
     re = im = 0
     other = v.support

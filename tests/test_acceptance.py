@@ -26,7 +26,7 @@ from codeword_paradoxes.paradoxes import (build_canonical_array,
                                           find_determinations,
                                           search_parity_contradictions)
 from codeword_paradoxes.pauli import identity, parse, single_site
-from codeword_paradoxes.dyadic import ONE
+from codeword_paradoxes.dyadic import Dyadic
 from codeword_paradoxes.selftest import dense_amplitudes, random_pauli, random_state
 from codeword_paradoxes.stabilizer import (invariant_subgroup,
                                            knill_laflamme_check,
@@ -179,8 +179,8 @@ def test_criterion_6_ks_set_construction():
         assert len(vertices) / 32 == 3.25
 
         for family in ("classical", "mutation"):
-            # exactly norm 1 once each ivec is divided by 2**scale_exp
-            assert all(inner(u, u).half_power(2 * v.scale_exp) == ONE
+            # norm 4**scale_exp: exactly 1 once each ivec is divided by 2**scale_exp
+            assert all(inner(u, u) == Dyadic(4 ** v.scale_exp)
                        for v in by_kind[family] for u in _states(v))
             assert _resolves_identity(by_kind[family])
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,6 @@ import pytest
 import codeword_paradoxes
 from codeword_paradoxes import cli
 from codeword_paradoxes.cli import main
-from codeword_paradoxes.dyadic import Dyadic
 from codeword_paradoxes.kochen_specker import (bit_indices,
                                                build_orthogonality_graph,
                                                enumerate_contexts)
@@ -183,7 +183,10 @@ def test_dump_writes_amplitudes_from_the_integer_vectors(ks_dump_run):
             for _, text in vec} == {"1", "-1", "1/2^2", "-1/2^2"}
     for x in (-3, -1, 1, 5):
         for exp in (0, 1, 2):
-            assert cli._amplitude_text(x, exp) == str(Dyadic(x, 0, exp))
+            value = Fraction(x, 2 ** exp)
+            k = value.denominator.bit_length() - 1
+            want = f"{value.numerator}/2^{k}" if k else str(value.numerator)
+            assert cli._amplitude_text(x, exp) == want
 
 
 def _dump_payload(graph, contexts):

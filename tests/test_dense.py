@@ -1,7 +1,8 @@
 """The dense oracle's sparse-row kron and mat_mul against the index
 formulas on full matrices, and the canonical form mat_eq relies on.  The
-oracle's entries are integer (re, im) pairs; the index formulas multiply
-and add them as Dyadic values, so they share no arithmetic with it."""
+oracle's entries are integer (re, im) pairs; the index formulas multiply,
+add and conjugate them as the 2x2 integer matrices [[a, -b], [b, a]] that
+represent a + b i, so they share no arithmetic with it."""
 
 import random
 from itertools import product
@@ -9,27 +10,40 @@ from itertools import product
 import pytest
 
 from codeword_paradoxes import dense
-from codeword_paradoxes.dyadic import Dyadic
 from codeword_paradoxes.pauli import from_letters
 
 ZERO, ONE, I_UNIT = (0, 0), (1, 0), (0, 1)
 
 
+def as_matrix(x):
+    """a + b i as the integer matrix [[a, -b], [b, a]]."""
+    a, b = x
+    return ((a, -b), (b, a))
+
+
+def as_pair(m):
+    """The pair a matrix [[a, -b], [b, a]] represents: its first column."""
+    assert m[0][0] == m[1][1] and m[0][1] == -m[1][0]
+    return m[0][0], m[1][0]
+
+
 def times(x, y):
-    """The pair x·y, multiplied as Dyadic values."""
-    product = Dyadic(*x) * Dyadic(*y)
-    assert product.exp == 0
-    return product.re, product.im
+    """The pair x·y, as the product of the two matrices."""
+    p, q = as_matrix(x), as_matrix(y)
+    return as_pair(tuple(tuple(sum(p[i][k] * q[k][j] for k in range(2))
+                               for j in range(2)) for i in range(2)))
 
 
 def plus(x, y):
-    total = Dyadic(*x) + Dyadic(*y)
-    return total.re, total.im
+    p, q = as_matrix(x), as_matrix(y)
+    return as_pair(tuple(tuple(p[i][j] + q[i][j] for j in range(2))
+                         for i in range(2)))
 
 
 def conj(x):
-    c = Dyadic(*x).conj()
-    return c.re, c.im
+    """The conjugate, as the transposed matrix."""
+    p = as_matrix(x)
+    return as_pair(tuple(tuple(p[j][i] for j in range(2)) for i in range(2)))
 
 
 def sparse(m):

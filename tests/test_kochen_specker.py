@@ -13,7 +13,7 @@ from codeword_paradoxes.kochen_specker import (KSVertex, bit_indices,
                                                _check_coloring)
 from codeword_paradoxes.paradoxes import ROW_SITES
 from codeword_paradoxes.pauli import identity, single_site
-from codeword_paradoxes.dyadic import ONE
+from codeword_paradoxes.dyadic import Dyadic
 from codeword_paradoxes.selftest import dense_amplitudes
 from codeword_paradoxes.statevector import StateVector, apply, eigensign, inner
 
@@ -87,8 +87,8 @@ def test_vertex_counts(ks_vertices):
 
 def test_mutation_family_is_orthonormal_basis(ks_vertices):
     mutations = _family(ks_vertices, "mutation")
-    # exactly norm 1 once each ivec is divided by 2**scale_exp
-    assert all(inner(u, u).half_power(2 * v.scale_exp) == ONE
+    # norm 4**scale_exp: exactly 1 once each ivec is divided by 2**scale_exp
+    assert all(inner(u, u) == Dyadic(4 ** v.scale_exp)
                for v in mutations for u in _states(v))
     _assert_resolves_identity(_spanning(mutations))
 

@@ -15,6 +15,7 @@ import pytest
 
 import codeword_paradoxes
 from codeword_paradoxes.codes import five_qubit_code
+from codeword_paradoxes.dyadic import Dyadic
 from codeword_paradoxes.kochen_specker import KSVertex
 from codeword_paradoxes.paradoxes import (build_canonical_array,
                                           canonical_pentagon_instance,
@@ -24,8 +25,8 @@ PACKAGE = Path(codeword_paradoxes.__file__).parent
 
 # (module, module it must not import from, names it may still import).
 # The dense oracle checks the state-vector route, so it must not use it;
-# production amplitudes and dense entries are Gaussian integers, so inner's
-# return value is the only production use of Dyadic left.
+# production amplitudes and dense entries are integer (re, im) pairs, and
+# Dyadic, the Gaussian integer that inner returns, is built only there.
 IMPORT_BOUNDARIES = [
     ("dense", "statevector", ()),
     ("dense", "dyadic", ()),
@@ -105,17 +106,21 @@ def test_package_does_not_import_dataclasses():
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # nor selftest and the dense oracle, which only the selftest command uses
     script = ("import sys; sys.path.insert(0, sys.argv[1]); "
               "import codeword_paradoxes.cli; "
               "print(codeword_paradoxes.cli.__file__); "
-              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+              "print(sorted({'dataclasses', 'inspect', "
+              "'codeword_paradoxes.selftest', 'codeword_paradoxes.dense'} "
+              "& set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", script, str(PACKAGE.parent)],
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines() == [str(PACKAGE / "cli.py"), "[]"]
 
 
 # (record type, a function that makes one, one of its fields) for each
-# record that was a frozen dataclass.
+# read-only record: those that were frozen dataclasses, Dyadic and
+# StateVector.
 READ_ONLY_RECORDS = [
     ("CodeDefinition", five_qubit_code, "name"),
     ("StabilizerElement", lambda: five_qubit_code().generators[0], "sign0"),
@@ -127,6 +132,8 @@ READ_ONLY_RECORDS = [
     ("OperatorArray", build_canonical_array, "rows"),
     ("KSVertex", lambda: KSVertex(("classical", "00000"), ((1,) + (0,) * 31,)),
      "scale_exp"),
+    ("Dyadic", lambda: Dyadic(1, -1), "im"),
+    ("StateVector", lambda: five_qubit_code().codeword(0), "support"),
 ]
 
 

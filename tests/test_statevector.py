@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from codeword_paradoxes import dense
 from codeword_paradoxes.codes import single_qubit_errors
-from codeword_paradoxes.dyadic import Dyadic, ZERO
+from codeword_paradoxes.dyadic import Dyadic
 from codeword_paradoxes.errors import DimensionMismatchError, NonHermitianError
 from codeword_paradoxes.pauli import from_letters, identity, parse, single_site
 from codeword_paradoxes.selftest import dense_amplitudes, random_pauli, random_state
@@ -127,7 +128,7 @@ def test_eigensign_global_phase_invariant(five):
 def test_inner_products(five_listing):
     zero, one = five_listing                  # 4 times the unit codewords
     assert inner(zero, zero) == Dyadic(16)
-    assert inner(zero, one) == ZERO
+    assert inner(zero, one) == Dyadic(0)
     assert inner(basis_ket(5, "00000"), zero) == Dyadic(-1)
     with pytest.raises(DimensionMismatchError):
         inner(basis_ket(2, 0), zero)
@@ -188,10 +189,14 @@ def test_phase_canonical():
 
 
 def _inner_by_terms(u, v):
-    total = ZERO
-    for a, b in zip(dense_amplitudes(u), dense_amplitudes(v)):
-        total = total + Dyadic(*a).conj() * Dyadic(*b)
-    return total
+    """The sum of conj(a)·b over all kets, in Fraction (re, im) pairs."""
+    re = im = Fraction(0)
+    for (ar, ai), (br, bi) in zip(dense_amplitudes(u), dense_amplitudes(v)):
+        cr, ci = Fraction(ar), -Fraction(ai)
+        re += cr * br - ci * bi
+        im += cr * bi + ci * br
+    assert re.denominator == im.denominator == 1
+    return Dyadic(re.numerator, im.numerator)
 
 
 def _eigensign_by_vectors(p, v):
@@ -251,8 +256,8 @@ def test_random_state_is_four_times_the_drawn_dyadics(n):
     v = random_state(rng, n)
     draws = [(reference.randint(-4, 4), reference.randint(-4, 4),
               reference.randrange(3)) for _ in range(1 << n)]
-    assert [Dyadic(*x) for x in dense_amplitudes(v)] == \
-        [Dyadic(a, b, e) * Dyadic(4) for a, b, e in draws]
+    assert [(Fraction(re), Fraction(im)) for re, im in dense_amplitudes(v)] == \
+        [(4 * Fraction(a, 2 ** e), 4 * Fraction(b, 2 ** e)) for a, b, e in draws]
     assert v == StateVector(n, {j: (a << (2 - e), b << (2 - e))
                                 for j, (a, b, e) in enumerate(draws)})
     assert rng.getstate() == reference.getstate()
