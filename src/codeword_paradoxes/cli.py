@@ -134,7 +134,7 @@ def _cmd_verify_code(args) -> Report:
 
     checks = {
         "group_order": {"expected": code.expected_group_order, "got": len(group)},
-        "codewords_orthogonal": inner(v0, v1).is_zero(),
+        "codewords_orthogonal": inner(v0, v1) == (0, 0),
         "all_elements_stabilize": not violations,
         "invariant_subgroup_order": {"expected": code.expected_stable_order,
                                      "got": len(stable)},

@@ -30,8 +30,6 @@ __all__ = [
     "kron",
     "mat_mul",
     "mat_vec",
-    "mat_eq",
-    "commutator_is_zero",
 ]
 
 Entry = tuple[int, int]
@@ -114,14 +112,6 @@ def mat_vec(a: Matrix, v: list[Entry]) -> list[Entry]:
             im += pi
         out.append((re, im))
     return out
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return a == b
-
-
-def commutator_is_zero(a: Matrix, b: Matrix) -> bool:
-    return mat_eq(mat_mul(a, b), mat_mul(b, a))
 
 
 def projector_matrix(vectors) -> Matrix:

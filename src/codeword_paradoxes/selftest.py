@@ -80,10 +80,10 @@ def dense_oracle_suite(rng: random.Random) -> SuiteResult:
         b = random_pauli(rng, n)
         ma, mb = matrix(a), matrix(b)
         mab = dense.mat_mul(ma, mb)
-        if not dense.mat_eq(matrix(a * b), mab):
+        if matrix(a * b) != mab:
             return SuiteResult("dense-oracle", t + 1, False,
                                f"product mismatch for {a}, {b}")
-        if a.commutes_with(b) != dense.mat_eq(mab, dense.mat_mul(mb, ma)):
+        if a.commutes_with(b) != (mab == dense.mat_mul(mb, ma)):
             return SuiteResult("dense-oracle", t + 1, False,
                                f"commutation mismatch for {a}, {b}")
         v = random_state(rng, n)

@@ -228,14 +228,25 @@ def knill_laflamme_check(v0: StateVector, v1: StateVector,
             off = inner(l0, r1)
             d0 = inner(l0, r0)
             d1 = inner(l1, r1)
-            if not off.is_zero() or d0 != d1:
+            if off != (0, 0) or d0 != d1:
                 failures.append({
                     "pair": (str(ea), str(eb)),
-                    "off_diagonal": str(off),
-                    "diag0": str(d0),
-                    "diag1": str(d1),
+                    "off_diagonal": _gaussian_text(off),
+                    "diag0": _gaussian_text(d0),
+                    "diag1": _gaussian_text(d1),
                 })
     return KnillLaflammeReport(len(errors) ** 2, failures)
+
+
+def _gaussian_text(value: tuple[int, int]) -> str:
+    """re + im*i as ``a + b i``, dropping zero parts: ``0``, ``3``,
+    ``-16``, ``16 i``, ``1 - 1 i``."""
+    re, im = value
+    if not im:
+        return str(re)
+    if not re:
+        return f"{im} i"
+    return f"{re} {'-' if im < 0 else '+'} {abs(im)} i"
 
 
 def _adjoint(p: PauliString) -> PauliString:

@@ -11,7 +11,6 @@ decided by exact integer comparison over the support only.
 
 from __future__ import annotations
 
-from .dyadic import Dyadic
 from .errors import DimensionMismatchError, NonHermitianError
 from .pauli import PauliString
 
@@ -151,9 +150,9 @@ def eigensign(p: PauliString, v: StateVector):
     return sign
 
 
-def inner(u: StateVector, v: StateVector) -> Dyadic:
+def inner(u: StateVector, v: StateVector) -> tuple[int, int]:
     """<u|v>, conjugate-linear in the first argument, as the Gaussian
-    integer Dyadic(re, im): the sum of conj(a)·b over the common support."""
+    integer (re, im): the sum of conj(a)·b over the common support."""
     _same_n(u, v)
     re = im = 0
     other = v.support
@@ -163,4 +162,4 @@ def inner(u: StateVector, v: StateVector) -> Dyadic:
             br, bi = b
             re += ar * br + ai * bi
             im += ar * bi - ai * br
-    return Dyadic(re, im)
+    return (re, im)

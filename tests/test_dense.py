@@ -1,8 +1,9 @@
 """The dense oracle's sparse-row kron and mat_mul against the index
-formulas on full matrices, and the canonical form mat_eq relies on.  The
-oracle's entries are integer (re, im) pairs; the index formulas multiply,
-add and conjugate them as the 2x2 integer matrices [[a, -b], [b, a]] that
-represent a + b i, so they share no arithmetic with it."""
+formulas on full matrices, and the canonical form that lets matrices
+compare by tuple equality.  The oracle's entries are integer (re, im)
+pairs; the index formulas multiply, add and conjugate them as the 2x2
+integer matrices [[a, -b], [b, a]] that represent a + b i, so they share
+no arithmetic with it."""
 
 import random
 from itertools import product
@@ -54,7 +55,7 @@ def sparse(m):
 
 def full(m):
     """A sparse-row matrix written out in full, zeros included, once its
-    form is checked to be the canonical one that mat_eq relies on."""
+    form is checked to be the canonical one that tuple equality relies on."""
     assert_canonical(m)
     rows = []
     for row in m:
@@ -204,10 +205,10 @@ def test_projector_matrix_sums_outer_products():
 def test_mat_eq_compares_shapes():
     one_qubit = dense.pauli_matrix(from_letters("I"))
     two_qubit = dense.pauli_matrix(from_letters("II"))
-    assert not dense.mat_eq(one_qubit, two_qubit)
-    assert not dense.mat_eq(two_qubit, one_qubit)
-    assert not dense.mat_eq(((),), ((), ()))
-    assert dense.mat_eq(one_qubit, (((0, ONE),), ((1, ONE),)))
+    assert one_qubit != two_qubit
+    assert two_qubit != one_qubit
+    assert ((),) != ((), ())
+    assert one_qubit == (((0, ONE),), ((1, ONE),))
 
 
 def test_mat_vec_rejects_wrong_length():

@@ -15,29 +15,21 @@ import pytest
 
 import codeword_paradoxes
 from codeword_paradoxes.codes import five_qubit_code
-from codeword_paradoxes.dyadic import Dyadic
 from codeword_paradoxes.kochen_specker import KSVertex
 from codeword_paradoxes.paradoxes import (build_canonical_array,
                                           canonical_pentagon_instance,
                                           find_determinations)
+from codeword_paradoxes.statevector import inner
 
 PACKAGE = Path(codeword_paradoxes.__file__).parent
 
 # (module, module it must not import from, names it may still import).
-# The dense oracle checks the state-vector route, so it must not use it;
-# production amplitudes and dense entries are integer (re, im) pairs, and
-# Dyadic, the Gaussian integer that inner returns, is built only there.
-IMPORT_BOUNDARIES = [
-    ("dense", "statevector", ()),
-    ("dense", "dyadic", ()),
-    ("selftest", "dyadic", ()),
-    ("codes", "dyadic", ()),
-    ("stabilizer", "dyadic", ()),
-    ("kochen_specker", "dyadic", ()),
-    ("paradoxes", "dyadic", ()),
-    ("cli", "dyadic", ()),
-    ("statevector", "dyadic", ("Dyadic",)),
-]
+# The dense oracle checks the state-vector route, so it must not use it.
+# Amplitudes, dense entries and inner products are integer (re, im) pairs,
+# so no module imports dyadic, which is kept only for perfbench.
+IMPORT_BOUNDARIES = [("dense", "statevector", ())] + [
+    (path.stem, "dyadic", ()) for path in sorted(PACKAGE.glob("*.py"))
+    if path.stem != "dyadic"]
 
 
 def _tree(module):
@@ -119,8 +111,7 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 
 # (record type, a function that makes one, one of its fields) for each
-# read-only record: those that were frozen dataclasses, Dyadic and
-# StateVector.
+# read-only record: those that were frozen dataclasses, and StateVector.
 READ_ONLY_RECORDS = [
     ("CodeDefinition", five_qubit_code, "name"),
     ("StabilizerElement", lambda: five_qubit_code().generators[0], "sign0"),
@@ -132,7 +123,6 @@ READ_ONLY_RECORDS = [
     ("OperatorArray", build_canonical_array, "rows"),
     ("KSVertex", lambda: KSVertex(("classical", "00000"), ((1,) + (0,) * 31,)),
      "scale_exp"),
-    ("Dyadic", lambda: Dyadic(1, -1), "im"),
     ("StateVector", lambda: five_qubit_code().codeword(0), "support"),
 ]
 
@@ -154,9 +144,8 @@ def test_import_boundary(module, source, allowed):
     assert set(_imports_from(module, source)) <= set(allowed)
 
 
-def test_statevector_builds_dyadic_only_in_inner():
-    users = {node.name for node in ast.walk(_tree("statevector"))
-             if isinstance(node, ast.FunctionDef)
-             and any(isinstance(n, ast.Name) and n.id == "Dyadic"
-                     for n in ast.walk(node))}
-    assert users == {"inner"}
+def test_inner_returns_a_plain_tuple():
+    code = five_qubit_code()
+    v0, v1 = code.codeword(0), code.codeword(1)
+    assert type(inner(v0, v1)) is tuple
+    assert inner(v0, v1) == (0, 0) and inner(v1, v1) == (code.norm2, 0)

@@ -258,11 +258,41 @@ def _knill_laflamme_per_pair(v0, v1, errors):
             d0 = inner(v0, apply(m, v0))
             d1 = inner(v1, apply(m, v1))
             pairs += 1
-            if not off.is_zero() or d0 != d1:
+            if off != (0, 0) or d0 != d1:
                 failures.append({"pair": (str(ea), str(eb)),
-                                 "off_diagonal": str(off),
-                                 "diag0": str(d0), "diag1": str(d1)})
+                                 "off_diagonal": _rule_text(*off),
+                                 "diag0": _rule_text(*d0),
+                                 "diag1": _rule_text(*d1)})
     return pairs, failures
+
+
+def _rule_text(a, b):
+    """The text form as a literal rule: 0, a, b i, a + b i or a - |b| i."""
+    if a == 0 and b == 0:
+        return "0"
+    if b == 0:
+        return f"{a}"
+    if a == 0:
+        return f"{b} i"
+    if b > 0:
+        return f"{a} + {b} i"
+    return f"{a} - {-b} i"
+
+
+def test_gaussian_text_forms():
+    text = stabilizer._gaussian_text
+    assert text((3, 0)) == "3"
+    assert text((-16, 0)) == "-16"
+    assert text((0, 16)) == "16 i"
+    assert text((1, 1)) == "1 + 1 i"
+    assert text((1, -1)) == "1 - 1 i"
+    assert text((0, 0)) == "0"
+
+
+def test_gaussian_text_matches_the_rule_on_a_grid():
+    for a in range(-3, 4):
+        for b in range(-3, 4):
+            assert stabilizer._gaussian_text((a, b)) == _rule_text(a, b), (a, b)
 
 
 def _kl_error_lists():
@@ -324,4 +354,5 @@ def test_mermin_group_commutes_like_dense_matrices(mermin):
     for i, a in enumerate(ops):
         for b in ops[i + 1:]:
             assert a.commutes_with(b)
-            assert dense.commutator_is_zero(mats[a], mats[b])
+            assert (dense.mat_mul(mats[a], mats[b])
+                    == dense.mat_mul(mats[b], mats[a]))
