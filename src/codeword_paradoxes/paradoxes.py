@@ -486,6 +486,8 @@ def _contradiction_subsets(vecs, max_size: int) -> list[tuple[int, ...]]:
     j gives back its i through index.  A depth-first walk over the subsets
     of size 0..max_size-2 carries their running XOR and last index, and
     reads each subset off tails until i falls to or below that index.
+    The empty prefix's pairs are read first; every other prefix is read
+    in its parent's loop, so the deepest prefixes cost no call.
     """
     index = {v: i for i, v in enumerate(vecs)}
     if len(index) != len(vecs):
@@ -498,17 +500,22 @@ def _contradiction_subsets(vecs, max_size: int) -> list[tuple[int, ...]]:
         vi = vecs[i] ^ _ODD_SIGNS
         for j in range(i + 1, n):
             tails.setdefault(vi ^ vecs[j], []).append(j)
-    found: list[tuple[int, ...]] = []
+    found = [(index[_ODD_SIGNS ^ vecs[j]], j) for j in tails.get(0, ())]
 
     def extend(prefix: tuple[int, ...], r: int, after: int) -> None:
-        for j in tails.get(r, ()):
-            i = index[r ^ _ODD_SIGNS ^ vecs[j]]
-            if i <= after:
-                break
-            found.append(prefix + (i, j))
-        if len(prefix) + 2 < max_size:
-            for k in range(after + 1, n):
-                extend(prefix + (k,), r ^ vecs[k], k)
+        """Read every child prefix + (k,), k > after, and walk on from
+        those that are shorter than max_size - 2."""
+        deeper = len(prefix) + 3 < max_size
+        for k in range(after + 1, n):
+            rk = r ^ vecs[k]
+            for j in tails.get(rk, ()):
+                i = index[rk ^ _ODD_SIGNS ^ vecs[j]]
+                if i <= k:
+                    break
+                found.append(prefix + (k, i, j))
+            if deeper:
+                extend(prefix + (k,), rk, k)
 
-    extend((), 0, -1)
+    if max_size > 2:
+        extend((), 0, -1)
     return found

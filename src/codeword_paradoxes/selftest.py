@@ -6,7 +6,12 @@ pairs, as state amplitudes are: a state reaches the oracle as the list of
 its amplitudes over every ket (`dense_amplitudes`), with no conversion.
 
 These are the only sampled (seeded) checks in the package; every physics
-verification elsewhere is deterministic and seedless.
+verification elsewhere is deterministic and seedless.  Every draw is a
+uniform integer in range(m), m >= 1, taken by one rule on the public
+`getrandbits`: draw r = rng.getrandbits(m.bit_length()), and draw again
+while r >= m.  That is the rule `random.Random` itself uses for
+`randrange`, `randint` and `choice`, so the samples are the ones those
+calls give.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import NamedTuple
 
 from . import dense
 from .codes import five_qubit_code
-from .pauli import PauliString, from_letters, identity
+from .pauli import PauliString, identity
 from .paradoxes import canonical_pentagon_instance, search_parity_contradictions
 from .statevector import StateVector, apply
 
@@ -37,19 +42,49 @@ class SuiteResult(NamedTuple):
     detail: str = ""
 
 
+def _below(rng: random.Random, m: int) -> int:
+    """A uniform draw from range(m), m >= 1, by the module's draw rule."""
+    k = m.bit_length()
+    r = rng.getrandbits(k)
+    while r >= m:
+        r = rng.getrandbits(k)
+    return r
+
+
 def random_pauli(rng: random.Random, n: int) -> PauliString:
-    letters = [rng.choice("IXYZ") for _ in range(n)]
-    return from_letters(letters, rng.randrange(4))
+    """Sites 1..n, then the phase exponent, each a draw from range(4);
+    a site's draw r picks letter r of "IXYZ", so x = r in (1, 2) and
+    z = r >= 2.  The site draws are _below(rng, 4) inlined."""
+    bits = rng.getrandbits
+    x = z = 0
+    for _ in range(n):
+        r = bits(3)
+        while r >= 4:
+            r = bits(3)
+        x = x << 1 | (r in (1, 2))
+        z = z << 1 | (r >= 2)
+    return PauliString(n, _below(rng, 4), x, z)
 
 
 def random_state(rng: random.Random, n: int) -> StateVector:
     """Amplitudes (a + b i)/2**e, a, b in [-4, 4] and e in [0, 2], times 4
     so that they are Gaussian integers; the draws run over the kets in
-    order, three per ket."""
-    draws = [(rng.randint(-4, 4), rng.randint(-4, 4), rng.randrange(3))
-             for _ in range(1 << n)]
-    return StateVector(n, {j: (a << (2 - e), b << (2 - e))
-                           for j, (a, b, e) in enumerate(draws)})
+    order, three per ket: a + 4 and b + 4 from range(9) and e from
+    range(3), each _below inlined."""
+    bits = rng.getrandbits
+    support = {}
+    for j in range(1 << n):
+        a = bits(4)
+        while a >= 9:
+            a = bits(4)
+        b = bits(4)
+        while b >= 9:
+            b = bits(4)
+        e = bits(2)
+        while e >= 3:
+            e = bits(2)
+        support[j] = ((a - 4) << (2 - e), (b - 4) << (2 - e))
+    return StateVector(n, support)
 
 
 def dense_amplitudes(v: StateVector) -> list[tuple[int, int]]:
@@ -75,7 +110,7 @@ def dense_oracle_suite(rng: random.Random) -> SuiteResult:
         return m
 
     for t in range(DENSE_ORACLE_TRIALS):
-        n = rng.randint(1, 3)
+        n = 1 + _below(rng, 3)
         a = random_pauli(rng, n)
         b = random_pauli(rng, n)
         ma, mb = matrix(a), matrix(b)
@@ -108,7 +143,7 @@ def apply_compose_suite(rng: random.Random) -> SuiteResult:
 def algebra_laws_suite(rng: random.Random) -> SuiteResult:
     """Associativity, ± symmetry of products, squares, shift homomorphism."""
     for t in range(ALGEBRA_LAWS_TRIALS):
-        n = rng.randint(1, 5)
+        n = 1 + _below(rng, 5)
         a, b, c = (random_pauli(rng, n) for _ in range(3))
         if (a * b) * c != a * (b * c):
             return SuiteResult("algebra-laws", t + 1, False, "associativity")
@@ -120,7 +155,7 @@ def algebra_laws_suite(rng: random.Random) -> SuiteResult:
         want = (0 if a.phase_exp in (0, 2) else 2)
         if not sq.is_identity_op() or sq.phase_exp != want:
             return SuiteResult("algebra-laws", t + 1, False, "square")
-        k = rng.randrange(n)
+        k = _below(rng, n)
         if (a * b).shift(k) != a.shift(k) * b.shift(k):
             return SuiteResult("algebra-laws", t + 1, False, "shift homomorphism")
         if identity(n) * a != a or a * identity(n) != a:

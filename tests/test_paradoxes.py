@@ -584,7 +584,9 @@ def _last_element_subsets(vecs, max_size):
     return found
 
 
-@pytest.mark.parametrize("name, max_size", [("steane", 4), ("five", 6)])
+@pytest.mark.parametrize("name, max_size",
+                         [("steane", 4), ("five", 3), ("five", 6), ("five", 7),
+                          ("mermin", 8)])
 def test_contradiction_subsets_match_the_last_element_walk(name, max_size):
     code = code_by_name(name)
     for ws in (0, 1):
@@ -592,6 +594,101 @@ def test_contradiction_subsets_match_the_last_element_walk(name, max_size):
                 for e in code.group().non_identity()]
         got = paradoxes._contradiction_subsets(vecs, max_size)
         assert sorted(got) == sorted(_last_element_subsets(vecs, max_size))
+
+
+# _contradiction_subsets(vecs, 6) on the five-qubit code's codeword-0
+# vectors, in the order the walk returns them, each subset its indices as
+# base-32 digits; taken from the walk when it made one call per prefix.
+FIVE_MAX6_WALK_ORDER = """
+01fi 0189 0124ns 0126nu 013ij 0134gi 0159e 015679 017bij 018atu 018bqs
+018dhl 019cos 019ent 019egm 01acfk 01aenu 01bcoq 01fhrs 01fmqu 01hjns
+01ijnr 01ilou 01lmoq 024ps 026pu 027cqr 027dqu 027dim 027epu 0289no
+028chj 029bgk 029cns 029eot 02aeou 02aefl 02bcnq 02fino 02gjps 02gkqs
+02glqt 02hjos 02ijor 02ilnu 02lmnq 0346gl 036jl 0379hk 037dst 037dkl
+037ejl 0389pr 038cfg 039agk 039cgi 03acnq 03beou 03befl 03cefm 03fgos
+03fhps 03fipr 03gktu 03glsu 03ijnp 03iknq 03kmnu 04os 048c 045ce 04567c
+047aps 048aik 048blm 048dru 049afk 049boq 049cfi 04begl 04cent 04cegm
+04fktu 04flsu 04ghps 04gipr 04hior 04klot 0578ou 0578fl 0579il 057csu
+057drs 057dhi 0589pt 058apu 058bjl 058cjm 059dnq 059enp 05adgi 05bdns
+05cdgk 05cegj 05fipt 05gkru 05hlnq 05jmos 06ou 06fl 0679pt 067apu 067bjl
+067cjm 0689il 068csu 068drs 068dhi 069aot 069dfh 06bcfm 06cdor 06fkst
+06ghpu 06imoq 06jlnr 07eou 07efl 089np 08cgj 09bhk 09dqt 09ept 0acqr
+0adqu 0adim 0aepu 0bdst 0bdkl 0bejl 0cdkm 0cejm 0finp 0gjos 0hjps 0hkqs
+0hlqt 0ijpr 0ikqr 0kmru 12lm 12bc 1237c 1236ce 1245jl 125gl 127cnr
+127cfj 127dnu 1289oq 128bos 128egl 129cqs 129dhm 12abik 12bdru 12fioq
+12fmou 12gkns 12glnt 12ilqu 12kmst 13ik 13ac 1345pu 1356ps 1378ps 137cop
+137cgh 1389fk 138aos 139ctu 139drt 13ablm 13adru 13deij 13hkrs 13hlrt
+13ijpq 13ilst 13jmpu 13kmqu 1479or 147cfh 1489gk 148cnq 149apr 149bno
+149djm 149ekm 14acfg 14bchj 14cdpt 14ceqt 14fgik 14hjlm 14noqs 14prtu
+15hl 159d 157agl 158dfi 159cru 159epq 159ejk 15acrt 15adtu 15bchm 15bdqs
+15beps 15fgpu 15fhou 15glop 15hkst 15ikrt 15ilrs 1678hl 16789d 167dfi
+168agl 16abce 16aelm 16bdij 16beik 16flnq 16giot 16hipt 16imno 16jlqr
+16klpr 16noqu 16prst 17alm 17abc 17bik 189pq 189jk 189de 18bps 18ehl
+19dnt 19dgm 1acnr 1acfj 1adnu 1bcop 1bcgh 1defi 1fipq 1fijk 1fmpu 1ghlm
+1hkns 1hlnt 1iknr 1lmop 23479 23469e 2379gj 237cnp 238ans 238bgi 239ahj
+239bfg 239esu 23acno 23adjl 23aest 23aekl 23bcpr 23bdpu 23bequ 23beim
+23ceil 23fgqs 23hjtu 23ikno 23lmpr 24qs 249b 2456ij 2478ij 2479nr 2479fj
+248bfi 248coq 249clm 24abtu 24bdhl 24cdhm 24deps 24hiqr 24hmru 24imsu
+24jkps 24jlpt 24klqt 256gi 2578qu 2578im 2579fm 257egi 259bjm 259cjl
+259dno 25aers 25aehi 25bcpt 25cdhj 25cehk 25fhnu 25glnp 25hjru 25hlno
+25ijsu 25jmqs 25kmps 25lmpt 26qu 26im 2689fm 268egi 269aqt 269bsu 269efg
+26abst 26abkl 26ackm 26bcil 26cdqr 26cepr 26depu 26floq 26gint 26hmrs
+26jkpu 278gi 279fg 27cpr 27dpu 27equ 27eim 28ars 28ahi 28chk 29afh 29bgj
+29dot 2acor 2adou 2adfl 2bcnp 2fhtu 2gjqs 2gkps 2glpt 2hkos 2hlot 2ikor
+2lmnp 34tu 349a 345nu 3479op 3479gh 347dgl 348afi 348cfk 348enu 349cik
+34abqs 34adhl 34cdrt 34fkos 34flot 34ginq 34gmnu 34imqt 34klsu 356ns
+3578st 3578kl 357cot 357ens 359ajm 359cpu 359dpr 359eqr 35acpt 35bers
+35behi 35cdfg 35fgru 35gjnu 35glor 35hlpr 35ijqt 35ikpt 35ilps 35jmtu
+36st 36kl 368cot 368ens 369asu 369bqt 369dhk 369ehj 36abqu 36abim 36acil
+36bckm 36ceno 36dejl 36fkou 36gmns 36hirt 36jlpq 378ns 379hj 37cno 37djl
+37est 37ekl 389qr 38brs 38bhi 39agj 39bfh 3acnp 3bcor 3bdou 3bdfl 3cdfm
+3fhqs 3fiqr 3fmru 3gjtu 3ijnq 3iknp 3jmnu 3lmor 45ru 45cd 457bnu 458dos
+459art 459bhm 459chl 45adik 45aeij 45bdlm 45cepq 45cejk 45fjnu 45flor
+45hisu 45hmqs 45imqr 45jlno 4678ru 4678cd 467dos 468bnu 469abe 46adps
+46aeqs 46betu 46fgst 46fgkl 46fmns 46gkou 46hijm 46hjqu 46hkpu 46jmrs
+479ab 47aqs 47btu 48aij 48cpq 48cjk 48cde 48eru 49anr 49afj 49bop 49bgh
+4bdgl 4cdnt 4cdgm 4deos 4fjtu 4ghqs 4giqr 4gmru 4jkos 4jlot 4nrtu 4opqs
+56rs 56hi 5679nq 567agi 567bns 567cgk 5689fh 568cor 568dou 568dfl 569bqr
+569dil 56achk 56cdsu 56fjns 56giop 56hmqu 56klrt 57ers 57ehi 589qt 58aqu
+58aim 58bst 58bkl 58ckm 59afm 59dnp 59enq 5aegi 5bcot 5bens 5cdgj 5cegk
+5fgnu 5fiqt 5fmtu 5gjru 5glno 5hlnp 5kmos 5lmot 679qt 67aqu 67aim 67bst
+67bkl 67ckm 68ers 68ehi 69efh 6ceor 6deou 6defl 6fjst 6fjkl 6flpq 6ghqu
+6ghim 6gmrs 6hint 6imop 6jkou 6klnr 6nrst 6opqu 78rs 78hi 789bqr 789dil
+78achk 78cdsu 78fjns 78giop 78hmqu 78klrt 79fh 79abgj 79adot 79fgop
+79firs 79glpu 79hjnr 79hlou 79ijns 7abcnp 7afhtu 7agjqs 7agkps 7aglpt
+7ahkos 7ahlot 7aikor 7almnp 7bcdfm 7bfhqs 7bfiqr 7bfmru 7bgjtu 7bijnq
+7biknp 7bjmnu 7blmor 7cor 7cfjno 7cflru 7cghpr 7cgips 7chios 7cjlnu 7dou
+7dfl 7dfkst 7dghpu 7dimoq 7djlnr 7efjst 7efjkl 7eflpq 7eghqu 7eghim
+7egmrs 7ehint 7eimop 7ejkou 7eklnr 7enrst 7eopqu 89nq 89aefm 89denp
+89fjqr 89fkpr 89gitu 89gmqt 89imnu 89jknp 8agi 8aghrs 8agmqu 8ahiop
+8aimnt 8anqtu 8aoprs 8bns 8bceot 8bfhij 8bfjrs 8bgklm 8bgmst 8bhinr
+8bklnt 8cgk 8cdegj 8cgjpq 8cglst 8chjoq 8chkop 8ckmnt 8clmns 8dfipt
+8dgkru 8dhlnq 8djmos 8efgnu 8efiqt 8efmtu 8egjru 8eglno 8ehlnp 8ekmos
+8elmot 9afg 9abesu 9afhop 9afmnt 9agjnr 9aglou 9ahlpu 9ajmrt 9bhj 9bdehk
+9bfhnr 9bfins 9bgjop 9bgkoq 9bhkpq 9bijrs 9cfgik 9chjlm 9cnoqs 9cprtu
+9dpt 9dghot 9dgmnp 9dhmno 9djkqt 9djlqs 9dklps 9eqt 9eginu 9egmnq 9eimtu
+9ejkpt 9ejlps 9eklqs abceil abfgqs abhjtu abikno ablmpr acpr acdeqr
+acfjnp acfknq acghor acgios achips acjkqr adpu adfghl adflop adghou
+adijkm adimpq adjkqu aequ aeim aefloq aegint aehmrs aejkpu bcno bcfjor
+bcflnu bcghnp bcgmot bchmpt bcjlru bdjl bdfjou bdflnr bdjkst bdklpq
+bdnoru bdpqst best bekl befkou begmns behirt bejlpq cdjm cdfgrt cdfmnr
+cdgjnt cdijqu cdikpu cdkmpq cekm cegknt ceglns ceijpu ceikqu cejmpq
+celmst definp degjos dehjps dehkqs dehlqt deijpr deikqr dekmru fgtu
+fgimqt fgklsu fhnqrs fhoptu finq fijknp fjlmor fmnu ghikor ghlmnp gjnrtu
+gjopqs gkos glot hijmsu hjqs hjklqt hkps hlpt ijqr ikpr ilnoqu ilprst
+jmru kmnost kmpqru lmno
+""".split()
+
+
+def test_contradiction_subsets_keep_their_walk_order():
+    """The walk returns its subsets in depth-first order: the pairs, then
+    each prefix's subsets before its children's."""
+    vecs = [paradoxes._parity_vector(e.op, e.sign0)
+            for e in code_by_name("five").group().non_identity()]
+    digits = "0123456789abcdefghijklmnopqrstuv"
+    got = paradoxes._contradiction_subsets(vecs, 6)
+    assert ["".join(digits[i] for i in idxs) for idxs in got] == \
+        FIVE_MAX6_WALK_ORDER
 
 
 def _even_completion(n, ops):

@@ -220,8 +220,9 @@ def _failure(pair, off, d0, d1):
 
 
 def test_knill_laflamme_failure_texts_are_literals(mermin, five):
-    """The failure records as fixed text: the per-pair reference below goes
-    through the same inner and apply, so it would follow a format change."""
+    """The failure records as fixed text.  The per-pair reference below
+    writes its texts by the literal _rule_text, so it would fail a format
+    change too; these literals also pin which pairs fail, in what order."""
     probe = knill_laflamme_check(mermin.codeword(0), mermin.codeword(1),
                                  list(mermin.correctable)
                                  + [single_site(3, 1, "Z")])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from codeword_paradoxes import dense
+from codeword_paradoxes import dense, selftest
 from codeword_paradoxes.codes import single_qubit_errors
 from codeword_paradoxes.errors import DimensionMismatchError, NonHermitianError
 from codeword_paradoxes.pauli import from_letters, identity, parse, single_site
@@ -258,6 +258,26 @@ def test_random_state_is_four_times_the_drawn_dyadics(n):
         [(4 * Fraction(a, 2 ** e), 4 * Fraction(b, 2 ** e)) for a, b, e in draws]
     assert v == StateVector(n, {j: (a << (2 - e), b << (2 - e))
                                 for j, (a, b, e) in enumerate(draws)})
+    assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_random_pauli_draws_what_choice_and_randrange_draw(n):
+    """Draw for draw, the letters are rng.choice("IXYZ") per site and the
+    phase exponent rng.randrange(4), and the generator ends in the same
+    state: a change to random.Random's draws fails here, not silently."""
+    rng, reference = random.Random(n), random.Random(n)
+    for _ in range(50):
+        letters = [reference.choice("IXYZ") for _ in range(n)]
+        assert random_pauli(rng, n) == from_letters(letters, reference.randrange(4))
+    assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_below_draws_what_randrange_draws(m):
+    rng, reference = random.Random(m), random.Random(m)
+    assert [selftest._below(rng, m) for _ in range(200)] == \
+        [reference.randrange(m) for _ in range(200)]
     assert rng.getstate() == reference.getstate()
 
 
