@@ -14,6 +14,7 @@ computed as an independent cross-check on the sign data.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
@@ -86,13 +87,8 @@ def compatible_pairs(determinations) -> list[tuple[Determination, Determination]
     Site-wise compatibility (letters equal or identity) is the operational
     notion; commutation of the witness products would be strictly weaker.
     """
-    ds = list(determinations)
-    pairs = []
-    for i in range(len(ds)):
-        for j in range(i + 1, len(ds)):
-            if _sitewise_compatible(ds[i].witness, ds[j].witness):
-                pairs.append((ds[i], ds[j]))
-    return pairs
+    return [(a, b) for a, b in combinations(determinations, 2)
+            if _sitewise_compatible(a.witness, b.witness)]
 
 
 def _sitewise_compatible(a: PauliString, b: PauliString) -> bool:
@@ -235,18 +231,14 @@ def canonical_pentagon_instance(code: CodeDefinition) -> ParityInstance:
 
 def pentagon_description(code: CodeDefinition) -> dict:
     """Text/JSON rendering of the pentagon figure: one side per XZX triple."""
-    group = code.group()
-    zz = _element(group, from_letters("Z" * 5))
-    sides = []
-    for k, (a, b, c) in enumerate(XZX_TRIPLES, start=1):
-        elem = _element(group, xzx_operator(a, b, c))
-        sides.append({
-            "side": k,
-            "measurements": [f"sigma_{a}x", f"sigma_{b}z", f"sigma_{c}x"],
-            "product_operator": str(elem.op),
-            "value_on_codeword0": elem.sign0,
-            "value_on_codeword1": elem.sign1,
-        })
+    zz, *xzx = canonical_pentagon_instance(code).members
+    sides = [{
+        "side": k,
+        "measurements": [f"sigma_{a}x", f"sigma_{b}z", f"sigma_{c}x"],
+        "product_operator": str(elem.op),
+        "value_on_codeword0": elem.sign0,
+        "value_on_codeword1": elem.sign1,
+    } for k, ((a, b, c), elem) in enumerate(zip(XZX_TRIPLES, xzx), start=1)]
     return {
         "vertices": [f"qubit_{k}" for k in range(1, 6)],
         "sides": sides,

@@ -119,35 +119,18 @@ def apply(p: PauliString, v: StateVector) -> StateVector:
 def eigensign(p: PauliString, v: StateVector):
     """+1 or -1 when p·v == ±v exactly, None when v is not an eigenvector.
 
-    Compares the image of each support ket with v's amplitude where it
-    lands and stops at the first one that rules out both signs; p permutes
-    the kets, so when every image lands on v's support the images cover it.
     The zero vector has every sign, so it is refused.
     """
     if not p.is_hermitian():
         raise NonHermitianError(f"{p} has phase i**{p.phase_exp}; eigensigns need ±1 spectra")
-    _same_n(p, v)
-    base_phase = p.phase_exp + (p.x & p.z).bit_count()
-    support = v.support
-    sign = 0
-    for j, a in support.items():
-        b = support.get(j ^ p.x)
-        if b is None:
-            return None
-        re, im = _times_i_power(a, base_phase + 2 * (j & p.z).bit_count())
-        if re == b[0] and im == b[1]:
-            s = 1
-        elif re == -b[0] and im == -b[1]:
-            s = -1
-        else:
-            return None
-        if s != sign:
-            if sign:
-                return None
-            sign = s
-    if not sign:
+    w = apply(p, v)
+    if not v.support:
         raise ValueError("eigensign of the zero vector: every sign fits")
-    return sign
+    if w == v:
+        return +1
+    if w == -v:
+        return -1
+    return None
 
 
 def inner(u: StateVector, v: StateVector) -> tuple[int, int]:

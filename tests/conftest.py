@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from codeword_paradoxes import dense
 from codeword_paradoxes.cli import main
 from codeword_paradoxes.codes import five_qubit_code, mermin_code, steane_code
 from codeword_paradoxes.kochen_specker import (build_ks_set,
@@ -11,7 +12,8 @@ from codeword_paradoxes.kochen_specker import (build_ks_set,
                                                enumerate_contexts)
 from codeword_paradoxes.paradoxes import OperatorArray
 from codeword_paradoxes.pauli import from_letters
-from codeword_paradoxes.statevector import StateVector
+from codeword_paradoxes.selftest import dense_amplitudes
+from codeword_paradoxes.statevector import StateVector, inner
 
 # The paper's ket listings of each code's |0_L>.  The five-qubit word has
 # sixteen kets of amplitude -1/4 or +1/4, kept here 4 times over (-1 or +1)
@@ -30,6 +32,43 @@ def _listing(n, kets, complemented=False):
     label bit-complemented when asked."""
     flip = (1 << n) - 1 if complemented else 0
     return StateVector(n, {int(label, 2) ^ flip: (a, 0) for label, a in kets})
+
+
+# The KS oracle shared by test_kochen_specker and test_acceptance: a
+# vertex's integer spanning vectors as states, and the dense check that a
+# family of them resolves the identity.
+SIXTEEN_I = tuple(((j, (16, 0)),) for j in range(32))   # dense 16·I
+
+
+def ks_states(v):
+    """A KS vertex's integer spanning vectors as state vectors."""
+    return [StateVector(5, {j: (x, 0) for j, x in enumerate(iv)})
+            for iv in v.ivecs]
+
+
+def ks_spanning(vertices):
+    return [s for v in vertices for s in ks_states(v)]
+
+
+def norm16(s):
+    """s's dense amplitudes scaled to norm 16.  Spanning vectors have norm
+    1, 4 or 16 and are scaled by 4, 2 or 1, so the outer products of a
+    vertex's scaled vectors sum to 16 times its projector."""
+    amps = dense_amplitudes(s)
+    factor = {1: 4, 4: 2, 16: 1}[sum(re * re + im * im for re, im in amps)]
+    return [(factor * re, factor * im) for re, im in amps]
+
+
+def assert_resolves_identity(vectors):
+    """32 pairwise orthogonal vectors whose outer products, each vector
+    scaled to norm 16, sum to exactly 16 times the identity; by their
+    orthogonality that sum is 16 times the sum of the vertices'
+    projectors."""
+    assert len(vectors) == 32
+    for i, u in enumerate(vectors):
+        for w in vectors[i + 1:]:
+            assert inner(u, w) == (0, 0)
+    assert dense.projector_matrix([norm16(v) for v in vectors]) == SIXTEEN_I
 
 
 @pytest.fixture(scope="session")

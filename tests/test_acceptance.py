@@ -30,7 +30,8 @@ from codeword_paradoxes.selftest import dense_amplitudes, random_pauli, random_s
 from codeword_paradoxes.stabilizer import (invariant_subgroup,
                                            knill_laflamme_check,
                                            verify_stabilizes)
-from codeword_paradoxes.statevector import StateVector, apply, eigensign, inner
+from codeword_paradoxes.statevector import apply, eigensign, inner
+from conftest import assert_resolves_identity, ks_spanning, ks_states
 
 
 @contextmanager
@@ -50,34 +51,6 @@ def criterion(number: int, limit_s: float, title: str):
         if not failed:
             assert elapsed < limit_s, (
                 f"criterion {number} exceeded its {limit_s}s budget: {elapsed:.2f}s")
-
-
-SIXTEEN_I = tuple(((j, (16, 0)),) for j in range(32))   # dense 16·I
-
-
-def _norm16(s):
-    """s's dense amplitudes scaled by 4, 2 or 1 from norm 1, 4 or 16 to 16."""
-    amps = dense_amplitudes(s)
-    factor = {1: 4, 4: 2, 16: 1}[sum(re * re + im * im for re, im in amps)]
-    return [(factor * re, factor * im) for re, im in amps]
-
-
-def _resolves_identity(vertices) -> bool:
-    """The vertices' spanning vectors number 32, are pairwise orthogonal, and
-    the outer products of the vectors scaled to norm 16 (16 times the sum
-    of the projectors, by that orthogonality) sum to exactly 16 times the
-    identity."""
-    vecs = [s for v in vertices for s in _states(v)]
-    return (len(vecs) == 32
-            and all(inner(u, w) == (0, 0) for i, u in enumerate(vecs)
-                    for w in vecs[i + 1:])
-            and dense.projector_matrix([_norm16(s) for s in vecs]) == SIXTEEN_I)
-
-
-def _states(v):
-    """A KS vertex's integer spanning vectors as state vectors."""
-    return [StateVector(5, {j: (x, 0) for j, x in enumerate(iv)})
-            for iv in v.ivecs]
 
 
 def test_criterion_1_stabilizer_verification(monkeypatch):
@@ -179,8 +152,8 @@ def test_criterion_6_ks_set_construction():
         for family in ("classical", "mutation"):
             # norm 4**scale_exp: exactly 1 once each ivec is divided by 2**scale_exp
             assert all(inner(u, u) == (4 ** v.scale_exp, 0)
-                       for v in by_kind[family] for u in _states(v))
-            assert _resolves_identity(by_kind[family])
+                       for v in by_kind[family] for u in ks_states(v))
+            assert_resolves_identity(ks_spanning(by_kind[family]))
 
         graph = build_orthogonality_graph(vertices)
         ids = {kind: [i for i, v in enumerate(vertices) if v.kind == kind]
@@ -196,7 +169,7 @@ def test_criterion_6_ks_set_construction():
             fam = [v for v in by_kind["row"] if v.provenance[1] == r]
             assert len(fam) == 8
             assert all(v.rank == 4 for v in fam)
-            assert _resolves_identity(fam)
+            assert_resolves_identity(ks_spanning(fam))
 
         row3_minus = [v for v in by_kind["row"]
                       if v.provenance[1] == 3 and v.provenance[4] == -1]
@@ -217,7 +190,7 @@ def test_criterion_6_ks_set_construction():
                     op = op * single_site(5, 5, e)
                 w = apply(op, code.codeword(1))
                 for v in m_eq_n:
-                    assert all(inner(s, w) == (0, 0) for s in _states(v))
+                    assert all(inner(s, w) == (0, 0) for s in ks_states(v))
 
 
 def test_criterion_7_ks_non_colorability():

@@ -13,13 +13,12 @@ from codeword_paradoxes.kochen_specker import (KSVertex, bit_indices,
                                                _check_coloring)
 from codeword_paradoxes.paradoxes import ROW_SITES
 from codeword_paradoxes.pauli import identity, single_site
-from codeword_paradoxes.selftest import dense_amplitudes
-from codeword_paradoxes.statevector import StateVector, apply, eigensign, inner
+from codeword_paradoxes.statevector import apply, eigensign, inner
+from conftest import assert_resolves_identity, ks_spanning, ks_states, norm16
 
 EDGE_COUNT = 3084        # frozen from the first exhaustive pairwise run
 CONTEXT_COUNT = 39       # frozen from the first exhaustive enumeration
 CONTEXT_NODES = 4581     # search nodes of that enumeration, pinned exactly
-SIXTEEN_I = tuple(((j, (16, 0)),) for j in range(32))   # dense 16·I
 
 
 def _family(vertices, kind):
@@ -30,39 +29,9 @@ def _family_ids(vertices, kind):
     return [i for i, v in enumerate(vertices) if v.kind == kind]
 
 
-def _states(v):
-    """The vertex's integer spanning vectors as state vectors."""
-    return [StateVector(5, {j: (x, 0) for j, x in enumerate(iv)})
-            for iv in v.ivecs]
-
-
-def _spanning(vertices):
-    return [s for v in vertices for s in _states(v)]
-
-
-def _norm16(s):
-    """s's dense amplitudes scaled to norm 16.  Spanning vectors have norm
-    1, 4 or 16 and are scaled by 4, 2 or 1, so the outer products of a
-    vertex's scaled vectors sum to 16 times its projector."""
-    amps = dense_amplitudes(s)
-    factor = {1: 4, 4: 2, 16: 1}[sum(re * re + im * im for re, im in amps)]
-    return [(factor * re, factor * im) for re, im in amps]
-
-
 def _orthogonal(p, q):
-    return all(inner(u, w) == (0, 0) for u in _states(p) for w in _states(q))
-
-
-def _assert_resolves_identity(vectors):
-    """32 pairwise orthogonal vectors whose outer products, each vector
-    scaled to norm 16, sum to exactly 16 times the identity; by their
-    orthogonality that sum is 16 times the sum of the vertices'
-    projectors."""
-    assert len(vectors) == 32
-    for i, u in enumerate(vectors):
-        for w in vectors[i + 1:]:
-            assert inner(u, w) == (0, 0)
-    assert dense.projector_matrix([_norm16(v) for v in vectors]) == SIXTEEN_I
+    return all(inner(u, w) == (0, 0)
+               for u in ks_states(p) for w in ks_states(q))
 
 
 def _row_family(vertices, r, **conds):
@@ -87,8 +56,8 @@ def test_mutation_family_is_orthonormal_basis(ks_vertices):
     mutations = _family(ks_vertices, "mutation")
     # norm 4**scale_exp: exactly 1 once each ivec is divided by 2**scale_exp
     assert all(inner(u, u) == (4 ** v.scale_exp, 0)
-               for v in mutations for u in _states(v))
-    _assert_resolves_identity(_spanning(mutations))
+               for v in mutations for u in ks_states(v))
+    assert_resolves_identity(ks_spanning(mutations))
 
 
 def test_sixteen_mutations_per_codeword(ks_vertices):
@@ -139,7 +108,7 @@ def test_row_spanning_vectors_are_eigenvectors_of_their_triple(ks_vertices):
     for v in rows:
         _, r, m, n, s = v.provenance
         a, b, c = ROW_SITES[r]
-        for vec in _states(v):
+        for vec in ks_states(v):
             assert eigensign(single_site(5, a, "X"), vec) == m
             assert eigensign(single_site(5, b, "Z"), vec) == s
             assert eigensign(single_site(5, c, "X"), vec) == n
@@ -152,7 +121,7 @@ def test_row_families_resolve_identity(ks_vertices):
         family = _row_family(ks_vertices, r)
         assert len(family) == 8
         assert all(v.rank == 4 for v in family)
-        _assert_resolves_identity(_spanning(family))
+        assert_resolves_identity(ks_spanning(family))
 
 
 def _times(k, m):
@@ -164,7 +133,7 @@ def _times(k, m):
 def test_rank4_projector_matrix_properties(ks_vertices):
     v = _row_family(ks_vertices, 3, m=+1, n=+1, s=+1)[0]
     # m is 16 times the projector, so its square is 16 m
-    m = dense.projector_matrix([_norm16(s) for s in _states(v)])
+    m = dense.projector_matrix([norm16(s) for s in ks_states(v)])
     assert dense.mat_mul(m, m) == _times(16, m)
     # its trace is 16 times the rank
     assert sum(x[0] for i, row in enumerate(m) for j, x in row if i == j) == 64
@@ -176,7 +145,7 @@ def test_rank4_projector_matrix_properties(ks_vertices):
 
 def test_rank4_acts_as_identity_on_untouched_qubits(ks_vertices):
     v = _row_family(ks_vertices, 3, m=+1, n=-1, s=-1)[0]
-    p = dense.projector_matrix([_norm16(s) for s in _states(v)])
+    p = dense.projector_matrix([norm16(s) for s in ks_states(v)])
     for op in (single_site(5, 4, "X"), single_site(5, 5, "Z"),
                single_site(5, 4, "Y")):
         q = dense.pauli_matrix(op)
@@ -207,7 +176,7 @@ def test_row3_m_equals_n_family_orthogonal_to_codeword1_mutations(ks_vertices):
                 op = op * single_site(5, 5, e)
             w = apply(op, code.codeword(1))
             for v in family:
-                assert all(inner(s, w) == (0, 0) for s in _states(v))
+                assert all(inner(s, w) == (0, 0) for s in ks_states(v))
 
 
 def test_row3_m_equals_n_family_orthogonal_to_odd_codeword0_mutations(ks_vertices):
@@ -218,7 +187,7 @@ def test_row3_m_equals_n_family_orthogonal_to_odd_codeword0_mutations(ks_vertice
                          (3, "Y"), (3, "Z")):
         w = apply(single_site(5, site, letter), code.codeword(0))
         for v in family:
-            assert all(inner(s, w) == (0, 0) for s in _states(v))
+            assert all(inner(s, w) == (0, 0) for s in ks_states(v))
 
 
 def test_row3_row6_shared_x_orthogonality(ks_vertices):
@@ -326,7 +295,7 @@ def test_contexts_are_exact_resolutions(ks_graph, ks_contexts):
     for ctx in ks_contexts:
         members = [verts[v] for v in bit_indices(ctx)]
         assert sum(v.rank for v in members) == 32
-        _assert_resolves_identity(_spanning(members))
+        assert_resolves_identity(ks_spanning(members))
 
 
 def _maximal_cliques(adj):

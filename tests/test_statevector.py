@@ -197,11 +197,14 @@ def _inner_by_terms(u, v):
     return (re.numerator, im.numerator)
 
 
-def _eigensign_by_vectors(p, v):
-    w = apply(p, v)
-    if w == v:
+def _eigensign_by_matrix(m, v):
+    """+1 or -1 when the dense matrix m maps v's amplitudes to plus or
+    minus themselves, None otherwise."""
+    amps = dense_amplitudes(v)
+    image = dense.mat_vec(m, amps)
+    if image == amps:
         return +1
-    if w == -v:
+    if image == [(-re, -im) for re, im in amps]:
         return -1
     return None
 
@@ -230,6 +233,7 @@ def test_inner_and_eigensign_match_reference_formulas(n):
         p = random_pauli(rng, n)
         if not p.is_hermitian():
             p = from_letters(p.letters)
+        m = dense.pauli_matrix(p)
         plus, minus = _eigenvectors(p, v)
         # plus without its first ket: p maps some ket off the support
         cut = StateVector(n, dict(list(plus.support.items())[1:]))
@@ -240,7 +244,7 @@ def test_inner_and_eigensign_match_reference_formulas(n):
                 assert inner(a, b) == _inner_by_terms(a, b)
             if a.support:
                 got = eigensign(p, a)
-                assert got == _eigensign_by_vectors(p, a)
+                assert got == _eigensign_by_matrix(m, a)
                 signs.add(got)
     assert signs == {+1, -1, None}
 
@@ -288,3 +292,14 @@ def test_eigensign_rejects_zero_vector():
     with pytest.raises(ValueError, match="zero vector"):
         eigensign(identity(3), zero)
 
+
+def test_eigensign_checks_hermiticity_then_dimension_then_zero():
+    """A zero vector is refused only after p's phase and qubit count pass."""
+    zero = StateVector(3, {})
+    with pytest.raises(DimensionMismatchError):
+        eigensign(parse("XZ"), zero)
+    for phased in ("iXZY", "-iXZY"):
+        with pytest.raises(NonHermitianError):
+            eigensign(parse(phased), zero)
+    with pytest.raises(NonHermitianError):
+        eigensign(parse("iXZ"), zero)
