@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from collections import Counter
@@ -169,17 +168,18 @@ def _cmd_reality(args) -> Report:
     determinations = find_determinations(group, args.site,
                                          args.letter.upper(), args.state)
     pairs = compatible_pairs(determinations)
+    # each witness is formatted once; the pairs hold the very determination
+    # objects found above, so their texts are looked up by identity
+    texts = {id(d): str(d.witness) for d in determinations}
     details = {
         "target": f"sigma_{args.site}{args.letter}",
         "state": args.state,
         "determinations": [
-            {"witness": str(d.witness), "predicted_product": d.predicted_product}
+            {"witness": texts[id(d)], "predicted_product": d.predicted_product}
             for d in determinations
         ],
         "determination_count": len(determinations),
-        "compatible_pairs": [
-            [str(a.witness), str(b.witness)] for a, b in pairs
-        ],
+        "compatible_pairs": [[texts[id(a)], texts[id(b)]] for a, b in pairs],
         "compatible_pair_count": len(pairs),
     }
     return Report("reality", VERDICT_PASS, code=args.code, details=details)

@@ -27,12 +27,9 @@ class CodeDefinition:
     """A code's signed generators and the structure claimed for it.
 
     Read-only after construction.  The closed group and the codewords are
-    derived on first use and cached in the instance __dict__, so a copy
-    made with _replace derives its own.
+    derived on first use and cached in the instance __dict__, so each
+    definition derives its own.
     """
-
-    _fields = ("name", "n", "generators", "expected_group_order",
-               "expected_stable_order", "correctable", "must_fail")
 
     def __init__(self, name: str, n: int,
                  generators: tuple[StabilizerElement, ...],
@@ -48,12 +45,6 @@ class CodeDefinition:
 
     def __setattr__(self, name, value):
         raise AttributeError("CodeDefinition is read-only")
-
-    def _replace(self, **changes) -> "CodeDefinition":
-        """A new definition with the given fields changed; nothing derived
-        is carried over."""
-        return CodeDefinition(**{**{f: getattr(self, f) for f in self._fields},
-                                 **changes})
 
     def __repr__(self) -> str:
         return f"CodeDefinition(name={self.name!r}, n={self.n})"

@@ -5,8 +5,8 @@ matrices and multiplies them entry by entry.  Nothing here shares code with
 the symplectic fast paths in pauli/statevector, which is the point: the two
 routes must agree exactly, and tests check that they do.
 
-Every entry is a Gaussian integer, an integer (re, im) pair, and every
-product of two entries goes through `_mul`; vectors are lists of such
+Every entry is a Gaussian integer, an integer (re, im) pair, multiplied
+out in place as (ar·br - ai·bi, ar·bi + ai·br); vectors are lists of such
 pairs.  Nothing divides, so no entry needs a denominator.
 
 A matrix is square, and its size is its number of rows.  Row i is a tuple
@@ -26,7 +26,6 @@ from .pauli import PauliString
 
 __all__ = [
     "pauli_matrix",
-    "projector_matrix",
     "kron",
     "mat_mul",
     "mat_vec",
@@ -47,18 +46,13 @@ _LETTER_MATRIX: dict[str, Matrix] = {
 }
 
 
-def _mul(a: Entry, b: Entry) -> Entry:
-    ar, ai = a
-    br, bi = b
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Column i·w + j of a product row holds a's entry at column i times b's
     at column j, w = len(b); a product of two nonzero entries is never zero."""
     w = len(b)
     return tuple(
-        tuple((i * w + j, _mul(x, y)) for i, x in row_a for j, y in row_b)
+        tuple((i * w + j, (ar * br - ai * bi, ar * bi + ai * br))
+              for i, (ar, ai) in row_a for j, (br, bi) in row_b)
         for row_a in a for row_b in b)
 
 
@@ -74,11 +68,6 @@ def _row(acc: dict[int, Entry]) -> Row:
     return tuple((j, acc[j]) for j in sorted(acc) if acc[j] != _ZERO)
 
 
-def _add_into(acc: dict[int, Entry], j: int, x: Entry) -> None:
-    re, im = acc.get(j, _ZERO)
-    acc[j] = re + x[0], im + x[1]
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Row i of a·b as the sum of a[i][k] · (row k of b) over stored a[i][k].
 
@@ -89,13 +78,15 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     rows = []
     for row_a in a:
         if len(row_a) == 1:
-            (k, x), = row_a
-            rows.append(tuple((j, _mul(x, y)) for j, y in b[k]))
+            (k, (ar, ai)), = row_a
+            rows.append(tuple((j, (ar * br - ai * bi, ar * bi + ai * br))
+                              for j, (br, bi) in b[k]))
             continue
         acc: dict[int, Entry] = {}
-        for k, x in row_a:
-            for j, y in b[k]:
-                _add_into(acc, j, _mul(x, y))
+        for k, (ar, ai) in row_a:
+            for j, (br, bi) in b[k]:
+                re, im = acc.get(j, _ZERO)
+                acc[j] = re + ar * br - ai * bi, im + ar * bi + ai * br
         rows.append(_row(acc))
     return tuple(rows)
 
@@ -106,30 +97,10 @@ def mat_vec(a: Matrix, v: list[Entry]) -> list[Entry]:
     out = []
     for row in a:
         re = im = 0
-        for k, x in row:
-            pr, pi = _mul(x, v[k])
-            re += pr
-            im += pi
+        for k, (ar, ai) in row:
+            br, bi = v[k]
+            re += ar * br - ai * bi
+            im += ar * bi + ai * br
         out.append((re, im))
     return out
 
-
-def projector_matrix(vectors) -> Matrix:
-    """Sum of the outer products |s><s| over the spanning vectors.
-
-    Each vector is a sequence of (re, im) amplitudes; |s><s| puts s_i times
-    the conjugate of s_j at (i, j).  Nothing is divided by a norm: for
-    pairwise orthogonal vectors of one norm m, which callers check
-    separately, the sum is m times the orthogonal projector onto their
-    span.  The vectors must be at least one and all of one length
-    (ValueError otherwise).
-    """
-    if len({len(s) for s in vectors}) != 1:
-        raise ValueError("spanning vectors must be nonempty and of one length")
-    acc: list[dict[int, Entry]] = [{} for _ in vectors[0]]
-    for s in vectors:
-        support = [(i, x) for i, x in enumerate(s) if x != _ZERO]
-        for i, x in support:
-            for j, (re, im) in support:
-                _add_into(acc[i], j, _mul(x, (re, -im)))
-    return tuple(_row(r) for r in acc)

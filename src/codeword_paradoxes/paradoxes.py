@@ -86,15 +86,18 @@ def compatible_pairs(determinations) -> list[tuple[Determination, Determination]
 
     Site-wise compatibility (letters equal or identity) is the operational
     notion; commutation of the witness products would be strictly weaker.
+    It is read off the masks: no site in both supports where the (x, z)
+    bits differ.  The pairs come in combinations order, each a pair of the
+    given determinations themselves.
     """
-    return [(a, b) for a, b in combinations(determinations, 2)
-            if _sitewise_compatible(a.witness, b.witness)]
-
-
-def _sitewise_compatible(a: PauliString, b: PauliString) -> bool:
-    """Letters equal or one of them I at every site, read off the masks:
-    no site in both supports where the (x, z) bits differ."""
-    return not ((a.x ^ b.x) | (a.z ^ b.z)) & (a.x | a.z) & (b.x | b.z)
+    masks = []
+    for d in determinations:
+        w = d.witness
+        masks.append((d, w.x, w.z, w.x | w.z))
+    return [(a, b)
+            for (a, ax, az, a_support), (b, bx, bz, b_support)
+            in combinations(masks, 2)
+            if not ((ax ^ bx) | (az ^ bz)) & a_support & b_support]
 
 
 # ---------------------------------------------------------------------------

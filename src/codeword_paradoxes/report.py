@@ -2,13 +2,16 @@
 
 The JSON form is the machine contract: keys sorted, lists canonically
 ordered upstream, no timestamps, so a fixed input yields byte-identical
-output across runs.  The text form is for humans and deliberately loose.
+output across runs.  It is exactly the text of json.dumps(fields,
+sort_keys=True, indent=2) plus a newline, for reports that hold only str,
+int, bool, None, lists, tuples and dicts.  The text form is for humans and
+deliberately loose.
 """
 
 from __future__ import annotations
 
-import json
 import os
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from . import __version__
@@ -30,7 +33,11 @@ class Report(NamedTuple):
         fields = {"command": self.command, "verdict": self.verdict,
                   "code": self.code, "details": self.details,
                   "version": __version__}
-        return json.dumps(fields, sort_keys=True, indent=2) + "\n"
+        # the stdlib encoder indents only in its pure-Python generator
+        out: list[str] = []
+        _write_json(fields, "", out.append)
+        out.append("\n")
+        return "".join(out)
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]
@@ -50,6 +57,58 @@ class Report(NamedTuple):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json())
         return path
+
+
+def _write_json(value, pad: str, write) -> None:
+    """Pass value's text to write in pieces, as json.dumps(value,
+    sort_keys=True, indent=2) writes it when it opens at indentation pad.
+
+    A dict's items come in the order of its sorted keys, and an int key is
+    written as its decimal string.  A tuple is written as a list.  Any other
+    type, float included, raises TypeError: a report holds no float."""
+    if isinstance(value, str):
+        write(encode_basestring_ascii(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            write("[]")
+            return
+        inner = pad + "  "
+        opening, sep = "[\n" + inner, ",\n" + inner
+        for item in value:
+            write(opening)
+            opening = sep
+            _write_json(item, inner, write)
+        write("\n" + pad + "]")
+    elif isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        inner = pad + "  "
+        opening, sep = "{\n" + inner, ",\n" + inner
+        for key, item in sorted(value.items()):
+            write(opening)
+            opening = sep
+            write(encode_basestring_ascii(key) if isinstance(key, str)
+                  else _int_key(key))
+            write(": ")
+            _write_json(item, inner, write)
+        write("\n" + pad + "}")
+    elif value is None:
+        write("null")
+    elif value is True:
+        write("true")
+    elif value is False:
+        write("false")
+    elif isinstance(value, int):
+        write(int.__repr__(value))
+    else:
+        raise TypeError(f"a report holds no {type(value).__name__} value")
+
+
+def _int_key(key) -> str:
+    if isinstance(key, int) and not isinstance(key, bool):
+        return f'"{int.__repr__(key)}"'
+    raise TypeError(f"a report key is str or int, not {type(key).__name__}")
 
 
 def _render(value, indent: int) -> list[str]:

@@ -21,6 +21,8 @@ __all__ = [
     "inner",
 ]
 
+_POWERS_OF_I = ((1, 0), (0, 1), (-1, 0), (0, -1))   # i**t as (re, im)
+
 
 class StateVector:
     """Immutable n-qubit vector: support maps basis index -> (re, im), zeros
@@ -59,9 +61,10 @@ class StateVector:
             return self
         if re and im:
             raise ValueError("leading amplitude is not on a quarter-turn axis")
-        t = 2 if re else (3 if im > 0 else 1)     # -1, +i, -i to +1
-        return _raw(self.n, {j: _times_i_power(a, t)
-                             for j, a in self.support.items()})
+        # turns a leading -1, +i or -i to +1
+        c, s = _POWERS_OF_I[2 if re else (3 if im > 0 else 1)]
+        return _raw(self.n, {j: (ar * c - ai * s, ar * s + ai * c)
+                             for j, (ar, ai) in self.support.items()})
 
     def __repr__(self) -> str:
         return f"StateVector({self.n}, {dict(sorted(self.support.items()))})"
@@ -85,18 +88,6 @@ def _raw(n: int, support: dict) -> StateVector:
     return v
 
 
-def _times_i_power(a: tuple[int, int], t: int) -> tuple[int, int]:
-    re, im = a
-    t &= 3
-    if t == 0:
-        return a
-    if t == 1:
-        return -im, re
-    if t == 2:
-        return -re, -im
-    return im, -re
-
-
 def _same_n(p, v) -> None:
     if p.n != v.n:
         raise DimensionMismatchError(f"dimension mismatch: {p.n} vs {v.n} qubits")
@@ -106,14 +97,21 @@ def apply(p: PauliString, v: StateVector) -> StateVector:
     """Exact matrix-vector product p·v.
 
     X permutes basis indices, Z flips signs on set bits, Y does both with an
-    i factor; the global i**phase_exp rides along.  That maps the support
-    to a support of the same size, so the image is built raw (see _raw).
+    i factor; the global i**phase_exp rides along.  So ket j goes to
+    j ^ x times i**t, t = phase_exp + |x & z|, when |j & z| is even, and
+    times -i**t when it is odd.  That maps the support to a support of the
+    same size, so the image is built raw (see _raw).
     """
     _same_n(p, v)
-    base_phase = p.phase_exp + (p.x & p.z).bit_count()
-    return _raw(v.n, {
-        j ^ p.x: _times_i_power(a, base_phase + 2 * (j & p.z).bit_count())
-        for j, a in v.support.items()})
+    x, z = p.x, p.z
+    c, s = _POWERS_OF_I[(p.phase_exp + (x & z).bit_count()) & 3]
+    image = {}
+    for j, (re, im) in v.support.items():
+        if (j & z).bit_count() & 1:
+            image[j ^ x] = (im * s - re * c, -re * s - im * c)
+        else:
+            image[j ^ x] = (re * c - im * s, re * s + im * c)
+    return _raw(v.n, image)
 
 
 def eigensign(p: PauliString, v: StateVector):

@@ -4,9 +4,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from codeword_paradoxes import dense
 from codeword_paradoxes.cli import main
-from codeword_paradoxes.codes import five_qubit_code, mermin_code, steane_code
+from codeword_paradoxes.codes import (CodeDefinition, five_qubit_code,
+                                      mermin_code, steane_code)
 from codeword_paradoxes.kochen_specker import (build_ks_set,
                                                build_orthogonality_graph,
                                                enumerate_contexts)
@@ -32,6 +32,30 @@ def _listing(n, kets, complemented=False):
     label bit-complemented when asked."""
     flip = (1 << n) - 1 if complemented else 0
     return StateVector(n, {int(label, 2) ^ flip: (a, 0) for label, a in kets})
+
+
+def projector_matrix(vectors):
+    """Sum of the outer products |s><s| over the spanning vectors, as a
+    dense matrix (sparse rows of (column, entry) pairs, zeros dropped).
+
+    Each vector is a sequence of (re, im) amplitudes; |s><s| puts s_i times
+    the conjugate of s_j at (i, j).  Nothing is divided by a norm: for
+    pairwise orthogonal vectors of one norm m, which callers check
+    separately, the sum is m times the orthogonal projector onto their
+    span.  The vectors must be at least one and all of one length
+    (ValueError otherwise).
+    """
+    if len({len(s) for s in vectors}) != 1:
+        raise ValueError("spanning vectors must be nonempty and of one length")
+    acc = [{} for _ in vectors[0]]
+    for s in vectors:
+        support = [(i, x) for i, x in enumerate(s) if x != (0, 0)]
+        for i, (ar, ai) in support:
+            for j, (br, bi) in support:    # ar + ai i times br - bi i
+                re, im = acc[i].get(j, (0, 0))
+                acc[i][j] = re + ar * br + ai * bi, im - ar * bi + ai * br
+    return tuple(tuple((j, row[j]) for j in sorted(row) if row[j] != (0, 0))
+                 for row in acc)
 
 
 # The KS oracle shared by test_kochen_specker and test_acceptance: a
@@ -68,7 +92,18 @@ def assert_resolves_identity(vectors):
     for i, u in enumerate(vectors):
         for w in vectors[i + 1:]:
             assert inner(u, w) == (0, 0)
-    assert dense.projector_matrix([norm16(v) for v in vectors]) == SIXTEEN_I
+    assert projector_matrix([norm16(v) for v in vectors]) == SIXTEEN_I
+
+
+def redefine(code, **changes):
+    """A new CodeDefinition built by the constructor from code's
+    arguments, the given ones changed; it derives its own group and
+    codewords."""
+    arguments = {"name": code.name, "n": code.n, "generators": code.generators,
+                 "expected_group_order": code.expected_group_order,
+                 "expected_stable_order": code.expected_stable_order,
+                 "correctable": code.correctable, "must_fail": code.must_fail}
+    return CodeDefinition(**{**arguments, **changes})
 
 
 @pytest.fixture(scope="session")

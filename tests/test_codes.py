@@ -6,6 +6,7 @@ from codeword_paradoxes.codes import (code_by_name, five_qubit_code,
 from codeword_paradoxes.paradoxes import compatible_pairs, find_determinations
 from codeword_paradoxes.pauli import parse
 from codeword_paradoxes.statevector import StateVector, eigensign, inner
+from conftest import redefine
 
 
 def test_five_qubit_amplitudes(five_listing):
@@ -122,17 +123,17 @@ def test_codeword_takes_only_0_or_1(five, which_state):
 
 def test_group_closes_its_own_generators(five):
     # the closure belongs to the definition, not to the name it is filed under
-    two = five._replace(generators=five.generators[:2])
+    two = redefine(five, generators=five.generators[:2])
     assert len(two.group()) == 4
     assert {e.op for e in two.generators} <= {e.op for e in two.group()}
-    custom = five._replace(name="custom")
+    custom = redefine(five, name="custom")
     assert [str(e) for e in custom.group()] == [str(e) for e in five.group()]
     assert five.group() is five.group()
 
 
 def test_a_copy_derives_its_own_group_and_codewords(five):
     five.codeword(0)
-    copy = five._replace()
+    copy = redefine(five)
     assert "_group" not in vars(copy) and "_codewords" not in vars(copy)
     assert copy.group() is not five.group()
     assert [str(e) for e in copy.group()] == [str(e) for e in five.group()]
@@ -140,12 +141,12 @@ def test_a_copy_derives_its_own_group_and_codewords(five):
     assert [copy.name, copy.n, copy.correctable] == [five.name, five.n,
                                                      five.correctable]
     with pytest.raises(TypeError):
-        five._replace(codeword0=None)
+        redefine(five, codeword0=None)
 
 
 def test_codeword_needs_a_full_group(five):
     # four elements on five qubits fix an 8-dimensional space, not one vector
-    two = five._replace(generators=five.generators[:2])
+    two = redefine(five, generators=five.generators[:2])
     for which_state in (0, 1):
         with pytest.raises(ValueError, match="fix a space of dimension 8 "):
             two.codeword(which_state)

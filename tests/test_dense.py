@@ -1,6 +1,7 @@
-"""The dense oracle's sparse-row kron and mat_mul against the index
-formulas on full matrices, and the canonical form that lets matrices
-compare by tuple equality.  The oracle's entries are integer (re, im)
+"""The dense oracle's sparse-row kron and mat_mul, and the tests' own
+projector_matrix (conftest.py), against the index formulas on full
+matrices, and the canonical form that lets matrices compare by tuple
+equality.  The oracle's entries are integer (re, im)
 pairs; the index formulas multiply, add and conjugate them as the 2x2
 integer matrices [[a, -b], [b, a]] that represent a + b i, so they share
 no arithmetic with it."""
@@ -12,6 +13,7 @@ import pytest
 
 from codeword_paradoxes import dense
 from codeword_paradoxes.pauli import from_letters
+from conftest import projector_matrix
 
 ZERO, ONE, I_UNIT = (0, 0), (1, 0), (0, 1)
 
@@ -179,12 +181,12 @@ def test_every_pauli_matrix_matches_index_formulas(n):
 def test_projector_matrix_sums_outer_products():
     two = (2, 0)
     # the off-diagonal entries of the two outer products cancel
-    m = dense.projector_matrix([(ONE, ONE), (ONE, (-1, 0))])
+    m = projector_matrix([(ONE, ONE), (ONE, (-1, 0))])
     assert full(m) == ((two, ZERO), (ZERO, two))
     # nothing is divided by the norm
-    assert full(dense.projector_matrix([(ONE, ONE)])) == ((ONE, ONE), (ONE, ONE))
+    assert full(projector_matrix([(ONE, ONE)])) == ((ONE, ONE), (ONE, ONE))
     # |s><s| puts s_i times the conjugate of s_j at (i, j)
-    assert full(dense.projector_matrix([(ONE, I_UNIT)])) == \
+    assert full(projector_matrix([(ONE, I_UNIT)])) == \
         ((ONE, (0, -1)), (I_UNIT, ONE))
     rng = random.Random(5)
     for _ in range(50):
@@ -198,7 +200,7 @@ def test_projector_matrix_sums_outer_products():
             for i in range(size):
                 for j in range(size):
                     want[i][j] = plus(want[i][j], times(v[i], conj(v[j])))
-        assert full(dense.projector_matrix(vectors)) == \
+        assert full(projector_matrix(vectors)) == \
             tuple(map(tuple, want))
 
 
@@ -225,4 +227,4 @@ def test_mat_vec_rejects_wrong_length():
                          ids=["shorter-second", "longer-second", "empty"])
 def test_projector_matrix_rejects_ragged_or_empty_spans(vectors):
     with pytest.raises(ValueError, match="one length"):
-        dense.projector_matrix(vectors)
+        projector_matrix(vectors)

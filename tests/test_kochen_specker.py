@@ -14,7 +14,8 @@ from codeword_paradoxes.kochen_specker import (KSVertex, bit_indices,
 from codeword_paradoxes.paradoxes import ROW_SITES
 from codeword_paradoxes.pauli import identity, single_site
 from codeword_paradoxes.statevector import apply, eigensign, inner
-from conftest import assert_resolves_identity, ks_spanning, ks_states, norm16
+from conftest import (assert_resolves_identity, ks_spanning, ks_states, norm16,
+                      projector_matrix)
 
 EDGE_COUNT = 3084        # frozen from the first exhaustive pairwise run
 CONTEXT_COUNT = 39       # frozen from the first exhaustive enumeration
@@ -133,7 +134,7 @@ def _times(k, m):
 def test_rank4_projector_matrix_properties(ks_vertices):
     v = _row_family(ks_vertices, 3, m=+1, n=+1, s=+1)[0]
     # m is 16 times the projector, so its square is 16 m
-    m = dense.projector_matrix([norm16(s) for s in ks_states(v)])
+    m = projector_matrix([norm16(s) for s in ks_states(v)])
     assert dense.mat_mul(m, m) == _times(16, m)
     # its trace is 16 times the rank
     assert sum(x[0] for i, row in enumerate(m) for j, x in row if i == j) == 64
@@ -145,7 +146,7 @@ def test_rank4_projector_matrix_properties(ks_vertices):
 
 def test_rank4_acts_as_identity_on_untouched_qubits(ks_vertices):
     v = _row_family(ks_vertices, 3, m=+1, n=-1, s=-1)[0]
-    p = dense.projector_matrix([norm16(s) for s in ks_states(v)])
+    p = projector_matrix([norm16(s) for s in ks_states(v)])
     for op in (single_site(5, 4, "X"), single_site(5, 5, "Z"),
                single_site(5, 4, "Y")):
         q = dense.pauli_matrix(op)

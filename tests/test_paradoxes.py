@@ -9,7 +9,8 @@ import pytest
 from codeword_paradoxes import cli, paradoxes, stabilizer
 from codeword_paradoxes.codes import code_by_name
 from codeword_paradoxes.errors import BudgetExceededError, NonHermitianError
-from codeword_paradoxes.paradoxes import (OperatorArray, ParityInstance,
+from codeword_paradoxes.paradoxes import (Determination, OperatorArray,
+                                          ParityInstance,
                                           build_canonical_array,
                                           canonical_pentagon_instance,
                                           check_array,
@@ -22,6 +23,7 @@ from codeword_paradoxes.paradoxes import (OperatorArray, ParityInstance,
 from codeword_paradoxes.pauli import from_letters, identity, parse
 from codeword_paradoxes.stabilizer import StabilizerElement, verify_stabilizes
 from codeword_paradoxes.statevector import eigensign
+from conftest import redefine
 
 # The eight ways of learning sigma_1x from the other qubits, written as
 # witnesses on sites 2..5.
@@ -86,6 +88,7 @@ def test_incompatible_example(five_group):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_sitewise_compatible_matches_letter_rule(n):
+    # compatible_pairs on each two-element list applies its mask rule once
     strings = [from_letters(ls) for ls in product("IXYZ", repeat=n)]
 
     def letterwise(a, b):
@@ -94,7 +97,9 @@ def test_sitewise_compatible_matches_letter_rule(n):
 
     for a in strings:
         for b in strings:
-            assert paradoxes._sitewise_compatible(a, b) == letterwise(a, b), (a, b)
+            da, db = Determination(a, 1), Determination(b, 1)
+            want = [(da, db)] if letterwise(a, b) else []
+            assert compatible_pairs([da, db]) == want, (a, b)
 
 
 def test_empty_determinations():
@@ -390,7 +395,7 @@ def test_check_rejects_codewords_that_contradict_the_group(steane, five,
     # with the codewords swapped, the first element whose sign differs
     # between them is declared with the wrong eigenvalue on codeword 0
     for code in (steane, five):
-        swapped = code._replace()
+        swapped = redefine(code)
         monkeypatch.setitem(vars(swapped), "codeword",
                             lambda w, code=code: code.codeword(1 - w))
         first = next(e.op for e in code.group().non_identity()

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -9,6 +10,7 @@ from codeword_paradoxes.errors import DimensionMismatchError, NonHermitianError
 from codeword_paradoxes.pauli import from_letters, identity, parse, single_site
 from codeword_paradoxes.selftest import dense_amplitudes, random_pauli, random_state
 from codeword_paradoxes.statevector import StateVector, apply, eigensign, inner
+from conftest import projector_matrix
 
 
 def basis_ket(n: int, label) -> StateVector:
@@ -67,6 +69,20 @@ def test_apply_matches_dense_oracle():
         v = random_state(rng, n)
         assert dense_amplitudes(apply(p, v)) == \
             dense.mat_vec(dense.pauli_matrix(p), dense_amplitudes(v))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_apply_matches_dense_oracle_on_every_phased_string(n):
+    """All 4·4**n phased strings on a full-support state whose amplitudes
+    are no unit multiples of each other, so a ket sent to the wrong place
+    or turned by the wrong power of i shows in the image."""
+    amplitudes = [(2, 3), (5, -7), (-11, 13), (17, 19)][:1 << n]
+    v = StateVector(n, dict(enumerate(amplitudes)))
+    for letters in product("IXYZ", repeat=n):
+        for phase_exp in range(4):
+            p = from_letters(letters, phase_exp)
+            assert dense_amplitudes(apply(p, v)) == \
+                dense.mat_vec(dense.pauli_matrix(p), amplitudes), p
 
 
 def test_apply_composition_small_n():
@@ -153,16 +169,16 @@ def test_classical_basis_resolves_identity():
                for w in kets[i + 1:])
     identity_matrix = dense.pauli_matrix(identity(5))
     columns = [dense_amplitudes(k) for k in kets]
-    assert dense.projector_matrix(columns) == identity_matrix
+    assert projector_matrix(columns) == identity_matrix
     # 31 kets are pairwise orthogonal too, but one short of the identity
-    assert dense.projector_matrix(columns[:31]) != identity_matrix
+    assert projector_matrix(columns[:31]) != identity_matrix
 
 
 def test_projector_matrix_idempotent(five):
     # the codewords have norm 16, so m is 16 times the code-space
     # projector and its square is 16 m
-    m = dense.projector_matrix([dense_amplitudes(five.codeword(0)),
-                                dense_amplitudes(five.codeword(1))])
+    m = projector_matrix([dense_amplitudes(five.codeword(0)),
+                          dense_amplitudes(five.codeword(1))])
     sixteen_m = tuple(tuple((j, (16 * re, 16 * im)) for j, (re, im) in row)
                       for row in m)
     assert dense.mat_mul(m, m) == sixteen_m
