@@ -14,6 +14,7 @@ import os
 import sys
 from collections import Counter
 from json.encoder import encode_basestring_ascii
+from math import gcd
 
 from .codes import code_by_name, five_qubit_code, steane_code, CODE_NAMES
 from .errors import BudgetExceededError
@@ -34,9 +35,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.handler(args)
-        out = report.to_json() if args.format == "json" else report.to_text()
-        sys.stdout.write(out)
-        path = report.write_to_report_dir()
+        # a JSON report is encoded once, for stdout and the report directory
+        encoded = report.to_json() if args.format == "json" else None
+        sys.stdout.write(encoded or report.to_text())
+        path = report.write_to_report_dir(encoded)
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
@@ -125,10 +127,11 @@ def _cmd_verify_code(args) -> Report:
     v0, v1 = code.codeword(0), code.codeword(1)
     violations = verify_stabilizes(group, v0, v1)
     stable = invariant_subgroup(group)
-    kl = knill_laflamme_check(v0, v1, code.correctable)
+    kl = knill_laflamme_check(v0, v1, code.correctable, stable)
     must_fail_results = []
     for err in code.must_fail:
-        probe = knill_laflamme_check(v0, v1, list(code.correctable) + [err])
+        probe = knill_laflamme_check(v0, v1, list(code.correctable) + [err],
+                                     stable)
         must_fail_results.append({"error": str(err), "fails_as_expected": not probe.ok})
 
     checks = {
@@ -244,10 +247,13 @@ def _ks_proof(args) -> Report:
     verdict_canon = ks_colorability(graph.adj, canon,
                                     decision_budget=args.decision_budget)
 
+    g = gcd(len(vertices), 32)
     details = {
         "vertices": len(vertices),
         "rank_counts": Counter(v.rank for v in vertices),
-        "projectors_per_dimension": f"{len(vertices)}/32 = {len(vertices) / 32}",
+        # exact, reduced: 104/32 = 13/4
+        "projectors_per_dimension":
+            f"{len(vertices)}/32 = {len(vertices) // g}/{32 // g}",
         "edges": graph.edge_count,
         "contexts": len(contexts),
         "canonical_contexts_found": canonical_found,

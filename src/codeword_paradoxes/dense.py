@@ -15,9 +15,12 @@ column order.  Every function returns this one form, so matrices compare
 by plain tuple equality and two of different sizes are unequal.  No memo
 of built matrices is kept here: it would hold the few hundred Pauli
 matrices that `selftest` meets for the rest of the process.  Instead
-`selftest.dense_oracle_suite` keeps a table local to one suite call, which
-builds each distinct phased string's matrix once, by `pauli_matrix`, and
-is freed when the suite returns, so no matrix outlives the call.
+`selftest.dense_oracle_suite` keeps a table local to one suite call and
+freed when the suite returns, so no matrix outlives the call.  The table
+builds each distinct phased string's matrix once: a 1-site string's by
+`pauli_matrix`, an n-site one's by one `kron` of two entries already in
+the table, its (n-1)-site prefix (with the phase) and its last site's bare
+letter.
 """
 
 from __future__ import annotations
@@ -50,10 +53,10 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     """Column i·w + j of a product row holds a's entry at column i times b's
     at column j, w = len(b); a product of two nonzero entries is never zero."""
     w = len(b)
-    return tuple(
-        tuple((i * w + j, (ar * br - ai * bi, ar * bi + ai * br))
-              for i, (ar, ai) in row_a for j, (br, bi) in row_b)
-        for row_a in a for row_b in b)
+    return tuple([
+        tuple([(i * w + j, (ar * br - ai * bi, ar * bi + ai * br))
+               for i, (ar, ai) in row_a for j, (br, bi) in row_b])
+        for row_a in a for row_b in b])
 
 
 def pauli_matrix(p: PauliString) -> Matrix:
@@ -65,7 +68,7 @@ def pauli_matrix(p: PauliString) -> Matrix:
 
 def _row(acc: dict[int, Entry]) -> Row:
     """The sparse row of column sums: cancelled entries dropped, columns sorted."""
-    return tuple((j, acc[j]) for j in sorted(acc) if acc[j] != _ZERO)
+    return tuple([(j, acc[j]) for j in sorted(acc) if acc[j] != _ZERO])
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -79,8 +82,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     for row_a in a:
         if len(row_a) == 1:
             (k, (ar, ai)), = row_a
-            rows.append(tuple((j, (ar * br - ai * bi, ar * bi + ai * br))
-                              for j, (br, bi) in b[k]))
+            rows.append(tuple([(j, (ar * br - ai * bi, ar * bi + ai * br))
+                               for j, (br, bi) in b[k]]))
             continue
         acc: dict[int, Entry] = {}
         for k, (ar, ai) in row_a:

@@ -503,11 +503,13 @@ def _contradiction_subsets(vecs, max_size: int) -> list[tuple[int, ...]]:
         deeper = len(prefix) + 3 < max_size
         for k in range(after + 1, n):
             rk = r ^ vecs[k]
-            for j in tails.get(rk, ()):
-                i = index[rk ^ _ODD_SIGNS ^ vecs[j]]
-                if i <= k:
-                    break
-                found.append(prefix + (k, i, j))
+            js = tails.get(rk)
+            if js is not None:
+                for j in js:
+                    i = index[rk ^ _ODD_SIGNS ^ vecs[j]]
+                    if i <= k:
+                        break
+                    found.append(prefix + (k, i, j))
             if deeper:
                 extend(prefix + (k,), rk, k)
 

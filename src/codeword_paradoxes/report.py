@@ -47,15 +47,16 @@ class Report(NamedTuple):
         lines.extend(_render(self.details, indent=0))
         return "\n".join(lines) + "\n"
 
-    def write_to_report_dir(self) -> str | None:
-        """Drop the JSON form into $CODEWORD_PARADOXES_REPORT_DIR, if set."""
+    def write_to_report_dir(self, encoded: str | None = None) -> str | None:
+        """Drop the JSON form into $CODEWORD_PARADOXES_REPORT_DIR, if set;
+        encoded, when given, is that form as to_json() already wrote it."""
         directory = os.environ.get(REPORT_DIR_ENV)
         if not directory:
             return None
         os.makedirs(directory, exist_ok=True)
         path = os.path.join(directory, f"{self.command}.json")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
+            fh.write(self.to_json() if encoded is None else encoded)
         return path
 
 

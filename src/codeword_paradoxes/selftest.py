@@ -83,7 +83,8 @@ def random_state(rng: random.Random, n: int) -> StateVector:
         e = bits(2)
         while e >= 3:
             e = bits(2)
-        support[j] = ((a - 4) << (2 - e), (b - 4) << (2 - e))
+        if a != 4 or b != 4:   # a zero amplitude is not stored
+            support[j] = ((a - 4) << (2 - e), (b - 4) << (2 - e))
     return StateVector(n, support)
 
 
@@ -93,22 +94,39 @@ def dense_amplitudes(v: StateVector) -> list[tuple[int, int]]:
     return [v.support.get(j, (0, 0)) for j in range(1 << v.n)]
 
 
+def _matrix_table():
+    """p -> dense matrix of p, from a table that builds each distinct
+    phased string's matrix once and is freed with the function.
+
+    A 1-site string's matrix is dense.pauli_matrix's; an n-site one's is
+    one dense.kron of two table entries: its (n-1)-site prefix, sites
+    1..n-1 with the phase, and its last site's bare letter.  Site n is the
+    lowest bit of x and z."""
+    built: dict[tuple[int, int, int, int], dense.Matrix] = {}
+
+    def fold(key: tuple[int, int, int, int]) -> dense.Matrix:
+        m = built.get(key)
+        if m is None:
+            n, phase, x, z = key
+            if n == 1:
+                m = dense.pauli_matrix(PauliString(1, phase, x, z))
+            else:
+                m = dense.kron(fold((n - 1, phase, x >> 1, z >> 1)),
+                               fold((1, 0, x & 1, z & 1)))
+            built[key] = m
+        return m
+
+    return lambda p: fold((p.n, p.phase_exp, p.x, p.z))
+
+
 def dense_oracle_suite(rng: random.Random) -> SuiteResult:
     """Multiplication, commutation and eigen-action against dense matrices,
     on random pairs at n <= 3.
 
-    Each distinct phased string's matrix is built once per call, by
-    dense.pauli_matrix, into a table that is freed on return: at n <= 3
-    there are only 336 of them, where the trials ask for 3000."""
-    built: dict[tuple[int, int, int, int], dense.Matrix] = {}
-
-    def matrix(p: PauliString) -> dense.Matrix:
-        key = (p.n, p.phase_exp, p.x, p.z)
-        m = built.get(key)
-        if m is None:
-            m = built[key] = dense.pauli_matrix(p)
-        return m
-
+    The matrices come from a _matrix_table local to the call: at n <= 3
+    there are only 336 phased strings, where the trials ask for 3000
+    matrices, and each is one kron of two smaller ones."""
+    matrix = _matrix_table()
     for t in range(DENSE_ORACLE_TRIALS):
         n = 1 + _below(rng, 3)
         a = random_pauli(rng, n)
@@ -167,8 +185,10 @@ def parity_rediscovery_suite() -> SuiteResult:
     """The bounded search must rediscover the canonical six-operator instance."""
     code = five_qubit_code()
     res = search_parity_contradictions(code, 6)
-    canon = set(canonical_pentagon_instance(code).members)
-    hit = any(set(inst.members) == canon for inst in res.instances)
+    # an instance's members come in group order, sorted by op.key()
+    canon = tuple(sorted(canonical_pentagon_instance(code).members,
+                         key=lambda e: e.op.key()))
+    hit = any(inst.members == canon for inst in res.instances)
     return SuiteResult("parity-rediscovery", len(res.instances), hit,
                        "" if hit else "canonical instance missing")
 

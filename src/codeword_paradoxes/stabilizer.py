@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import NonCommutingGeneratorsError, NonHermitianError, SignConflictError
+from .errors import (DimensionMismatchError, NonCommutingGeneratorsError,
+                     NonHermitianError, SignConflictError)
 from .pauli import PauliString, identity
 from .statevector import StateVector, apply, eigensign, inner
 
@@ -210,31 +211,58 @@ class KnillLaflammeReport(NamedTuple):
         return not self.failures
 
 
-def knill_laflamme_check(v0: StateVector, v1: StateVector,
-                         errors) -> KnillLaflammeReport:
-    """Check every pair of errors, each error applied once per codeword.
+def knill_laflamme_check(v0: StateVector, v1: StateVector, errors,
+                         stable: StabilizerGroup) -> KnillLaflammeReport:
+    """Check every pair of errors by the stabilizer rule for E = Ea·Eb.
 
-    <v_i|Ea·Eb|v_j> = <Ea†v_i|Eb v_j>, and (i**p P)† = i**(-p) P for a
-    Hermitian letter part P, so the left images Ea†v_0, Ea†v_1 and the
-    right images Eb v_0, Eb v_1 are built once per error (4·|E| applies)
-    and each term is one inner product of two of them.
+    stable is S, the sign-stable subgroup of the codewords' group
+    (invariant_subgroup): each element fixes v0 and v1 with one sign s, the
+    codewords have one norm, and S has order 2**(n-1), so it fixes their
+    span and nothing more.  The letters of Ea·Eb and Ea†·Eb agree, so one
+    rule serves both, and it decides each pair with one XOR and one lookup:
+    - if E anticommutes with an element g of S, the three terms are zero,
+      <v_i|E|v_j> = s<v_i|E g|v_j> = -s<v_i|g E|v_j> = -<v_i|E|v_j>.
+      E anticommutes with some element exactly when it anticommutes with
+      a generator, so each error's syndrome (its anticommutation bits
+      against a generating set of S) is found once, and a pair's is the
+      XOR of its errors';
+    - if E is c·g for an element g of S, the off-diagonal term is
+      c·s<v0|v1> = 0 and both diagonals are c·s times the common norm;
+    - otherwise E commutes with S without lying in it: it acts on the span
+      as a logical Pauli other than the identity, and the pair fails.
+    Only a failing pair is applied to the codewords, to write its terms
+    <v0|E v1>, <v0|E v0> and <v1|E v1>.
     """
     errors = list(errors)
-    left = [(apply(a, v0), apply(a, v1)) for a in map(_adjoint, errors)]
-    right = [(apply(e, v0), apply(e, v1)) for e in errors]
+    # a generating set of S by coset doubling, as close() builds a group;
+    # members ends as the letter masks of all of S
+    generators = []
+    members = {(0, 0)}
+    for g in stable:
+        gx, gz = g.op.x, g.op.z
+        if (gx, gz) not in members:
+            generators.append(g.op)
+            members |= {(x ^ gx, z ^ gz) for x, z in members}
+    syndromes = []
+    for e in errors:
+        if e.n != v0.n:
+            raise DimensionMismatchError(
+                f"dimension mismatch: {e.n} vs {v0.n} qubits")
+        syndromes.append(sum(1 << k for k, g in enumerate(generators)
+                             if not e.commutes_with(g)))
     failures = []
-    for ea, (l0, l1) in zip(errors, left):
-        for eb, (r0, r1) in zip(errors, right):
-            off = inner(l0, r1)
-            d0 = inner(l0, r0)
-            d1 = inner(l1, r1)
-            if off != (0, 0) or d0 != d1:
-                failures.append({
-                    "pair": (str(ea), str(eb)),
-                    "off_diagonal": _gaussian_text(off),
-                    "diag0": _gaussian_text(d0),
-                    "diag1": _gaussian_text(d1),
-                })
+    for ea, sa in zip(errors, syndromes):
+        for eb, sb in zip(errors, syndromes):
+            if sa != sb or (ea.x ^ eb.x, ea.z ^ eb.z) in members:
+                continue
+            e = ea * eb
+            w1 = apply(e, v1)
+            failures.append({
+                "pair": (str(ea), str(eb)),
+                "off_diagonal": _gaussian_text(inner(v0, w1)),
+                "diag0": _gaussian_text(inner(v0, apply(e, v0))),
+                "diag1": _gaussian_text(inner(v1, w1)),
+            })
     return KnillLaflammeReport(len(errors) ** 2, failures)
 
 
@@ -248,6 +276,3 @@ def _gaussian_text(value: tuple[int, int]) -> str:
         return f"{im} i"
     return f"{re} {'-' if im < 0 else '+'} {abs(im)} i"
 
-
-def _adjoint(p: PauliString) -> PauliString:
-    return PauliString(p.n, -p.phase_exp, p.x, p.z)

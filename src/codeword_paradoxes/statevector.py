@@ -32,7 +32,7 @@ class StateVector:
 
     def __init__(self, n: int, support):
         support = {j: (re, im) for j, (re, im) in support.items() if re or im}
-        if any(not 0 <= j < 1 << n for j in support):
+        if support and (min(support) < 0 or max(support) >= 1 << n):
             raise ValueError(f"basis index out of range for {n} qubits")
         _set_n(self, n)
         _set_support(self, support)

@@ -11,9 +11,9 @@ from codeword_paradoxes.kochen_specker import (build_ks_set,
                                                build_orthogonality_graph,
                                                enumerate_contexts)
 from codeword_paradoxes.paradoxes import OperatorArray
-from codeword_paradoxes.pauli import from_letters
+from codeword_paradoxes.pauli import PauliString, from_letters
 from codeword_paradoxes.selftest import dense_amplitudes
-from codeword_paradoxes.statevector import StateVector, inner
+from codeword_paradoxes.statevector import StateVector, apply, inner
 
 # The paper's ket listings of each code's |0_L>.  The five-qubit word has
 # sixteen kets of amplitude -1/4 or +1/4, kept here 4 times over (-1 or +1)
@@ -93,6 +93,45 @@ def assert_resolves_identity(vectors):
         for w in vectors[i + 1:]:
             assert inner(u, w) == (0, 0)
     assert projector_matrix([norm16(v) for v in vectors]) == SIXTEEN_I
+
+
+def gaussian_rule_text(a, b):
+    """a + b i as text by a literal rule: 0, a, b i, a + b i or a - |b| i."""
+    if a == 0 and b == 0:
+        return "0"
+    if b == 0:
+        return f"{a}"
+    if a == 0:
+        return f"{b} i"
+    if b > 0:
+        return f"{a} + {b} i"
+    return f"{a} - {-b} i"
+
+
+def knill_laflamme_by_state_vectors(v0, v1, errors):
+    """The Knill-Laflamme check by state vectors alone, the oracle for
+    stabilizer.knill_laflamme_check's rule: (pairs checked, failures).
+
+    <v_i|Ea·Eb|v_j> = <Ea†v_i|Eb v_j>, and (i**p P)† = i**(-p) P for a
+    Hermitian letter part P, so the left images Ea†v_0, Ea†v_1 and the
+    right images Eb v_0, Eb v_1 are built once per error and each term is
+    one inner product of two of them."""
+    errors = list(errors)
+    left = [(apply(a, v0), apply(a, v1))
+            for a in (PauliString(e.n, -e.phase_exp, e.x, e.z) for e in errors)]
+    right = [(apply(e, v0), apply(e, v1)) for e in errors]
+    failures = []
+    for ea, (l0, l1) in zip(errors, left):
+        for eb, (r0, r1) in zip(errors, right):
+            off = inner(l0, r1)
+            d0 = inner(l0, r0)
+            d1 = inner(l1, r1)
+            if off != (0, 0) or d0 != d1:
+                failures.append({"pair": (str(ea), str(eb)),
+                                 "off_diagonal": gaussian_rule_text(*off),
+                                 "diag0": gaussian_rule_text(*d0),
+                                 "diag1": gaussian_rule_text(*d1)})
+    return len(errors) ** 2, failures
 
 
 def redefine(code, **changes):

@@ -92,12 +92,13 @@ def test_criterion_2_mermin_code():
             "YYX": (-1, +1), "XXX": (+1, -1), "ZZI": (+1, +1),
             "ZIZ": (+1, +1), "IZZ": (+1, +1),
         }
+        stable = invariant_subgroup(group)
         bitflips = knill_laflamme_check(code.codeword(0), code.codeword(1),
-                                        code.correctable)
+                                        code.correctable, stable)
         assert bitflips.ok
         phase = knill_laflamme_check(code.codeword(0), code.codeword(1),
                                      list(code.correctable)
-                                     + [single_site(3, 1, "Z")])
+                                     + [single_site(3, 1, "Z")], stable)
         assert not phase.ok
 
 

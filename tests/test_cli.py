@@ -13,7 +13,7 @@ from codeword_paradoxes.cli import main
 from codeword_paradoxes.kochen_specker import (bit_indices,
                                                build_orthogonality_graph,
                                                enumerate_contexts)
-from codeword_paradoxes.report import REPORT_DIR_ENV
+from codeword_paradoxes.report import REPORT_DIR_ENV, Report
 
 
 def run_cli(capsys, *argv):
@@ -137,7 +137,7 @@ def test_ks(ks_dump_run):
     assert ks_dump_run.code == 0
     det = json.loads(ks_dump_run.out)["details"]
     assert det["vertices"] == 104
-    assert det["projectors_per_dimension"] == "104/32 = 3.25"
+    assert det["projectors_per_dimension"] == "104/32 = 13/4"
     assert det["colorability"]["satisfiable"] is False
     assert det["canonical_contexts_alone_satisfiable"] is False
     assert det["canonical_contexts_found"] is True
@@ -309,6 +309,34 @@ def test_report_dir_env(capsys, tmp_path, monkeypatch):
     assert code == 0
     written = json.loads((tmp_path / "array.json").read_text())
     assert written["verdict"] == "contradiction-confirmed"
+
+
+def test_json_report_is_encoded_once_for_stdout_and_report_dir(
+        capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv(REPORT_DIR_ENV, str(tmp_path))
+    calls = []
+    to_json = Report.to_json
+
+    def counted(report):
+        calls.append(report.command)
+        return to_json(report)
+
+    monkeypatch.setattr(Report, "to_json", counted)
+    code, out = run_cli(capsys, "array", "--format", "json")
+    assert code == 0
+    assert calls == ["array"]
+    assert (tmp_path / "array.json").read_text(encoding="utf-8") == out
+
+
+def test_text_report_still_writes_the_json_file(capsys, tmp_path, monkeypatch):
+    _, encoded = run_cli(capsys, "array", "--format", "json")
+    monkeypatch.setenv(REPORT_DIR_ENV, str(tmp_path))
+    code, out = run_cli(capsys, "array")
+    path = tmp_path / "array.json"
+    assert code == 0
+    assert out.startswith("command: array\n")
+    assert out.endswith(f"report written to {path}\n")
+    assert path.read_text(encoding="utf-8") == encoded
 
 
 def test_unwritable_dump_path_is_usage_error(capsys, tmp_path, monkeypatch):

@@ -1,15 +1,19 @@
+import collections
+import itertools
+
 import pytest
 
 from codeword_paradoxes import stabilizer
 from codeword_paradoxes.codes import CODE_NAMES, code_by_name, single_qubit_errors
 from codeword_paradoxes.errors import (NonCommutingGeneratorsError,
                                        NonHermitianError, SignConflictError)
-from codeword_paradoxes.pauli import parse, single_site
+from codeword_paradoxes.pauli import from_letters, parse, single_site
 from codeword_paradoxes.stabilizer import (StabilizerElement, StabilizerGroup,
                                            close, invariant_subgroup,
                                            knill_laflamme_check,
                                            verify_stabilizes)
 from codeword_paradoxes.statevector import apply, eigensign, inner
+from conftest import gaussian_rule_text, knill_laflamme_by_state_vectors
 
 
 def _expected_five_qubit_listing():
@@ -196,20 +200,23 @@ def test_invariant_subgroup_refuses_open_or_small_stable_sets(elements):
         invariant_subgroup(_hand_built(5, *elements))
 
 
+def _kl(code, errors):
+    """knill_laflamme_check on code's codewords, given their sign-stable
+    subgroup as the command does."""
+    return knill_laflamme_check(code.codeword(0), code.codeword(1), errors,
+                                invariant_subgroup(code.group()))
+
+
 def test_knill_laflamme_five_qubit(five):
-    report = knill_laflamme_check(five.codeword(0), five.codeword(1),
-                                  single_qubit_errors(5))
+    report = _kl(five, single_qubit_errors(5))
     assert report.ok
     assert report.pairs_checked == 256
 
 
 def test_knill_laflamme_mermin_bit_flips_only(mermin):
-    ok = knill_laflamme_check(mermin.codeword(0), mermin.codeword(1),
-                              mermin.correctable)
+    ok = _kl(mermin, mermin.correctable)
     assert ok.ok and ok.pairs_checked == 16
-    with_phase = knill_laflamme_check(mermin.codeword(0), mermin.codeword(1),
-                                      list(mermin.correctable)
-                                      + [single_site(3, 1, "Z")])
+    with_phase = _kl(mermin, list(mermin.correctable) + [single_site(3, 1, "Z")])
     assert not with_phase.ok
     failing_pairs = {tuple(f["pair"]) for f in with_phase.failures}
     assert ("III", "ZII") in failing_pairs
@@ -221,16 +228,14 @@ def _failure(pair, off, d0, d1):
 
 def test_knill_laflamme_failure_texts_are_literals(mermin, five):
     """The failure records as fixed text.  The per-pair reference below
-    writes its texts by the literal _rule_text, so it would fail a format
-    change too; these literals also pin which pairs fail, in what order."""
-    probe = knill_laflamme_check(mermin.codeword(0), mermin.codeword(1),
-                                 list(mermin.correctable)
-                                 + [single_site(3, 1, "Z")])
+    writes its texts by the literal gaussian_rule_text, so it would fail a
+    format change too; these literals also pin which pairs fail, in what
+    order."""
+    probe = _kl(mermin, list(mermin.correctable) + [single_site(3, 1, "Z")])
     assert probe.pairs_checked == 25
     assert probe.failures == [_failure(("III", "ZII"), "2", "0", "0"),
                               _failure(("ZII", "III"), "2", "0", "0")]
-    logical = knill_laflamme_check(five.codeword(0), five.codeword(1),
-                                   [parse(t) for t in ("IIIII", "XXXXX", "YYYYY")])
+    logical = _kl(five, [parse(t) for t in ("IIIII", "XXXXX", "YYYYY")])
     assert logical.pairs_checked == 9
     assert logical.failures == [
         _failure(("IIIII", "XXXXX"), "-16", "0", "0"),
@@ -243,8 +248,7 @@ def test_knill_laflamme_failure_texts_are_literals(mermin, five):
 
 
 def test_knill_laflamme_steane(steane):
-    report = knill_laflamme_check(steane.codeword(0), steane.codeword(1),
-                                  single_qubit_errors(7))
+    report = _kl(steane, single_qubit_errors(7))
     assert report.ok
     assert report.pairs_checked == 484
 
@@ -261,23 +265,10 @@ def _knill_laflamme_per_pair(v0, v1, errors):
             pairs += 1
             if off != (0, 0) or d0 != d1:
                 failures.append({"pair": (str(ea), str(eb)),
-                                 "off_diagonal": _rule_text(*off),
-                                 "diag0": _rule_text(*d0),
-                                 "diag1": _rule_text(*d1)})
+                                 "off_diagonal": gaussian_rule_text(*off),
+                                 "diag0": gaussian_rule_text(*d0),
+                                 "diag1": gaussian_rule_text(*d1)})
     return pairs, failures
-
-
-def _rule_text(a, b):
-    """The text form as a literal rule: 0, a, b i, a + b i or a - |b| i."""
-    if a == 0 and b == 0:
-        return "0"
-    if b == 0:
-        return f"{a}"
-    if a == 0:
-        return f"{b} i"
-    if b > 0:
-        return f"{a} + {b} i"
-    return f"{a} - {-b} i"
 
 
 def test_gaussian_text_forms():
@@ -293,7 +284,7 @@ def test_gaussian_text_forms():
 def test_gaussian_text_matches_the_rule_on_a_grid():
     for a in range(-3, 4):
         for b in range(-3, 4):
-            assert stabilizer._gaussian_text((a, b)) == _rule_text(a, b), (a, b)
+            assert stabilizer._gaussian_text((a, b)) == gaussian_rule_text(a, b), (a, b)
 
 
 def _kl_error_lists():
@@ -312,27 +303,78 @@ def _kl_error_lists():
 def test_knill_laflamme_matches_per_pair_products():
     failing = 0
     for code, errors in _kl_error_lists():
-        report = knill_laflamme_check(code.codeword(0), code.codeword(1), errors)
+        report = _kl(code, errors)
         assert (report.pairs_checked, report.failures) == \
             _knill_laflamme_per_pair(code.codeword(0), code.codeword(1), errors)
         failing += not report.ok
     assert failing == 2   # the mermin Z probe and the phased list
 
 
-@pytest.mark.parametrize("name, applies", [("five", 64), ("steane", 88),
-                                           ("mermin", 16)])
-def test_knill_laflamme_applies_each_error_once_per_side(monkeypatch, name,
-                                                         applies):
+def _weight_two(n):
+    """Every weight-2 Pauli on n sites, bare, sites and letters in order."""
+    out = []
+    for a, b in itertools.combinations(range(n), 2):
+        for p, q in itertools.product("XYZ", repeat=2):
+            letters = ["I"] * n
+            letters[a], letters[b] = p, q
+            out.append(from_letters(letters))
+    return out
+
+
+def _kl_probe_lists():
+    """(code, errors): each code's correctable list, that list plus each
+    must_fail probe, and on the five- and three-qubit codes that list plus
+    each weight-2 Pauli."""
+    for name in CODE_NAMES:
+        code = code_by_name(name)
+        yield code, list(code.correctable)
+        for err in code.must_fail:
+            yield code, list(code.correctable) + [err]
+    for name in ("five", "mermin"):
+        code = code_by_name(name)
+        for err in _weight_two(code.n):
+            yield code, list(code.correctable) + [err]
+
+
+def test_knill_laflamme_rule_matches_state_vector_route():
+    """The rule's pairs, their order and their texts equal the state-vector
+    oracle's on every probe list; both of the rule's passing branches and
+    its failing one are met."""
+    verdicts = collections.Counter()
+    for code, errors in _kl_probe_lists():
+        report = _kl(code, errors)
+        assert (report.pairs_checked, report.failures) == \
+            knill_laflamme_by_state_vectors(code.codeword(0), code.codeword(1),
+                                            errors), (code.name, errors[-1])
+        verdicts[code.name, report.ok] += 1
+    # five: the code is perfect, so each weight-2 error shares its syndrome
+    # with a weight-1 one and every probe fails; mermin: ZZI, ZIZ, IZZ (in
+    # the stable subgroup) and each of them times a bit flip on a Z site
+    # (YZI, ZYI, ...) pass, 9 of its 27 probes
+    assert verdicts == {("five", True): 1, ("five", False): 90,
+                        ("mermin", True): 10, ("mermin", False): 19,
+                        ("steane", True): 1}
+
+
+@pytest.mark.parametrize("name", CODE_NAMES)
+def test_passing_knill_laflamme_applies_nothing(monkeypatch, name):
     calls = []
 
-    def counting_apply(p, v):
-        calls.append(p)
-        return apply(p, v)
+    def counting(fn):
+        def counted(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return counted
 
-    monkeypatch.setattr(stabilizer, "apply", counting_apply)
+    monkeypatch.setattr(stabilizer, "apply", counting(apply))
+    monkeypatch.setattr(stabilizer, "inner", counting(inner))
     code = code_by_name(name)
-    knill_laflamme_check(code.codeword(0), code.codeword(1), code.correctable)
-    assert len(calls) == applies == 4 * len(code.correctable)
+    assert _kl(code, code.correctable).ok
+    assert calls == []
+    # a failing pair is applied to each codeword once, for its three terms
+    for err in code.must_fail:
+        report = _kl(code, list(code.correctable) + [err])
+        assert calls == ["apply", "inner", "apply", "inner", "inner"] * len(report.failures)
 
 
 def test_group_serialization_lines(five_group):

@@ -30,9 +30,15 @@ def test_support_drops_zeros_and_checks_indices():
     assert v.support == {3: (2, -1)}
     assert v != StateVector(3, {3: (2, -1)})
     assert StateVector(2, {}) == StateVector(2, {1: (0, 0)})
-    for index in (-1, 4):
-        with pytest.raises(ValueError, match="out of range"):
-            StateVector(2, {index: (1, 0)})
+    assert StateVector(2, {0: [0, 0], 2: [0, 3]}).support == {2: (0, 3)}
+    for n in range(1, 6):
+        last = (1 << n) - 1
+        assert StateVector(n, {last: (1, 0), 0: (0, 1)}).support == \
+            {0: (0, 1), last: (1, 0)}
+        for index in (-1, 1 << n):
+            with pytest.raises(ValueError) as err:
+                StateVector(n, {0: (1, 0), index: (1, 0)})
+            assert str(err.value) == f"basis index out of range for {n} qubits"
 
 
 def test_apply_identity(five):
@@ -279,6 +285,38 @@ def test_random_state_is_four_times_the_drawn_dyadics(n):
     assert v == StateVector(n, {j: (a << (2 - e), b << (2 - e))
                                 for j, (a, b, e) in enumerate(draws)})
     assert rng.getstate() == reference.getstate()
+
+
+def _random_state_storing_zeros(rng, n):
+    """random_state's rule as it was: every ket's amplitude is stored, a
+    zero included, for the constructor to drop."""
+    bits = rng.getrandbits
+    support = {}
+    for j in range(1 << n):
+        a = bits(4)
+        while a >= 9:
+            a = bits(4)
+        b = bits(4)
+        while b >= 9:
+            b = bits(4)
+        e = bits(2)
+        while e >= 3:
+            e = bits(2)
+        support[j] = ((a - 4) << (2 - e), (b - 4) << (2 - e))
+    return StateVector(n, support)
+
+
+def test_random_state_draws_what_the_zero_storing_rule_drew():
+    zeros = 0
+    for seed in range(6):
+        rng, reference = random.Random(seed), random.Random(seed)
+        for n in range(1, 6):
+            for _ in range(3):
+                v = random_state(rng, n)
+                assert v == _random_state_storing_zeros(reference, n)
+                assert rng.getstate() == reference.getstate()
+                zeros += (1 << n) - len(v.support)
+    assert zeros   # some draws were zero, and were skipped
 
 
 @pytest.mark.parametrize("n", range(1, 8))
