@@ -322,14 +322,9 @@ def _weight_two(n):
 
 
 def _kl_probe_lists():
-    """(code, errors): each code's correctable list, that list plus each
-    must_fail probe, and on the five- and three-qubit codes that list plus
-    each weight-2 Pauli."""
-    for name in CODE_NAMES:
-        code = code_by_name(name)
-        yield code, list(code.correctable)
-        for err in code.must_fail:
-            yield code, list(code.correctable) + [err]
+    """(code, errors): the lists above, and on the five- and three-qubit
+    codes the correctable list plus each weight-2 Pauli."""
+    yield from _kl_error_lists()
     for name in ("five", "mermin"):
         code = code_by_name(name)
         for err in _weight_two(code.n):
@@ -347,11 +342,11 @@ def test_knill_laflamme_rule_matches_state_vector_route():
             knill_laflamme_by_state_vectors(code.codeword(0), code.codeword(1),
                                             errors), (code.name, errors[-1])
         verdicts[code.name, report.ok] += 1
-    # five: the code is perfect, so each weight-2 error shares its syndrome
-    # with a weight-1 one and every probe fails; mermin: ZZI, ZIZ, IZZ (in
-    # the stable subgroup) and each of them times a bit flip on a Z site
-    # (YZI, ZYI, ...) pass, 9 of its 27 probes
-    assert verdicts == {("five", True): 1, ("five", False): 90,
+    # five: the phased list fails; the code is perfect, so each weight-2
+    # error shares its syndrome with a weight-1 one and every probe fails;
+    # mermin: ZZI, ZIZ, IZZ (in the stable subgroup) and each of them times
+    # a bit flip on a Z site (YZI, ZYI, ...) pass, 9 of its 27 probes
+    assert verdicts == {("five", True): 1, ("five", False): 91,
                         ("mermin", True): 10, ("mermin", False): 19,
                         ("steane", True): 1}
 
@@ -373,8 +368,10 @@ def test_passing_knill_laflamme_applies_nothing(monkeypatch, name):
     assert calls == []
     # a failing pair is applied to each codeword once, for its three terms
     for err in code.must_fail:
-        report = _kl(code, list(code.correctable) + [err])
-        assert calls == ["apply", "inner", "apply", "inner", "inner"] * len(report.failures)
+        failing = len(_kl(code, list(code.correctable) + [err]).failures)
+        assert failing and collections.Counter(calls) == \
+            {"apply": 2 * failing, "inner": 3 * failing}
+        calls.clear()
 
 
 def test_group_serialization_lines(five_group):
