@@ -222,38 +222,29 @@ def knill_laflamme_check(v0: StateVector, v1: StateVector, errors,
     rule serves both, and it decides each pair with one XOR and one lookup:
     - if E anticommutes with an element g of S, the three terms are zero,
       <v_i|E|v_j> = s<v_i|E g|v_j> = -s<v_i|g E|v_j> = -<v_i|E|v_j>.
-      E anticommutes with some element exactly when it anticommutes with
-      a generator, so each error's syndrome (its anticommutation bits
-      against a generating set of S) is found once, and a pair's is the
-      XOR of its errors';
+      Each error's syndrome (its anticommutation bits against the
+      elements of S) is found once, and a pair's is the XOR of its
+      errors';
     - if E is c·g for an element g of S, the off-diagonal term is
       c·s<v0|v1> = 0 and both diagonals are c·s times the common norm;
+      that is a lookup of E's letters among the elements';
     - otherwise E commutes with S without lying in it: it acts on the span
       as a logical Pauli other than the identity, and the pair fails.
     Only a failing pair is applied to the codewords, to write its terms
     <v0|E v1>, <v0|E v0> and <v1|E v1>.
     """
     errors = list(errors)
-    # a generating set of S by coset doubling, as close() builds a group;
-    # members ends as the letter masks of all of S
-    generators = []
-    members = {(0, 0)}
-    for g in stable:
-        gx, gz = g.op.x, g.op.z
-        if (gx, gz) not in members:
-            generators.append(g.op)
-            members |= {(x ^ gx, z ^ gz) for x, z in members}
     syndromes = []
     for e in errors:
         if e.n != v0.n:
             raise DimensionMismatchError(
                 f"dimension mismatch: {e.n} vs {v0.n} qubits")
-        syndromes.append(sum(1 << k for k, g in enumerate(generators)
-                             if not e.commutes_with(g)))
+        syndromes.append(sum(1 << k for k, g in enumerate(stable)
+                             if not e.commutes_with(g.op)))
     failures = []
     for ea, sa in zip(errors, syndromes):
         for eb, sb in zip(errors, syndromes):
-            if sa != sb or (ea.x ^ eb.x, ea.z ^ eb.z) in members:
+            if sa != sb or (ea.x ^ eb.x, ea.z ^ eb.z) in stable._by_xz:
                 continue
             e = ea * eb
             w1 = apply(e, v1)

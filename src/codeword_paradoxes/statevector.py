@@ -31,9 +31,9 @@ class StateVector:
     __slots__ = ("n", "support")
 
     def __init__(self, n: int, support):
-        support = {j: (re, im) for j, (re, im) in support.items() if re or im}
         if support and (min(support) < 0 or max(support) >= 1 << n):
             raise ValueError(f"basis index out of range for {n} qubits")
+        support = {j: (re, im) for j, (re, im) in support.items() if re or im}
         _set_n(self, n)
         _set_support(self, support)
 

@@ -5,7 +5,8 @@ import pytest
 
 from codeword_paradoxes import stabilizer
 from codeword_paradoxes.codes import CODE_NAMES, code_by_name, single_qubit_errors
-from codeword_paradoxes.errors import (NonCommutingGeneratorsError,
+from codeword_paradoxes.errors import (DimensionMismatchError,
+                                       NonCommutingGeneratorsError,
                                        NonHermitianError, SignConflictError)
 from codeword_paradoxes.pauli import from_letters, parse, single_site
 from codeword_paradoxes.stabilizer import (StabilizerElement, StabilizerGroup,
@@ -227,10 +228,9 @@ def _failure(pair, off, d0, d1):
 
 
 def test_knill_laflamme_failure_texts_are_literals(mermin, five):
-    """The failure records as fixed text.  The per-pair reference below
-    writes its texts by the literal gaussian_rule_text, so it would fail a
-    format change too; these literals also pin which pairs fail, in what
-    order."""
+    """The failure records as fixed text.  The state-vector oracle writes
+    its texts by the literal gaussian_rule_text, so it would fail a format
+    change too; these literals also pin which pairs fail, in what order."""
     probe = _kl(mermin, list(mermin.correctable) + [single_site(3, 1, "Z")])
     assert probe.pairs_checked == 25
     assert probe.failures == [_failure(("III", "ZII"), "2", "0", "0"),
@@ -253,22 +253,20 @@ def test_knill_laflamme_steane(steane):
     assert report.pairs_checked == 484
 
 
-def _knill_laflamme_per_pair(v0, v1, errors):
-    """Reference: each term as <v|(Ea·Eb) w>, three applies per pair."""
-    pairs, failures = 0, []
-    for ea in errors:
-        for eb in errors:
-            m = ea * eb
-            off = inner(v0, apply(m, v1))
-            d0 = inner(v0, apply(m, v0))
-            d1 = inner(v1, apply(m, v1))
-            pairs += 1
-            if off != (0, 0) or d0 != d1:
-                failures.append({"pair": (str(ea), str(eb)),
-                                 "off_diagonal": gaussian_rule_text(*off),
-                                 "diag0": gaussian_rule_text(*d0),
-                                 "diag1": gaussian_rule_text(*d1)})
-    return pairs, failures
+@pytest.mark.parametrize("errors, n", [
+    (["XIII"], 4),
+    # IIIII and XXXXX would make a failing pair, applied to the codewords
+    (["IIIII", "XXXXX", "ZZZZZZ"], 6),
+])
+def test_knill_laflamme_refuses_other_qubit_counts(monkeypatch, five, errors, n):
+    """An error on another qubit count raises before any pair is decided."""
+    def no_apply(*args):
+        raise AssertionError("a pair was decided")
+
+    monkeypatch.setattr(stabilizer, "apply", no_apply)
+    with pytest.raises(DimensionMismatchError,
+                       match=f"dimension mismatch: {n} vs 5 qubits"):
+        _kl(five, [parse(t) for t in errors])
 
 
 def test_gaussian_text_forms():
@@ -300,16 +298,6 @@ def _kl_error_lists():
                                     "iIZIII", "XXXXX", "-iXXXXX", "YYYYY")]
 
 
-def test_knill_laflamme_matches_per_pair_products():
-    failing = 0
-    for code, errors in _kl_error_lists():
-        report = _kl(code, errors)
-        assert (report.pairs_checked, report.failures) == \
-            _knill_laflamme_per_pair(code.codeword(0), code.codeword(1), errors)
-        failing += not report.ok
-    assert failing == 2   # the mermin Z probe and the phased list
-
-
 def _weight_two(n):
     """Every weight-2 Pauli on n sites, bare, sites and letters in order."""
     out = []
@@ -322,10 +310,10 @@ def _weight_two(n):
 
 
 def _kl_probe_lists():
-    """(code, errors): the lists above, and on the five- and three-qubit
-    codes the correctable list plus each weight-2 Pauli."""
+    """(code, errors): the lists above, and on every code the correctable
+    list plus each weight-2 Pauli."""
     yield from _kl_error_lists()
-    for name in ("five", "mermin"):
+    for name in CODE_NAMES:
         code = code_by_name(name)
         for err in _weight_two(code.n):
             yield code, list(code.correctable) + [err]
@@ -345,10 +333,13 @@ def test_knill_laflamme_rule_matches_state_vector_route():
     # five: the phased list fails; the code is perfect, so each weight-2
     # error shares its syndrome with a weight-1 one and every probe fails;
     # mermin: ZZI, ZIZ, IZZ (in the stable subgroup) and each of them times
-    # a bit flip on a Z site (YZI, ZYI, ...) pass, 9 of its 27 probes
+    # a bit flip on a Z site (YZI, ZYI, ...) pass, 9 of its 27 probes;
+    # steane: a weight-2 error fails exactly when its two letters agree,
+    # for times a single-site error it is then a weight-3 logical on the
+    # line through its sites, 63 of the 189 probes
     assert verdicts == {("five", True): 1, ("five", False): 91,
                         ("mermin", True): 10, ("mermin", False): 19,
-                        ("steane", True): 1}
+                        ("steane", True): 127, ("steane", False): 63}
 
 
 @pytest.mark.parametrize("name", CODE_NAMES)

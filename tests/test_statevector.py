@@ -35,10 +35,13 @@ def test_support_drops_zeros_and_checks_indices():
         last = (1 << n) - 1
         assert StateVector(n, {last: (1, 0), 0: (0, 1)}).support == \
             {0: (0, 1), last: (1, 0)}
-        for index in (-1, 1 << n):
+        # a zero amplitude is range-checked before it is dropped
+        for index, amplitude in product((-1, 1 << n), ((1, 0), (0, 0))):
             with pytest.raises(ValueError) as err:
-                StateVector(n, {0: (1, 0), index: (1, 0)})
+                StateVector(n, {0: (1, 0), index: amplitude})
             assert str(err.value) == f"basis index out of range for {n} qubits"
+    with pytest.raises(ValueError):
+        StateVector(2, {7: (0, 0), -1: [0, 0]})
 
 
 def test_apply_identity(five):
