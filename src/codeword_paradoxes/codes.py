@@ -1,14 +1,15 @@
 """Concrete code definitions: five-qubit, three-qubit GHZ-type, seven-qubit.
 
-Each definition is its sign-decorated generators plus the structural
-expectations the rest of the package asserts against (group order,
-invariant-subgroup order, correctable error sets).  The codewords are not
-stored: codeword j is the vector the closed group fixes with its signs on
-codeword j, derived once per definition.  It is left unnormalized: a
-state vector of Gaussian integers with amplitude 1 on the first ket of its
-support and a power of i on the rest, so it needs no denominator; every
-consumer is normalization-independent.  The paper's ket listings are kept in the tests,
-which check each derived codeword against them.
+Each definition is its sign-decorated generators plus the error sets the
+code is claimed to correct and not to correct.  The orders the package
+asserts against follow from n: the group has 2**n elements and its
+sign-stable subgroup 2**(n-1).  The codewords are not stored: codeword j
+is the vector the closed group fixes with its signs on codeword j, derived
+once per definition.  It is left unnormalized: a state vector of Gaussian
+integers with amplitude 1 on the first ket of its support and a power of i
+on the rest, so it needs no denominator; every consumer is
+normalization-independent.  The paper's ket listings are kept in the
+tests, which check each derived codeword against them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ __all__ = ["CodeDefinition", "five_qubit_code", "mermin_code", "steane_code",
 
 
 class CodeDefinition:
-    """A code's signed generators and the structure claimed for it.
+    """A code's signed generators and the errors claimed for it.
 
     Read-only after construction.  The closed group and the codewords are
     derived on first use and cached in the instance __dict__, so each
@@ -33,15 +34,11 @@ class CodeDefinition:
 
     def __init__(self, name: str, n: int,
                  generators: tuple[StabilizerElement, ...],
-                 expected_group_order: int,
-                 expected_stable_order: int,     # size of the sign-stable subgroup
                  correctable: tuple[PauliString, ...],  # errors the code handles
                  must_fail: tuple[PauliString, ...]):   # errors it does NOT handle
         self.__dict__.update(
-            name=name, n=n, generators=generators,
-            expected_group_order=expected_group_order,
-            expected_stable_order=expected_stable_order,
-            correctable=correctable, must_fail=must_fail)
+            name=name, n=n, generators=generators, correctable=correctable,
+            must_fail=must_fail)
 
     def __setattr__(self, name, value):
         raise AttributeError("CodeDefinition is read-only")
@@ -127,8 +124,6 @@ def five_qubit_code() -> CodeDefinition:
         name="five",
         n=5,
         generators=tuple(gens),
-        expected_group_order=32,
-        expected_stable_order=16,
         correctable=single_qubit_errors(5),
         must_fail=(),
     )
@@ -152,8 +147,6 @@ def mermin_code() -> CodeDefinition:
         name="mermin",
         n=3,
         generators=gens,
-        expected_group_order=8,
-        expected_stable_order=4,
         correctable=bitflips,
         must_fail=(single_site(3, 1, "Z"),),
     )
@@ -180,8 +173,6 @@ def steane_code() -> CodeDefinition:
         name="steane",
         n=7,
         generators=tuple(gens),
-        expected_group_order=128,
-        expected_stable_order=64,
         correctable=single_qubit_errors(7),
         must_fail=(),
     )

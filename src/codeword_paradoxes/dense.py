@@ -13,14 +13,8 @@ A matrix is square, and its size is its number of rows.  Row i is a tuple
 of (column, entry) pairs holding only the nonzero entries, in increasing
 column order.  Every function returns this one form, so matrices compare
 by plain tuple equality and two of different sizes are unequal.  No memo
-of built matrices is kept here: it would hold the few hundred Pauli
-matrices that `selftest` meets for the rest of the process.  Instead
-`selftest.dense_oracle_suite` keeps a table local to one suite call and
-freed when the suite returns, so no matrix outlives the call.  The table
-builds each distinct phased string's matrix once: a 1-site string's by
-`pauli_matrix`, an n-site one's by one `kron` of two entries already in
-the table, its (n-1)-site prefix (with the phase) and its last site's bare
-letter.
+of built matrices is kept here; `selftest._matrix_table` keeps one for
+the length of a suite call.
 """
 
 from __future__ import annotations

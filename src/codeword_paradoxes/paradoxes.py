@@ -259,53 +259,13 @@ def pentagon_description(code: CodeDefinition) -> dict:
 # ---------------------------------------------------------------------------
 
 
-class OperatorArray:
+class OperatorArray(NamedTuple):
     """Grid of Hermitian operators with declared row/column product signs;
-    checked when built and read-only after."""
+    check_array checks its shape and cells."""
 
-    __slots__ = ("rows", "declared_row_signs", "declared_col_signs")
-
-    def __init__(self, rows: tuple[tuple[PauliString, ...], ...],
-                 declared_row_signs: tuple[int, ...],
-                 declared_col_signs: tuple[int, ...]):
-        if not rows:
-            raise ValueError("operator array has no rows")
-        if len({len(r) for r in rows}) != 1:
-            raise ValueError("ragged operator array")
-        if not rows[0]:
-            raise ValueError("operator array has no columns")
-        shape = len(rows), len(rows[0])
-        if (len(declared_row_signs), len(declared_col_signs)) != shape:
-            raise ValueError(
-                f"declared signs for {len(declared_row_signs)} rows and "
-                f"{len(declared_col_signs)} columns; the array is "
-                f"{shape[0]}x{shape[1]}")
-        for row in rows:
-            for cell in row:
-                if not cell.is_hermitian():
-                    raise NonHermitianError(f"array cell {cell} is not Hermitian")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "declared_row_signs", declared_row_signs)
-        object.__setattr__(self, "declared_col_signs", declared_col_signs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OperatorArray is immutable")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.rows), len(self.rows[0])
-
-    def cell(self, row: int, col: int) -> PauliString:
-        """1-based access (row 1, column 1 is the top-left cell)."""
-        if not 1 <= row <= self.shape[0]:
-            raise ValueError(f"row {row} out of range 1..{self.shape[0]}")
-        return self.column(col)[row - 1]
-
-    def column(self, col: int) -> tuple[PauliString, ...]:
-        """1-based column col, top to bottom."""
-        if not 1 <= col <= self.shape[1]:
-            raise ValueError(f"column {col} out of range 1..{self.shape[1]}")
-        return tuple(row[col - 1] for row in self.rows)
+    rows: tuple[tuple[PauliString, ...], ...]
+    declared_row_signs: tuple[int, ...]
+    declared_col_signs: tuple[int, ...]
 
 
 class ArrayReport(NamedTuple):
@@ -339,19 +299,42 @@ def _all_commute(ops) -> bool:
 
 
 def check_array(arr: OperatorArray) -> ArrayReport:
-    nrows, ncols = arr.shape
-    row_products = [_product(row) for row in arr.rows]
-    col_products = [_product(arr.column(c)) for c in range(1, ncols + 1)]
+    """Row and column products of arr against its declared signs.
+
+    Raises ValueError when arr has no rows or no columns, when its rows
+    are ragged or when its declared signs do not match its shape, and
+    NonHermitianError when a cell is not Hermitian.
+    """
+    rows = arr.rows
+    if not rows:
+        raise ValueError("operator array has no rows")
+    if len({len(r) for r in rows}) != 1:
+        raise ValueError("ragged operator array")
+    if not rows[0]:
+        raise ValueError("operator array has no columns")
+    shape = len(rows), len(rows[0])
+    declared = len(arr.declared_row_signs), len(arr.declared_col_signs)
+    if declared != shape:
+        raise ValueError(
+            f"declared signs for {declared[0]} rows and {declared[1]} "
+            f"columns; the array is {shape[0]}x{shape[1]}")
+    for row in rows:
+        for cell in row:
+            if not cell.is_hermitian():
+                raise NonHermitianError(f"array cell {cell} is not Hermitian")
+    columns = list(zip(*rows))
+    row_products = [_product(row) for row in rows]
+    col_products = [_product(col) for col in columns]
 
     rowwise = _product(row_products)
     colwise = _product(col_products)
 
     return ArrayReport(
-        row_commuting=[_all_commute(row) for row in arr.rows],
+        row_commuting=[_all_commute(row) for row in rows],
         row_products=[str(p) for p in row_products],
         row_signs_match=all(_scalar_sign(p) == s
                             for p, s in zip(row_products, arr.declared_row_signs)),
-        col_commuting=[_all_commute(arr.column(c)) for c in range(1, ncols + 1)],
+        col_commuting=[_all_commute(col) for col in columns],
         col_products=[str(p) for p in col_products],
         col_signs_match=all(_scalar_sign(p) == s
                             for p, s in zip(col_products, arr.declared_col_signs)),

@@ -40,36 +40,15 @@ def codeword_index(which_state: int) -> int:
     return which_state
 
 
-class StabilizerElement:
-    """Bare Hermitian operator plus its eigenvalue on each codeword; an
-    immutable value, equal and hashed by its three fields."""
+class StabilizerElement(NamedTuple):
+    """Bare Hermitian operator plus its eigenvalue on each codeword.
 
-    __slots__ = ("op", "sign0", "sign1")
+    close() checks the fields of the elements it is given: a phased
+    operator or a sign other than +1 or -1 is refused there."""
 
-    def __init__(self, op: PauliString, sign0: int, sign1: int):
-        if op.phase_exp != 0:
-            raise NonHermitianError(
-                f"stabilizer elements store the bare operator; got {op}")
-        if sign0 not in (+1, -1) or sign1 not in (+1, -1):
-            raise ValueError("signs must be +1 or -1")
-        _set_op(self, op)
-        _set_sign0(self, sign0)
-        _set_sign1(self, sign1)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StabilizerElement is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StabilizerElement):
-            return NotImplemented
-        return (self.op, self.sign0, self.sign1) == (other.op, other.sign0, other.sign1)
-
-    def __hash__(self) -> int:
-        return hash((self.op, self.sign0, self.sign1))
-
-    def __repr__(self) -> str:
-        return (f"StabilizerElement(op={self.op!r}, sign0={self.sign0}, "
-                f"sign1={self.sign1})")
+    op: PauliString
+    sign0: int
+    sign1: int
 
     @property
     def sign_stable(self) -> bool:
@@ -80,11 +59,6 @@ class StabilizerElement:
 
     def __str__(self) -> str:
         return f"{self.sign0:+d} {self.sign1:+d} {self.op}"
-
-
-_set_op = StabilizerElement.op.__set__
-_set_sign0 = StabilizerElement.sign0.__set__
-_set_sign1 = StabilizerElement.sign1.__set__
 
 
 class StabilizerGroup:
@@ -119,16 +93,22 @@ def close(generators) -> StabilizerGroup:
     into every element there.  The table is a group, so that coset is
     disjoint from it and the table doubles; closure takes |G| products.
 
-    Raises NonCommutingGeneratorsError when two generators anticommute, and
-    SignConflictError when a generator is already in the table (a product of
-    earlier generators, or a repeat) with other signs: the generators would
-    then produce minus the identity.
+    Raises NonHermitianError when a generator's operator has a phase,
+    ValueError when a sign is not +1 or -1, NonCommutingGeneratorsError
+    when two generators anticommute, and SignConflictError when a generator
+    is already in the table (a product of earlier generators, or a repeat)
+    with other signs: the generators would then produce minus the identity.
     """
     generators = list(generators)
     if not generators:
         raise ValueError("need at least one generator")
     n = generators[0].op.n
     for i, a in enumerate(generators):
+        if a.op.phase_exp != 0:
+            raise NonHermitianError(
+                f"stabilizer elements store the bare operator; got {a.op}")
+        if a.sign0 not in (+1, -1) or a.sign1 not in (+1, -1):
+            raise ValueError("signs must be +1 or -1")
         for b in generators[i + 1:]:
             if not a.op.commutes_with(b.op):
                 raise NonCommutingGeneratorsError(
@@ -216,18 +196,21 @@ def knill_laflamme_check(v0: StateVector, v1: StateVector, errors,
     """Check every pair of errors by the stabilizer rule for E = Ea·Eb.
 
     stable is S, the sign-stable subgroup of the codewords' group
-    (invariant_subgroup): each element fixes v0 and v1 with one sign s, the
-    codewords have one norm, and S has order 2**(n-1), so it fixes their
-    span and nothing more.  The letters of Ea·Eb and Ea†·Eb agree, so one
-    rule serves both, and it decides each pair with one XOR and one lookup:
+    (invariant_subgroup): each element fixes v0 and v1 with one sign s, and
+    the codewords have one norm.  The letters of Ea·Eb and Ea†·Eb agree, so
+    one rule serves both, and it decides each pair with one XOR and one
+    lookup:
     - if E anticommutes with an element g of S, the three terms are zero,
       <v_i|E|v_j> = s<v_i|E g|v_j> = -s<v_i|g E|v_j> = -<v_i|E|v_j>.
       Each error's syndrome (its anticommutation bits against the
       elements of S) is found once, and a pair's is the XOR of its
       errors';
-    - if E is c·g for an element g of S, the off-diagonal term is
-      c·s<v0|v1> = 0 and both diagonals are c·s times the common norm;
-      that is a lookup of E's letters among the elements';
+    - if E is c·g for an element g of S, both diagonals are c·s times the
+      common norm and the off-diagonal term is c·s<v0|v1>.  That is zero
+      when S has order 2**(n-1): an element of the group outside S then
+      has opposite signs on the two codewords.  Only then does E pass, by
+      a lookup of its letters among the elements'.  When S has order 2**n
+      it fixes one state, the codewords coincide, and the pair fails;
     - otherwise E commutes with S without lying in it: it acts on the span
       as a logical Pauli other than the identity, and the pair fails.
     Only a failing pair is applied to the codewords, to write its terms
@@ -241,10 +224,12 @@ def knill_laflamme_check(v0: StateVector, v1: StateVector, errors,
                 f"dimension mismatch: {e.n} vs {v0.n} qubits")
         syndromes.append(sum(1 << k for k, g in enumerate(stable)
                              if not e.commutes_with(g.op)))
+    # at order 2**n the codewords coincide, and no pair passes by lying in S
+    in_s = stable._by_xz if len(stable) == 1 << (stable.n - 1) else {}
     failures = []
     for ea, sa in zip(errors, syndromes):
         for eb, sb in zip(errors, syndromes):
-            if sa != sb or (ea.x ^ eb.x, ea.z ^ eb.z) in stable._by_xz:
+            if sa != sb or (ea.x ^ eb.x, ea.z ^ eb.z) in in_s:
                 continue
             e = ea * eb
             w1 = apply(e, v1)

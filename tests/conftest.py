@@ -139,10 +139,17 @@ def redefine(code, **changes):
     arguments, the given ones changed; it derives its own group and
     codewords."""
     arguments = {"name": code.name, "n": code.n, "generators": code.generators,
-                 "expected_group_order": code.expected_group_order,
-                 "expected_stable_order": code.expected_stable_order,
                  "correctable": code.correctable, "must_fail": code.must_fail}
     return CodeDefinition(**{**arguments, **changes})
+
+
+def coinciding(code):
+    """code with each generator's codeword-1 sign set to its codeword-0
+    sign: every element is sign-stable, so the sign-stable subgroup is the
+    whole group and the two codewords coincide."""
+    return redefine(code, name=f"{code.name}-coinciding",
+                    generators=tuple(g._replace(sign1=g.sign0)
+                                     for g in code.generators))
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,7 @@ from codeword_paradoxes.kochen_specker import (bit_indices,
                                                build_orthogonality_graph,
                                                enumerate_contexts)
 from codeword_paradoxes.report import REPORT_DIR_ENV, Report
+from conftest import coinciding
 
 
 def run_cli(capsys, *argv):
@@ -50,6 +51,26 @@ def test_verify_code_steane(capsys):
     code, payload = run_json(capsys, "verify-code", "--code", "steane")
     assert code == 0
     assert payload["details"]["checks"]["group_order"]["got"] == 128
+
+
+def test_verify_code_fails_when_the_codewords_coincide(capsys, monkeypatch):
+    """With ZZZZZ at (+1, +1) every element is sign-stable, so the stable
+    subgroup is the whole group and the codewords coincide: each error
+    times itself lies in it, with the norm 16 as its off-diagonal term."""
+    five = coinciding(cli.code_by_name("five"))
+    monkeypatch.setattr(cli, "code_by_name", lambda name: five)
+    code, payload = run_json(capsys, "verify-code", "--code", "five")
+    assert code == 1
+    assert payload["verdict"] == "fail"
+    checks = payload["details"]["checks"]
+    assert checks["codewords_orthogonal"] is False
+    assert checks["group_order"] == {"expected": 32, "got": 32}
+    assert checks["invariant_subgroup_order"] == {"expected": 16, "got": 32}
+    assert checks["error_correction_ok"] is False
+    failures = payload["details"]["error_correction_failures"]
+    assert len(failures) == 16
+    assert failures[0] == {"pair": ["IIIII", "IIIII"], "off_diagonal": "16",
+                           "diag0": "16", "diag1": "16"}
 
 
 def test_unknown_code_is_usage_error(capsys):

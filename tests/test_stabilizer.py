@@ -14,7 +14,8 @@ from codeword_paradoxes.stabilizer import (StabilizerElement, StabilizerGroup,
                                            knill_laflamme_check,
                                            verify_stabilizes)
 from codeword_paradoxes.statevector import apply, eigensign, inner
-from conftest import gaussian_rule_text, knill_laflamme_by_state_vectors
+from conftest import (coinciding, gaussian_rule_text,
+                      knill_laflamme_by_state_vectors)
 
 
 def _expected_five_qubit_listing():
@@ -91,12 +92,14 @@ def test_element_sign_takes_only_codeword_0_or_1():
 
 
 def test_element_refuses_a_phase_and_signs_other_than_plus_minus_one():
+    # close() is where elements enter a group, so it checks their fields
+    zz = StabilizerElement(parse("ZZ"), +1, +1)
     with pytest.raises(NonHermitianError,
                        match="^stabilizer elements store the bare operator; got -ZZ$"):
-        StabilizerElement(parse("-ZZ"), +1, +1)
+        close([zz, StabilizerElement(parse("-ZZ"), +1, +1)])
     for signs in ((0, +1), (+1, 2), (-2, -1)):
         with pytest.raises(ValueError, match=r"^signs must be \+1 or -1$"):
-            StabilizerElement(parse("ZZ"), *signs)
+            close([StabilizerElement(parse("ZZ"), *signs)])
 
 
 def test_elements_are_values(five_group):
@@ -287,10 +290,10 @@ def test_gaussian_text_matches_the_rule_on_a_grid():
 
 def _kl_error_lists():
     for name in CODE_NAMES:
-        code = code_by_name(name)
-        yield code, list(code.correctable)
-        for err in code.must_fail:
-            yield code, list(code.correctable) + [err]
+        for code in (code_by_name(name), coinciding(code_by_name(name))):
+            yield code, list(code.correctable)
+            for err in code.must_fail:
+                yield code, list(code.correctable) + [err]
     # phases 1, 2 and 3 exercise the adjoint on the left; the logical
     # XXXXX and YYYYY fail KL, <0|YYYYY|1> and <1|YYYYY|0> differ
     code = code_by_name("five")
@@ -336,10 +339,15 @@ def test_knill_laflamme_rule_matches_state_vector_route():
     # a bit flip on a Z site (YZI, ZYI, ...) pass, 9 of its 27 probes;
     # steane: a weight-2 error fails exactly when its two letters agree,
     # for times a single-site error it is then a weight-3 logical on the
-    # line through its sites, 63 of the 189 probes
+    # line through its sites, 63 of the 189 probes; with coinciding
+    # codewords every error pairs with itself into the stable subgroup,
+    # whose off-diagonal term is the norm, so every list fails
     assert verdicts == {("five", True): 1, ("five", False): 91,
                         ("mermin", True): 10, ("mermin", False): 19,
-                        ("steane", True): 127, ("steane", False): 63}
+                        ("steane", True): 127, ("steane", False): 63,
+                        ("five-coinciding", False): 1,
+                        ("mermin-coinciding", False): 2,
+                        ("steane-coinciding", False): 1}
 
 
 @pytest.mark.parametrize("name", CODE_NAMES)
