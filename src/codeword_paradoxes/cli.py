@@ -85,10 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("ks", _cmd_ks,
             "104-projector set, orthogonality graph, contexts, colorability")
-    p.add_argument("--budget", type=_int_at_least(0), default=1_000_000,
-                   help="node budget for context enumeration")
-    p.add_argument("--decision-budget", type=_int_at_least(0), default=1_000_000,
-                   help="decision budget for the coloring search")
     p.add_argument("--dump-set", metavar="PATH", default=None,
                    help="write vertex/edge/context tables as JSON")
 
@@ -230,24 +226,22 @@ def _cmd_ks(args) -> Report:
     if path:
         open(path, "a", encoding="utf-8").close()
     try:
-        return _ks_proof(args)
+        return _ks_proof(path)
     except BaseException:
         if created:
             os.remove(path)
         raise
 
 
-def _ks_proof(args) -> Report:
+def _ks_proof(path: str | None) -> Report:
     vertices = build_ks_set()
     graph = build_orthogonality_graph(vertices)
-    contexts = enumerate_contexts(graph, node_budget=args.budget)
+    contexts = enumerate_contexts(graph)
     canon = canonical_contexts(graph)
     canonical_found = set(canon) <= set(contexts)
 
-    verdict_full = ks_colorability(graph.adj, contexts,
-                                   decision_budget=args.decision_budget)
-    verdict_canon = ks_colorability(graph.adj, canon,
-                                    decision_budget=args.decision_budget)
+    verdict_full = ks_colorability(graph.adj, contexts)
+    verdict_canon = ks_colorability(graph.adj, canon)
 
     g = gcd(len(vertices), 32)
     details = {
@@ -272,9 +266,9 @@ def _ks_proof(args) -> Report:
             v.label(): bool(verdict_full.true >> i & 1)
             for i, v in enumerate(graph.vertices)
         }
-    if args.dump_set:
-        _dump_ks_set(args.dump_set, graph, contexts)
-        details["dump"] = args.dump_set
+    if path:
+        _dump_ks_set(path, graph, contexts)
+        details["dump"] = path
 
     ok = (len(vertices) == 104 and canonical_found
           and not verdict_full.satisfiable)

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from codeword_paradoxes.kochen_specker import (bit_indices,
                                                enumerate_contexts)
 from codeword_paradoxes.report import REPORT_DIR_ENV, Report
 from conftest import coinciding
+from test_golden import golden
 
 
 def run_cli(capsys, *argv):
@@ -164,15 +166,23 @@ def test_ks(ks_dump_run):
     assert det["canonical_contexts_found"] is True
 
 
-def test_ks_budget_exhaustion_exits_3(capsys):
-    code = main(["ks", "--budget", "5"])
+def _starve_context_enumeration(monkeypatch):
+    # ks takes no budget option; its enumeration gets a budget of 5 nodes
+    monkeypatch.setattr(cli, "enumerate_contexts",
+                        functools.partial(enumerate_contexts, node_budget=5))
+
+
+def test_ks_budget_exhaustion_exits_3(capsys, monkeypatch):
+    _starve_context_enumeration(monkeypatch)
+    code = main(["ks"])
     assert code == 3
 
 
-def test_ks_budget_is_exact_at_the_enumeration_node_count(capsys):
-    # the full enumeration takes exactly 4581 search nodes
-    assert main(["ks", "--budget", "4580"]) == 3
-    assert main(["ks", "--budget", "4581"]) == 0
+@pytest.mark.parametrize("option", ["--budget", "--decision-budget"])
+def test_ks_takes_no_budget_option(capsys, option):
+    with pytest.raises(SystemExit) as err:
+        main(["ks", option, "5"])
+    assert err.value.code == 2
 
 
 def test_steane_search_budget_exhaustion_exits_3(capsys):
@@ -262,27 +272,10 @@ def test_dump_writer_matches_the_json_module(ks_vertices, ks_graph,
     assert path.read_bytes() == expected.encode("ascii")
 
 
-def test_steane_search(capsys):
-    code, out = run_cli(capsys, "steane-search", "--max", "10",
-                        "--format", "json")
-    assert code == 0
-    # byte-identical to the golden report (see test_golden.py)
-    golden = Path(__file__).parent / "golden" / "steane-search.json"
-    assert out == golden.read_text(encoding="utf-8")
-    payload = json.loads(out)
-    assert payload["verdict"] == "contradiction-confirmed"
-    for ws in (0, 1):
-        res = payload["details"]["results"][f"codeword{ws}"]
-        assert res["contradictions_found"] > 0
-        assert res["minimal_size"] == 4
-
-
 @pytest.mark.parametrize("argv", [
     ["steane-search", "--max", "-3"],
     ["steane-search", "--max", "0"],
     ["steane-search", "--budget", "-1"],
-    ["ks", "--budget", "-1"],
-    ["ks", "--decision-budget", "-1"],
 ])
 def test_out_of_range_bounds_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as err:
@@ -296,11 +289,9 @@ def test_steane_search_one_state_matches_its_golden_entry(capsys, state):
     code, payload = run_json(capsys, "steane-search", "--max", "10",
                              "--state", state)
     assert code == 0
-    golden = json.loads((Path(__file__).parent / "golden"
-                         / "steane-search.json").read_text(encoding="utf-8"))
+    results = json.loads(golden("steane-search"))["details"]["results"]
     entry = f"codeword{state}"
-    assert payload["details"]["results"] == \
-        {entry: golden["details"]["results"][entry]}
+    assert payload["details"]["results"] == {entry: results[entry]}
 
 
 def test_steane_search_single_state(capsys):
@@ -373,13 +364,15 @@ def test_unwritable_dump_path_is_usage_error(capsys, tmp_path, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_exhausted_ks_budget_leaves_the_dump_path_as_it_was(capsys, tmp_path):
+def test_exhausted_ks_budget_leaves_the_dump_path_as_it_was(capsys, tmp_path,
+                                                           monkeypatch):
+    _starve_context_enumeration(monkeypatch)
     fresh = tmp_path / "fresh.json"
-    assert main(["ks", "--budget", "5", "--dump-set", str(fresh)]) == 3
+    assert main(["ks", "--dump-set", str(fresh)]) == 3
     assert not fresh.exists()
     older = tmp_path / "older.json"
     older.write_text("an older dump\n")
-    assert main(["ks", "--budget", "5", "--dump-set", str(older)]) == 3
+    assert main(["ks", "--dump-set", str(older)]) == 3
     assert older.read_text() == "an older dump\n"
 
 

@@ -1,12 +1,12 @@
 """Byte-for-byte golden outputs of the CLI's JSON reports.
 
 Each file under tests/golden/ is the exact stdout of one command run with
---format json.  The ks report echoes the --dump-set path, which is replaced
-here by the placeholder "<dump>"; the dump file itself (about 200 KB) is
-pinned by its sha256 instead of being committed; that run is the
-session's shared `ks_dump_run` (conftest.py).  The steane-search golden
-is compared inside test_cli.test_steane_search, so the suite runs that
-search only once.
+--format json: one file per CASES entry, plus ks.json.  CASES is the one
+list of golden reports; tier-1 and CI's installed-package smoke step both
+read it.  The ks report echoes the --dump-set path, which is written as
+the placeholder "<dump>" (with_dump_placeholder); the dump file itself
+(about 200 KB) is pinned by its sha256 instead of being committed.  Here
+that run is the session's shared `ks_dump_run` (conftest.py).
 """
 
 import hashlib
@@ -38,17 +38,30 @@ CASES = {
     "pentagon": ["pentagon"],
     "array": ["array"],
     "selftest_seed0": ["selftest", "--seed", "0"],
+    "steane-search": ["steane-search"],
 }
 
 
 def golden(name: str) -> str:
-    return (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
+    """The golden file's exact text (no newline translation)."""
+    return (GOLDEN_DIR / f"{name}.json").read_bytes().decode("utf-8")
+
+
+def with_dump_placeholder(ks_report: str, dump_path) -> str:
+    """A ks report with its --dump-set path written as "<dump>"."""
+    return ks_report.replace(json.dumps(str(dump_path)), '"<dump>"')
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(capsys, name):
     assert main(CASES[name] + ["--format", "json"]) == 0
     assert capsys.readouterr().out == golden(name)
+
+
+def test_every_golden_file_has_its_case():
+    # a golden file that no test reads, or a case without its file, fails
+    files = sorted(path.name for path in GOLDEN_DIR.iterdir())
+    assert files == sorted(f"{name}.json" for name in [*CASES, "ks"])
 
 
 def test_one_parser_serves_every_call(capsys):
@@ -71,5 +84,5 @@ def test_one_parser_serves_every_call(capsys):
 def test_ks_report_and_dump_match_golden(ks_dump_run):
     assert ks_dump_run.code == 0
     path = ks_dump_run.path
-    assert ks_dump_run.out.replace(json.dumps(str(path)), '"<dump>"') == golden("ks")
+    assert with_dump_placeholder(ks_dump_run.out, path) == golden("ks")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == KS_DUMP_SHA256
