@@ -172,45 +172,14 @@ def bit_indices(mask: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-class OrthogonalityGraph:
-    """Vertices plus their exact mutual-orthogonality relation, computed
-    from the vertices alone: adj[i] is the mask of the vertices whose
-    spanning vectors are all orthogonal to those of vertex i.
+class OrthogonalityGraph(NamedTuple):
+    """A vertex list and its orthogonality relation, as
+    build_orthogonality_graph computes them."""
 
-    Every spanning entry is 0 or ±1, so sign_masks[i] holds vertex i's
-    spanning vectors as (support, negative entries) mask pairs, and a dot
-    product is a bit count (see _orthogonal); vectors whose supports do not
-    meet pass it.  Raises ValueError naming the vertex for a spanning
-    vector that is not 32 entries of 0 or ±1.
-    """
-
-    def __init__(self, vertices: list[KSVertex]):
-        sign_masks = []
-        for i, v in enumerate(vertices):
-            if any(len(u) != _DIM for u in v.ivecs):
-                raise ValueError(f"vertex {i}: spanning vectors must have "
-                                 f"{_DIM} entries")
-            if not {a for u in v.ivecs for a in u} <= {-1, 0, 1}:
-                raise ValueError(f"vertex {i}: spanning vector entries must "
-                                 "be 0, 1 or -1")
-            sign_masks.append([
-                (sum(1 << k for k, a in enumerate(u) if a),
-                 sum(1 << k for k, a in enumerate(u) if a < 0))
-                for u in v.ivecs])
-        nv = len(vertices)
-        adj = [0] * nv
-        for i in range(nv):
-            for j in range(i + 1, nv):
-                if _orthogonal(sign_masks[i], sign_masks[j]):
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-        self.vertices = vertices
-        self.sign_masks = sign_masks
-        self.adj = adj
-        self.edge_count = sum(m.bit_count() for m in adj) // 2
-
-    def __len__(self) -> int:
-        return len(self.vertices)
+    vertices: list[KSVertex]
+    sign_masks: list[list[tuple[int, int]]]
+    adj: list[int]
+    edge_count: int
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, u + 1 + k) for u, m in enumerate(self.adj)
@@ -231,10 +200,39 @@ def _orthogonal(p: list[tuple[int, int]], q: list[tuple[int, int]]) -> bool:
 
 
 def build_orthogonality_graph(vertices: list[KSVertex]) -> OrthogonalityGraph:
-    """The orthogonality graph of a vertex list.  A vertex's id is its list
-    position, so the graph of a sublist, [vertices[i] for i in ids], is the
-    sub-instance on those vertices."""
-    return OrthogonalityGraph(vertices)
+    """The orthogonality graph of a vertex list, computed from the vertices
+    alone: adj[i] is the mask of the vertices whose spanning vectors are all
+    orthogonal to those of vertex i.  A vertex's id is its list position, so
+    the graph of a sublist, [vertices[i] for i in ids], is the sub-instance
+    on those vertices.
+
+    Every spanning entry is 0 or ±1, so sign_masks[i] holds vertex i's
+    spanning vectors as (support, negative entries) mask pairs, and a dot
+    product is a bit count (see _orthogonal); vectors whose supports do not
+    meet pass it.  Raises ValueError naming the vertex for a spanning vector
+    that is not 32 entries of 0 or ±1.
+    """
+    sign_masks = []
+    for i, v in enumerate(vertices):
+        if any(len(u) != _DIM for u in v.ivecs):
+            raise ValueError(f"vertex {i}: spanning vectors must have "
+                             f"{_DIM} entries")
+        if not {a for u in v.ivecs for a in u} <= {-1, 0, 1}:
+            raise ValueError(f"vertex {i}: spanning vector entries must "
+                             "be 0, 1 or -1")
+        sign_masks.append([
+            (sum(1 << k for k, a in enumerate(u) if a),
+             sum(1 << k for k, a in enumerate(u) if a < 0))
+            for u in v.ivecs])
+    nv = len(vertices)
+    adj = [0] * nv
+    for i in range(nv):
+        for j in range(i + 1, nv):
+            if _orthogonal(sign_masks[i], sign_masks[j]):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return OrthogonalityGraph(vertices, sign_masks, adj,
+                              sum(m.bit_count() for m in adj) // 2)
 
 
 # ---------------------------------------------------------------------------

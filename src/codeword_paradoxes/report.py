@@ -118,14 +118,14 @@ def _render(value, indent: int) -> list[str]:
     if isinstance(value, dict):
         for key in value:
             sub = value[key]
-            if isinstance(sub, (dict, list)) and sub:
+            if isinstance(sub, (dict, list, tuple)) and sub:
                 lines.append(f"{pad}{key}:")
                 lines.extend(_render(sub, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {_scalar(sub)}")
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         for item in value:
-            if isinstance(item, (dict, list)):
+            if isinstance(item, (dict, list, tuple)):
                 lines.append(f"{pad}-")
                 lines.extend(_render(item, indent + 1))
             else:
@@ -138,6 +138,6 @@ def _render(value, indent: int) -> list[str]:
 def _scalar(x) -> str:
     if isinstance(x, bool):
         return "yes" if x else "no"
-    if isinstance(x, (list, dict)) and not x:
+    if isinstance(x, (list, tuple, dict)) and not x:
         return "(none)"
     return str(x)

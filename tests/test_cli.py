@@ -13,6 +13,7 @@ from codeword_paradoxes import cli
 from codeword_paradoxes.cli import main
 from codeword_paradoxes.kochen_specker import (bit_indices,
                                                build_orthogonality_graph,
+                                               canonical_contexts,
                                                enumerate_contexts)
 from codeword_paradoxes.report import REPORT_DIR_ENV, Report
 from conftest import coinciding
@@ -73,6 +74,17 @@ def test_verify_code_fails_when_the_codewords_coincide(capsys, monkeypatch):
     assert len(failures) == 16
     assert failures[0] == {"pair": ["IIIII", "IIIII"], "off_diagonal": "16",
                            "diag0": "16", "diag1": "16"}
+
+
+def test_verify_code_text_report_lists_each_failing_pair(capsys, monkeypatch):
+    five = coinciding(cli.code_by_name("five"))
+    monkeypatch.setattr(cli, "code_by_name", lambda name: five)
+    code, out = run_cli(capsys, "verify-code", "--code", "five")
+    assert code == 1
+    assert "('" not in out
+    assert out.count("    pair:\n") == 16
+    for err in five.correctable:
+        assert f"    pair:\n      - {err}\n      - {err}\n" in out
 
 
 def test_unknown_code_is_usage_error(capsys):
@@ -166,6 +178,27 @@ def test_ks(ks_dump_run):
     assert det["canonical_contexts_found"] is True
 
 
+def test_ks_reports_the_coloring_that_falsifies_it(capsys, monkeypatch,
+                                                  ks_graph):
+    """With the 32 classical kets as the only context, a coloring exists:
+    ks exits 1 and reports it, one label per vertex."""
+    kets = canonical_contexts(ks_graph)[0]
+    monkeypatch.setattr(cli, "enumerate_contexts", lambda graph: [kets])
+    code, payload = run_json(capsys, "ks")
+    assert code == 1
+    assert payload["verdict"] == "fail"
+    det = payload["details"]
+    assert det["canonical_contexts_found"] is False
+    assert det["colorability"] == {"satisfiable": True, "decisions": 1,
+                                   "propagations": 68, "conflicts": 0}
+    ids = {v.label(): i for i, v in enumerate(ks_graph.vertices)}
+    assert len(det["coloring"]) == 104 and det["coloring"].keys() == ids.keys()
+    true = sum(1 << ids[label] for label, on in det["coloring"].items() if on)
+    assert true.bit_count() == 1
+    assert true & kets  # KS2
+    assert not any(ks_graph.adj[u] & true for u in bit_indices(true))  # KS1
+
+
 def _starve_context_enumeration(monkeypatch):
     # ks takes no budget option; its enumeration gets a budget of 5 nodes
     monkeypatch.setattr(cli, "enumerate_contexts",
@@ -239,7 +272,7 @@ def _dump_payload(graph, contexts):
             }
             for i, v in enumerate(graph.vertices)
         ],
-        "edges": [(u, v) for u in range(len(graph))
+        "edges": [(u, v) for u in range(len(graph.vertices))
                   for v in bit_indices(graph.adj[u]) if v > u],
         "contexts": [bit_indices(c) for c in contexts],
     }

@@ -214,7 +214,7 @@ def test_edge_count_frozen(ks_graph):
 
 def test_graph_is_symmetric_irreflexive_and_reproducible(ks_graph, ks_vertices):
     adj = ks_graph.adj
-    for v in range(len(ks_graph)):
+    for v in range(len(ks_graph.vertices)):
         assert not adj[v] >> v & 1
         for u in bit_indices(adj[v]):
             assert adj[u] >> v & 1

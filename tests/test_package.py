@@ -1,7 +1,8 @@
 """Package-wide contracts: every exported name resolves, the package imports
 nothing outside the standard library, nor dataclasses, its modules keep their
-import boundaries, its read-only records refuse assignment, and the README's
-library example runs as written."""
+import boundaries, its read-only records refuse assignment, the README's
+library example runs as written, and every row of the mutation table still
+applies."""
 
 import ast
 import importlib
@@ -15,11 +16,13 @@ import pytest
 
 import codeword_paradoxes
 from codeword_paradoxes.codes import five_qubit_code
-from codeword_paradoxes.kochen_specker import KSVertex
+from codeword_paradoxes.kochen_specker import (KSVertex,
+                                               build_orthogonality_graph)
 from codeword_paradoxes.paradoxes import (build_canonical_array,
                                           canonical_pentagon_instance,
                                           find_determinations)
 from codeword_paradoxes.statevector import inner
+from mutants import MUTANTS, ROOT, occurrences
 
 PACKAGE = Path(codeword_paradoxes.__file__).parent
 
@@ -110,8 +113,13 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert out.splitlines() == [str(PACKAGE / "cli.py"), "[]"]
 
 
+def _ket_vertex():
+    return KSVertex(("classical", "00000"), ((1,) + (0,) * 31,))
+
+
 # (record type, a function that makes one, one of its fields) for each
-# read-only record: those that were frozen dataclasses, and StateVector.
+# read-only record: those that were frozen dataclasses, StateVector and the
+# orthogonality graph.
 READ_ONLY_RECORDS = [
     ("CodeDefinition", five_qubit_code, "name"),
     ("StabilizerElement", lambda: five_qubit_code().generators[0], "sign0"),
@@ -121,8 +129,9 @@ READ_ONLY_RECORDS = [
     ("ParityInstance", lambda: canonical_pentagon_instance(five_qubit_code()),
      "members"),
     ("OperatorArray", build_canonical_array, "rows"),
-    ("KSVertex", lambda: KSVertex(("classical", "00000"), ((1,) + (0,) * 31,)),
-     "scale_exp"),
+    ("KSVertex", _ket_vertex, "scale_exp"),
+    ("OrthogonalityGraph", lambda: build_orthogonality_graph([_ket_vertex()]),
+     "adj"),
     ("StateVector", lambda: five_qubit_code().codeword(0), "support"),
 ]
 
@@ -149,3 +158,11 @@ def test_inner_returns_a_plain_tuple():
     v0, v1 = code.codeword(0), code.codeword(1)
     assert type(inner(v0, v1)) is tuple
     assert inner(v0, v1) == (0, 0) and inner(v1, v1) == (code.norm2, 0)
+
+
+def test_every_mutant_applies_once_and_names_existing_tests():
+    # the runner itself, python tests/mutants.py, takes a pytest run per row
+    assert {m.old: occurrences(m) for m in MUTANTS} == {m.old: 1
+                                                        for m in MUTANTS}
+    assert all((ROOT / test.split("::")[0]).is_file()
+               for m in MUTANTS for test in m.tests)

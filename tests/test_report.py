@@ -68,6 +68,13 @@ def test_edge_cases_encode_as_the_stdlib_does():
         assert report.to_json() == stdlib_json(report)
 
 
+def test_text_form_shows_a_tuple_as_a_list():
+    def text(details):
+        return Report("c", "fail", None, details).to_text()
+    assert text({"pair": ("XI", "IX"), "signs": [(1, -1)], "none": ()}) \
+        == text({"pair": ["XI", "IX"], "signs": [[1, -1]], "none": []})
+
+
 @pytest.mark.parametrize("details", [
     {"float": 0.5}, {"whole_float": 1.0}, {"nested": [1, [2.5]]},
     {"set": {1, 2}}, {"frozenset": frozenset()}, {"bytes": b"x"},
